@@ -18,12 +18,12 @@ Results append to ``benchmarks/results/BENCH_core.json`` (gitignored
 output, not an input).
 """
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
+from benchmarks.e2e.record import append_record
 from repro.core.engine import SimulationConfig, Simulator
 from repro.exp.workloads import bottleneck_spec
 from repro.numeric import fastpath_steps_total, reset_counters
@@ -35,18 +35,6 @@ E04 = [(k, 8000) for k in range(5, 9)]
 CONFIGS = E03 + E04
 SPEEDUP_FLOOR = 5.0
 RESULTS = Path(__file__).parent / "results" / "BENCH_core.json"
-
-
-def _record(payload: dict) -> None:
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(payload)
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _run(k: int, horizon: int, *, fastpath) -> tuple:
@@ -95,7 +83,7 @@ class TestIntegerKernelSpeedup:
         total_steps = sum(h for _, h in CONFIGS)
         kernel_steps = fastpath_steps_total()
 
-        _record({
+        append_record(RESULTS, {
             "bench": "core_fastpath",
             "configs": len(CONFIGS),
             "total_steps": total_steps,

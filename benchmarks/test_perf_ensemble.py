@@ -12,12 +12,12 @@ ratio's history survives across runs (the file is gitignored output, not an
 input).
 """
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
+from benchmarks.e2e.record import append_record
 from repro.core import SimulationConfig, Simulator
 from repro.core.ensemble import EnsembleSimulator
 from repro.graphs import generators as gen
@@ -49,24 +49,6 @@ def run_batched(spec):
     ).run(HORIZON)
 
 
-def record(ratio, scalar_s, batched_s):
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append({
-        "replicas": REPLICAS,
-        "horizon": HORIZON,
-        "scalar_seconds": round(scalar_s, 4),
-        "batched_seconds": round(batched_s, 4),
-        "speedup": round(ratio, 2),
-    })
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
-
-
 class TestEnsembleSpeedup:
     def test_batched_vs_scalar_loop(self, benchmark, perf_asserts):
         """Batched backend must be >= 5x faster than looping the scalar
@@ -91,7 +73,13 @@ class TestEnsembleSpeedup:
                     == scalar_results[r].trajectory.total_queued)
 
         ratio = scalar_s / batched_s
-        record(ratio, scalar_s, batched_s)
+        append_record(RESULTS, {
+            "replicas": REPLICAS,
+            "horizon": HORIZON,
+            "scalar_seconds": round(scalar_s, 4),
+            "batched_seconds": round(batched_s, 4),
+            "speedup": round(ratio, 2),
+        })
         print(f"\nscalar loop: {scalar_s:.3f}s  batched: {batched_s:.3f}s  "
               f"speedup: {ratio:.1f}x")
         if perf_asserts:

@@ -15,10 +15,10 @@ Results append to ``benchmarks/results/BENCH_mobility.json`` (gitignored
 output, not an input).
 """
 
-import json
 import time
 from pathlib import Path
 
+from benchmarks.e2e.record import append_record
 from repro.mobility import (
     MobilityTrace,
     RandomWaypoint,
@@ -35,18 +35,6 @@ SPECS = [
 ]
 SPEEDUP_FLOOR = 1.5
 RESULTS = Path(__file__).parent / "results" / "BENCH_mobility.json"
-
-
-def _record(payload: dict) -> None:
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(payload)
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _traces():
@@ -93,7 +81,7 @@ class TestIncrementalTimelineSpeedup:
         warm_solves = sum(tl.warm_solves for tl in warm_timelines)
         cold_solves = sum(tl.cold_solves for tl in warm_timelines)
         snapshots = sum(len(tl) for tl in warm_timelines)
-        _record({
+        append_record(RESULTS, {
             "bench": "mobility_timeline",
             "traces": len(traces),
             "snapshots": snapshots,

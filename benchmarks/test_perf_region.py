@@ -1,28 +1,28 @@
-"""Exact region boundaries: one envelope per ray vs. ε-probes per point.
+"""Exact region boundaries: one envelope per ray vs. a classify per point.
 
 The workload is the one e03/e17/e23 actually run: a region map resolves
 every instance at a *grid of load scales* along its injection ray —
 "is λ·(in rates) still routable?" for each sampled λ — plus the
-stability margin at the nominal point.  The previous path answers each
+stability margin at the nominal point.  The per-point path answers each
 sample with its own warm classify (:func:`classify_network` of the
-scaled instance; nothing carries over between scales, and the margin
-needs a separate ε-probe bisection).  The new path answers the *entire
-ray* from one :func:`classify_region` call: the breakpoint envelope is
-exact for every λ at once, so each sample is an O(log segments) lookup
-and the margin falls out exactly, not ``tol``-bracketed.
+scaled instance; nothing carries over between scales).  The envelope
+path answers the *entire ray* from one :func:`classify_region` call: the
+breakpoint envelope is exact for every λ at once, so each sample is an
+O(log segments) lookup and the margin falls out exactly, not
+``tol``-bracketed.
 
 Consistency is asserted unconditionally: at every sampled scale the
 envelope's verdict (class and max-flow value) must equal the scaled
-classify's, and the ε-probe margin must bracket the exact one from
-below within ``TOL``.  Only the wall-clock ratio is gated on
-``perf_asserts`` (off under ``--perf-smoke``, where shared CI runners
-make timing flaky).
+classify's, and the all-cold bisection margin
+(:func:`max_unsaturation_margin_cold`, run off the clock) must bracket
+the exact one from below within ``TOL``.  Only the wall-clock ratio is
+gated on ``perf_asserts`` (off under ``--perf-smoke``, where shared CI
+runners make timing flaky).
 
 Results append to ``benchmarks/results/BENCH_region.json`` (gitignored
 output, not an input).
 """
 
-import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -30,12 +30,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.e2e.record import append_record
 from repro.flow import ALGORITHMS
 from repro.flow.feasibility import (
     NetworkClass,
     classify_network,
     classify_region,
-    max_unsaturation_margin_probe,
+    max_unsaturation_margin_cold,
 )
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -54,18 +55,6 @@ SCALES = [Fraction(k, 4) for k in range(1, 17)]
 TOL = Fraction(1, 4096)
 SPEEDUP_FLOOR = 3.0
 RESULTS = Path(__file__).parent / "results" / "BENCH_region.json"
-
-
-def _record(payload: dict) -> None:
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(payload)
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _instances():
@@ -94,8 +83,8 @@ def _instances():
 
 class TestRegionEnvelopeSpeedup:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_envelope_beats_probe_path_3x(self, algorithm, benchmark,
-                                          perf_asserts):
+    def test_envelope_beats_per_scale_classify_3x(self, algorithm, benchmark,
+                                                  perf_asserts):
         instances = _instances()
 
         # warm-up: let both paths touch their code once, off the clock
@@ -104,11 +93,9 @@ class TestRegionEnvelopeSpeedup:
                         algorithm=algorithm)
         classify_network(build_extended_graph(g0, in0, out0),
                          algorithm=algorithm)
-        max_unsaturation_margin_probe(build_extended_graph(g0, in0, out0),
-                                      tol=TOL, algorithm=algorithm)
 
-        # -- old path: one warm classify per sampled scale, ε-probe margin
-        probe_rows, probe_margins = [], []
+        # -- old path: one warm classify per sampled scale
+        point_rows = []
         t0 = time.perf_counter()
         for g, in_rates, out_rates in instances:
             row = []
@@ -117,11 +104,8 @@ class TestRegionEnvelopeSpeedup:
                     g, {v: s * r for v, r in in_rates.items()}, out_rates)
                 rep = classify_network(scaled, algorithm=algorithm)
                 row.append((rep.network_class, rep.max_flow_value))
-            probe_rows.append(row)
-            probe_margins.append(max_unsaturation_margin_probe(
-                build_extended_graph(g, in_rates, out_rates),
-                tol=TOL, algorithm=algorithm))
-        probe_s = time.perf_counter() - t0
+            point_rows.append(row)
+        point_s = time.perf_counter() - t0
 
         # -- new path: one parametric solve per ray, lookups per scale
         reports = []
@@ -142,36 +126,39 @@ class TestRegionEnvelopeSpeedup:
 
         benchmark.pedantic(envelope_pass, rounds=1, iterations=1)
         envelope_s = benchmark.stats["mean"]
-        speedup = probe_s / envelope_s if envelope_s > 0 else float("inf")
+        speedup = point_s / envelope_s if envelope_s > 0 else float("inf")
 
-        _record({
+        append_record(RESULTS, {
             "bench": "region_envelope",
             "algorithm": algorithm,
             "instances": len(instances),
             "scales_per_ray": len(SCALES),
-            "tol": str(TOL),
-            "probe_s": round(probe_s, 4),
+            "point_s": round(point_s, 4),
             "envelope_s": round(envelope_s, 4),
             "speedup": round(speedup, 2),
             "perf_asserts": perf_asserts,
         })
-        print(f"\n[region:{algorithm}] probe {probe_s:.3f}s  "
+        print(f"\n[region:{algorithm}] per-scale classify {point_s:.3f}s  "
               f"envelope {envelope_s:.3f}s  speedup {speedup:.2f}x over "
               f"{len(instances)} rays x {len(SCALES)} scales")
 
         # correctness is never timing-gated: every sampled verdict must
-        # match, and the bisection bracket must contain the exact margin
-        for (report, row), old_row, margin in zip(reports, probe_rows,
-                                                  probe_margins):
+        # match, and the cold bisection bracket (off the clock) must
+        # contain the exact margin
+        for (report, row), old_row, (g, in_rates, out_rates) in zip(
+                reports, point_rows, instances):
             assert row == old_row
+            margin = max_unsaturation_margin_cold(
+                build_extended_graph(g, in_rates, out_rates),
+                tol=TOL, algorithm=algorithm)
             if margin >= 2**20:
-                assert report.margin >= 2**20  # probe bailed at its cap
+                assert report.margin >= 2**20  # bisection bailed at its cap
             else:
                 assert margin <= report.margin < margin + TOL
 
         if perf_asserts:
             assert speedup >= SPEEDUP_FLOOR, (
                 f"{algorithm}: envelope path only {speedup:.2f}x faster "
-                f"(probe {probe_s:.3f}s, envelope {envelope_s:.3f}s); floor "
-                f"is {SPEEDUP_FLOOR}x"
+                f"(per-scale classify {point_s:.3f}s, envelope "
+                f"{envelope_s:.3f}s); floor is {SPEEDUP_FLOOR}x"
             )

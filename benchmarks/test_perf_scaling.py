@@ -14,7 +14,6 @@ from repro.core.packet_engine import PacketSimulator
 from repro.flow import max_flow
 from repro.flow.cut_enum import enumerate_min_cuts
 from repro.flow.distributed_pr import distributed_push_relabel
-from repro.flow.lp import lp_max_flow
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -78,11 +77,6 @@ class TestFlowScaling:
     def test_dinic(self, side, benchmark):
         p = self._problem(side)
         benchmark(max_flow, p, "dinic")
-
-    @pytest.mark.parametrize("side", [10, 20])
-    def test_lp_highs(self, side, benchmark):
-        p = self._problem(side)
-        benchmark(lp_max_flow, p)
 
     def test_distributed_pr_grid10(self, benchmark):
         p = self._problem(10)

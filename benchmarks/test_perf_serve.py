@@ -18,11 +18,11 @@ input).  Wall-clock assertions are gated on ``perf_asserts`` (off under
 ``--perf-smoke``); structural assertions always run.
 """
 
-import json
 import threading
 import time
 from pathlib import Path
 
+from benchmarks.e2e.record import append_record
 from repro.errors import ServeError
 from repro.serve import BackgroundServer, ServeClient, direct_simulate, parse_spec
 
@@ -30,18 +30,6 @@ SPEC = {"topology": "path", "n": 6, "in_rate": 1, "out_rate": 2}
 N_CLIENTS = 16
 HORIZON = 2000
 RESULTS = Path(__file__).parent / "results" / "serve_perf.json"
-
-
-def _record(payload: dict) -> None:
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(payload)
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _percentile(samples, q):
@@ -106,7 +94,7 @@ class TestBatchedThroughput:
             assert len(batches) < N_CLIENTS  # coalescing actually happened
 
         ratio = serial_s / batched_s
-        _record({
+        append_record(RESULTS, {
             "clients": N_CLIENTS,
             "horizon": HORIZON,
             "serial_seconds": round(serial_s, 4),
@@ -163,7 +151,7 @@ class TestShedLatency:
         shed_latencies = [lat for code, lat in outcomes if code == 429]
         served_count = sum(1 for code, _ in outcomes if code == 200)
         p99 = _percentile(shed_latencies, 0.99)
-        _record({
+        append_record(RESULTS, {
             "burst": n_burst,
             "served": served_count,
             "shed": len(shed_latencies),

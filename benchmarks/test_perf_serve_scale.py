@@ -21,11 +21,11 @@ Results append to ``benchmarks/results/BENCH_serve_scale.json``
 (gitignored output, not an input).
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
+from benchmarks.e2e.record import append_record
 from repro.flow import classify_network
 from repro.loadgen import (
     SLO,
@@ -55,18 +55,6 @@ def _worker_tiers() -> list[int]:
     if cores >= 4:
         tiers.append(4)
     return tiers
-
-
-def _record(payload: dict) -> None:
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(payload)
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
 
 
 class TestClassifyThroughputScaling:
@@ -138,7 +126,7 @@ class TestClassifyThroughputScaling:
             "spec": "gnp n=64 p=0.15, distinct seed per request",
             "tiers": rows,
         }
-        _record(payload)
+        append_record(RESULTS, payload)
         print("\nworkers  rps      p50ms   p99ms   speedup")
         for row in rows:
             print(f"{row['workers']:>7}  {row['throughput_rps']:<7}  "
@@ -180,7 +168,7 @@ class TestOpenLoopSLO:
         finally:
             srv.stop()
 
-        _record({
+        append_record(RESULTS, {
             "benchmark": "open_loop_poisson_slo",
             "cores": os.cpu_count(),
             "rate_rps": 40.0,

@@ -15,11 +15,11 @@ Results append to ``benchmarks/results/sweep_speedup.json`` (gitignored
 output, not an input).
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
+from benchmarks.e2e.record import append_record
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
 from repro.sweep import (
@@ -50,18 +50,6 @@ def _region_grid() -> GridSpec:
     )
 
 
-def _record(payload: dict) -> None:
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS.exists():
-        try:
-            history = json.loads(RESULTS.read_text())
-        except json.JSONDecodeError:
-            history = []
-    history.append(payload)
-    RESULTS.write_text(json.dumps(history, indent=2) + "\n")
-
-
 class TestParallelSpeedup:
     def test_workers4_vs_serial(self, benchmark, perf_asserts):
         """>= 2x wall-clock at workers=4 over the inline serial path on a
@@ -89,7 +77,7 @@ class TestParallelSpeedup:
 
         ratio = serial_s / parallel_s
         cores = _usable_cores()
-        _record({
+        append_record(RESULTS, {
             "points": POINTS,
             "horizon": HORIZON,
             "workers": WORKERS,

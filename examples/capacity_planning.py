@@ -19,7 +19,7 @@ Run:  python examples/capacity_planning.py
 
 from repro import NetworkSpec, classify_network, generators, simulate_lgg
 from repro.analysis.report import format_table
-from repro.flow import lp_unsaturation_margin
+from repro.flow import classify_region
 from repro.flow.feasibility import max_unsaturation_margin
 
 ROWS = COLS = 6
@@ -55,10 +55,12 @@ for rate in (1, 2, 3):
 print(format_table(rows, title="capacity sweep (no simulation needed)"))
 print()
 
-# cross-check the rational margin against the LP oracle at the max workable rate
-spec = NetworkSpec.classical(mesh, {r: max_ok for r in routers}, {g: 4 for g in gateways})
-lp_eps = lp_unsaturation_margin(spec.extended())
-print(f"LP cross-check of the headroom at rate {max_ok}: eps = {lp_eps:.4f}")
+# cross-check the sweep against the exact frontier along the unit-rate ray:
+# the mesh carries lambda * (1, 1, 1, 1) exactly when lambda <= lambda*
+spec = NetworkSpec.classical(mesh, {r: 1 for r in routers}, {g: 4 for g in gateways})
+lam = classify_region(spec.extended()).lambda_star
+print(f"exact frontier: max per-router rate lambda* = {lam} "
+      f"(the sweep found {max_ok})")
 print()
 
 # -- 3. validate the plan by simulation ---------------------------------------

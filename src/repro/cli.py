@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from repro.analysis import summarize
 from repro.core import ExtractionMode
 from repro.errors import ReproError
-from repro.flow import classify_network
+from repro.flow import ALGORITHMS, classify_network
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec, RevelationPolicy
 
@@ -115,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--ray", default=None, metavar="NODE=RATE[,NODE=RATE...]",
                        help="direction in rate space; rates may be exact "
                             "rationals like 3/2 (default: the nominal in-rates)")
-    p_reg.add_argument("--algorithm", choices=["dinic", "edmonds_karp",
-                                               "push_relabel", "push_relabel_fifo"],
-                       default="dinic")
+    p_reg.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="dinic")
     p_reg.add_argument("--json", action="store_true", dest="as_json",
                        help="print the full envelope as JSON")
 

@@ -60,7 +60,7 @@ def generalized_growth_bound(spec: NetworkSpec) -> int:
     )
 
 
-def paper_epsilon(spec: NetworkSpec, *, tol: Fraction | None = None) -> Fraction:
+def paper_epsilon(spec: NetworkSpec) -> Fraction:
     """The ε of Section III: ``min_s (Φ(s*, s) − in(s))`` maximised over
     unsaturated flows Φ.
 
@@ -69,10 +69,8 @@ def paper_epsilon(spec: NetworkSpec, *, tol: Fraction | None = None) -> Fraction
     ``ε = m · min_s in(s)`` — now *exact*, since the margin comes from
     the parametric breakpoint envelope rather than a bisection bracket.
     Raises for saturated/infeasible networks, where no positive ε exists.
-    ``tol`` is deprecated and ignored (forwarded for the margin's own
-    deprecation warning when passed).
     """
-    margin = max_unsaturation_margin(spec.extended(), tol=tol)
+    margin = max_unsaturation_margin(spec.extended())
     if margin <= 0:
         raise InfeasibleNetworkError(
             "paper ε undefined: the network is not unsaturated (Definition 4)"
@@ -119,15 +117,14 @@ def lemma1_bound(spec: NetworkSpec, y: Fraction) -> Fraction:
     return property2_threshold(spec, y) + property1_bound(spec)
 
 
-def compute_bounds(spec: NetworkSpec, *, tol: Fraction | None = None) -> PaperBounds:
+def compute_bounds(spec: NetworkSpec) -> PaperBounds:
     """Compute every Section III constant for an unsaturated network.
 
-    ``tol`` is deprecated and ignored — all constants are exact now that
-    the unsaturation margin is.
+    All constants are exact, since the unsaturation margin is.
     """
     from repro.flow.feasibility import f_star as f_star_fn
 
-    eps = paper_epsilon(spec, tol=tol)
+    eps = paper_epsilon(spec)
     fs = Fraction(f_star_fn(spec.extended()))
     y = y_constant(spec, fs, eps)
     return PaperBounds(

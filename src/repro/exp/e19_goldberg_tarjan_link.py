@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from repro.core import SimulationConfig, Simulator
 from repro.exp.common import ExperimentResult, main_for, register
@@ -65,6 +64,9 @@ def _workloads():
 
 @register("e19", "Extension: LGG's queue field vs Goldberg-Tarjan push-relabel")
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
+    # imported here so that loading the experiment registry stays scipy-free
+    from scipy.stats import spearmanr
+
     rows = []
     all_ok = True
     for name, spec in _workloads():

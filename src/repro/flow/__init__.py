@@ -51,9 +51,7 @@ from repro.flow.decomposition import (
 )
 from repro.flow.warmstart import ParametricMaxFlow, source_arc_updates
 from repro.flow.cut_enum import CutFamily, count_min_cuts, enumerate_min_cuts
-from repro.flow.capacity_scaling import capacity_scaling
 from repro.flow.distributed_pr import DistributedRun, distributed_push_relabel
-from repro.flow.lp import lp_max_flow, lp_unsaturation_margin
 
 __all__ = [
     "FlowProblem",
@@ -83,12 +81,9 @@ __all__ = [
     "PathDecomposition",
     "decompose_paths",
     "edge_flow_from_result",
-    "capacity_scaling",
     "DistributedRun",
     "distributed_push_relabel",
     "CutFamily",
     "count_min_cuts",
     "enumerate_min_cuts",
-    "lp_max_flow",
-    "lp_unsaturation_margin",
 ]

@@ -19,7 +19,6 @@ Everything here consumes an :class:`~repro.graphs.extended.ExtendedGraph`
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -48,7 +47,6 @@ __all__ = [
     "certification_epsilon",
     "max_unsaturation_margin",
     "max_unsaturation_margin_cold",
-    "max_unsaturation_margin_probe",
 ]
 
 
@@ -112,15 +110,12 @@ def f_star(ext, algorithm: str = "dinic") -> object:
     return result.value
 
 
-def certification_epsilon(ext, *, envelope: BreakpointEnvelope | None = None) -> Fraction:
+def certification_epsilon(ext) -> Fraction:
     """An ε > 0 small enough that 'feasible at this ε' ⇔ 'unsaturated'.
 
-    With an ``envelope`` (along the nominal injection ray, from
-    :func:`~repro.flow.parametric.breakpoint_envelope`) the answer is no
-    longer an a-priori bound but the exact *maximal* certifying slack:
-    ``λ* − 1`` when the network is unsaturated.  Without one, the cheap
-    denominator bound below is returned — it needs no flow solve, so the
-    classify hot path keeps using it.
+    An a-priori bound that needs no flow solve, so the classify hot path
+    can use it; the exact *maximal* certifying slack is
+    :attr:`RegionReport.margin`.
 
     Max-flow/min-cut duality makes the scaled max-flow value
     ``v(ε) = min_C [(1 + ε)·inCross(C) + rest(C)]`` over cuts ``C``.  The
@@ -136,93 +131,8 @@ def certification_epsilon(ext, *, envelope: BreakpointEnvelope | None = None) ->
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
         return Fraction(1)  # no injections: vacuously unsaturated at any ε
-    if envelope is not None and envelope.lambda_star > 1:
-        return envelope.lambda_star - 1
     L = common_denominator(list(ext.capacities) + [arrival])
     return Fraction(1, 2 * L * (int(arrival) + 2))
-
-
-def _classify_scaled(ext, algorithm: str) -> Optional[FeasibilityReport]:
-    """Integer fast path of :func:`classify_network`, or ``None`` to decline.
-
-    Every capacity of ``G*``, the ε-scaled source capacities, the ``f*``
-    relaxation bound and the verdict thresholds are scaled by one common
-    denominator ``D`` (:func:`repro.numeric.try_scale`).  Scaling by a
-    positive constant preserves order, sign and positivity, so the solver
-    chain takes *bit-identical* decisions — same residual structure, same
-    min-cut arcs, same uniqueness — while running gcd-free machine-int
-    arithmetic instead of ``Fraction``.  Report values are unscaled via
-    exact ``Fraction(x, D)`` at the end.  Declines (``None``) when the
-    denominator or any scaled magnitude exceeds the magnitude guard.
-    """
-    arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    eps = certification_epsilon(ext)
-    big = sum((Fraction(r) for r in ext.out_rates.values()), start=Fraction(0)) + 1
-    p = FlowProblem.from_extended(ext)
-    m = p.num_arcs
-    src_nodes = list(ext.in_rates)
-
-    batch: list = [Fraction(c) for c in p.capacities]
-    batch.extend((1 + eps) * Fraction(ext.in_rates[v]) for v in src_nodes)
-    batch.extend((big, arrival, (1 + eps) * arrival))
-    scaled = try_scale(batch)
-    if scaled is None:
-        return None
-    ints, den = scaled
-    cap_ints = ints[:m]
-    probe_caps = dict(zip(src_nodes, ints[m : m + len(src_nodes)]))
-    big_int, arrival_int, target_int = ints[m + len(src_nodes) :]
-    int_problem = FlowProblem._trusted(
-        n=p.n, tails=p.tails, heads=p.heads,
-        capacities=cap_ints, source=p.source, sink=p.sink,
-    )
-
-    engine = ParametricMaxFlow(int_problem, algorithm)
-    base = engine.result
-    base_value = base.value
-    # cut facts snapshot the base residual — extract before advancing
-    cut = min_cut(base)
-    kind = classify_cut(cut, base.problem)
-    unique = is_unique_min_cut(base)
-    cut = MinCut(side=cut.side, arcs=cut.arcs, capacity=unscale(cut.capacity, den))
-
-    def _raise_to(caps: dict) -> object:
-        current = engine.problem.capacities
-        updates = {
-            j: c if c > current[j] else current[j]
-            for j, c in source_arc_updates(ext, caps).items()
-        }
-        return engine.raise_arc_capacities(updates)
-
-    if base_value < arrival_int:
-        fs = _raise_to({v: big_int for v in src_nodes})
-        return FeasibilityReport(
-            network_class=NetworkClass.INFEASIBLE,
-            arrival_rate=arrival,
-            max_flow_value=unscale(base_value, den),
-            f_star=unscale(fs, den),
-            certified_epsilon=None,
-            min_cut=cut,
-            cut_kind=kind,
-            unique_min_cut=unique,
-        )
-
-    scaled_value = engine.raise_arc_capacities(
-        source_arc_updates(ext, probe_caps), target_value=target_int
-    )
-    unsaturated = scaled_value == target_int
-    fs = _raise_to({v: big_int for v in src_nodes})
-
-    return FeasibilityReport(
-        network_class=NetworkClass.UNSATURATED if unsaturated else NetworkClass.SATURATED,
-        arrival_rate=arrival,
-        max_flow_value=unscale(base_value, den),
-        f_star=unscale(fs, den),
-        certified_epsilon=eps if unsaturated else None,
-        min_cut=cut,
-        cut_kind=kind,
-        unique_min_cut=unique,
-    )
 
 
 def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
@@ -236,80 +146,81 @@ def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
     verdicts are bit-identical to :func:`classify_network_cold` (asserted
     by the differential matrix in ``tests/flow/test_warmstart.py``).
 
-    The whole chain runs on the :mod:`repro.numeric` integer fast path —
-    all capacities scaled to one common denominator, hot loops in machine
-    ints — with a checked fallback to ``Fraction`` capacities when the
-    magnitudes outgrow the guard (recorded in
-    ``repro_core_fraction_fallbacks_total``).  Either route produces
-    value-identical reports; :func:`classify_network_cold` stays pure
-    ``Fraction`` as the differential oracle.
+    Every capacity of ``G*``, the ε-scaled source capacities, the ``f*``
+    relaxation bound and the verdict thresholds are scaled by one common
+    denominator ``D`` (:func:`repro.numeric.try_scale`).  Scaling by a
+    positive constant preserves order, sign and positivity, so the solver
+    chain takes *bit-identical* decisions — same residual structure, same
+    min-cut arcs, same uniqueness — while running gcd-free machine-int
+    arithmetic instead of ``Fraction``.  Report values are unscaled via
+    exact ``Fraction(x, D)`` at the end.  When the denominator or a scaled
+    magnitude outgrows the guard, the same chain runs on the ``Fraction``
+    values with ``D = 1`` (recorded in
+    ``repro_core_fraction_fallbacks_total``).
     """
     with span("flow.classify", algorithm=algorithm) as sp:
-        report = _classify_scaled(ext, algorithm)
-        if report is not None:
-            sp.set("fastpath", True)
-            return report
-        sp.set("fastpath", False)
-        note_fraction_fallback()
-        return _classify_fraction(ext, algorithm)
+        arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
+        eps = certification_epsilon(ext)
+        big = sum((Fraction(r) for r in ext.out_rates.values()), start=Fraction(0)) + 1
+        p = FlowProblem.from_extended(ext)
+        m = p.num_arcs
+        src_nodes = list(ext.in_rates)
 
+        batch: list = [Fraction(c) for c in p.capacities]
+        batch.extend((1 + eps) * Fraction(ext.in_rates[v]) for v in src_nodes)
+        batch.extend((big, arrival, (1 + eps) * arrival))
+        scaled = try_scale(batch)
+        sp.set("fastpath", scaled is not None)
+        if scaled is None:
+            note_fraction_fallback()
+            values, den = batch, 1
+        else:
+            values, den = scaled
+        probe_caps = dict(zip(src_nodes, values[m : m + len(src_nodes)]))
+        big_d, arrival_d, target_d = values[m + len(src_nodes) :]
+        engine = ParametricMaxFlow(
+            FlowProblem._trusted(
+                n=p.n, tails=p.tails, heads=p.heads,
+                capacities=values[:m], source=p.source, sink=p.sink,
+            ),
+            algorithm,
+        )
+        base = engine.result
+        base_value = base.value
+        # cut facts snapshot the base residual — extract before advancing
+        cut = min_cut(base)
+        kind = classify_cut(cut, base.problem)
+        unique = is_unique_min_cut(base)
+        cut = MinCut(side=cut.side, arcs=cut.arcs, capacity=unscale(cut.capacity, den))
 
-def _classify_fraction(ext, algorithm: str) -> FeasibilityReport:
-    """Exact-``Fraction`` fallback body of :func:`classify_network`."""
-    arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    engine = ParametricMaxFlow(_exact_problem(ext), algorithm)
-    base = engine.result
-    base_value = base.value
-    # cut facts snapshot the base residual — extract before advancing
-    cut = min_cut(base)
-    kind = classify_cut(cut, base.problem)
-    unique = is_unique_min_cut(base)
-
-    big = sum(ext.out_rates.values(), start=Fraction(0)) + 1
-
-    def _raise_to(caps: dict) -> object:
-        """Advance the chain; max() keeps the schedule monotone when a
-        requested cap sits below the one already reached."""
+        if base_value < arrival_d:
+            network_class = NetworkClass.INFEASIBLE
+        else:
+            # (1+ε)·arrival is the total source-arc capacity — a certificate
+            # that lets the warm step stop the moment the probe saturates
+            scaled_value = engine.raise_arc_capacities(
+                source_arc_updates(ext, probe_caps), target_value=target_d
+            )
+            network_class = (NetworkClass.UNSATURATED if scaled_value == target_d
+                             else NetworkClass.SATURATED)
+        # f*: every source arc up to `big`, keeping the larger cap where the
+        # probe already raised an arc past it (the engine only raises)
         current = engine.problem.capacities
-        updates = {
+        fs = engine.raise_arc_capacities({
             j: c if c > current[j] else current[j]
-            for j, c in source_arc_updates(ext, caps).items()
-        }
-        return engine.raise_arc_capacities(updates)
+            for j, c in source_arc_updates(ext, {v: big_d for v in src_nodes}).items()
+        })
 
-    if base_value < arrival:
-        fs = _raise_to({v: big for v in ext.in_rates})
         return FeasibilityReport(
-            network_class=NetworkClass.INFEASIBLE,
+            network_class=network_class,
             arrival_rate=arrival,
-            max_flow_value=base_value,
-            f_star=fs,
-            certified_epsilon=None,
+            max_flow_value=unscale(base_value, den),
+            f_star=unscale(fs, den),
+            certified_epsilon=eps if network_class is NetworkClass.UNSATURATED else None,
             min_cut=cut,
             cut_kind=kind,
             unique_min_cut=unique,
         )
-
-    eps = certification_epsilon(ext)
-    scaled_caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-    # (1+ε)·arrival is the total source-arc capacity — a certificate that
-    # lets the warm step stop the moment the probe saturates
-    scaled_value = engine.raise_arc_capacities(
-        source_arc_updates(ext, scaled_caps), target_value=(1 + eps) * arrival
-    )
-    unsaturated = scaled_value == (1 + eps) * arrival
-    fs = _raise_to({v: big for v in ext.in_rates})
-
-    return FeasibilityReport(
-        network_class=NetworkClass.UNSATURATED if unsaturated else NetworkClass.SATURATED,
-        arrival_rate=arrival,
-        max_flow_value=base_value,
-        f_star=fs,
-        certified_epsilon=eps if unsaturated else None,
-        min_cut=cut,
-        cut_kind=kind,
-        unique_min_cut=unique,
-    )
 
 
 def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
@@ -355,8 +266,7 @@ def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
     )
 
 
-def max_unsaturation_margin(ext, *, tol: Optional[Fraction] = None,
-                            algorithm: str = "dinic") -> Fraction:
+def max_unsaturation_margin(ext, *, algorithm: str = "dinic") -> Fraction:
     """The *exact* largest ε with ``(1 + ε) in`` still feasible.
 
     This is the ε of Definition 4 maximised: ``λ* − 1`` along the nominal
@@ -364,22 +274,9 @@ def max_unsaturation_margin(ext, *, tol: Optional[Fraction] = None,
     breakpoint envelope (:func:`~repro.flow.parametric.critical_lambda`) —
     a :class:`~fractions.Fraction`, not a bisection bracket.  Returns 0
     for saturated/infeasible networks.  One cold solve per call; every
-    envelope evaluation is a warm parametric step.
-
-    ``tol`` is deprecated and ignored: the result is exact, so there is
-    no bracket width to control.  The PR 5 warm bracket/bisection search
-    survives as :func:`max_unsaturation_margin_probe` (the differential
-    oracle and benchmark baseline), and the all-cold variant as
-    :func:`max_unsaturation_margin_cold`.
+    envelope evaluation is a warm parametric step.  The all-cold
+    bisection :func:`max_unsaturation_margin_cold` is its oracle.
     """
-    if tol is not None:
-        warnings.warn(
-            "max_unsaturation_margin(tol=...) is deprecated: the margin is "
-            "now exact (parametric breakpoint envelope), so tol is ignored; "
-            "use max_unsaturation_margin_probe for the bracketed search",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
         raise FlowError("margin undefined for a network with no injections")
@@ -387,87 +284,15 @@ def max_unsaturation_margin(ext, *, tol: Optional[Fraction] = None,
     return max(Fraction(0), env.lambda_star - 1)
 
 
-def max_unsaturation_margin_probe(ext, *, tol: Fraction = Fraction(1, 1024), algorithm: str = "dinic") -> Fraction:
-    """Largest ε (to within ``tol``) with ``(1 + ε) in`` still feasible.
-
-    The PR 5 warm bracket-and-bisection search, kept as the differential
-    oracle for the exact envelope path (:func:`max_unsaturation_margin`)
-    and as the benchmark baseline: binary search on exact rationals, so
-    the returned value is a certified *lower* bound with ``returned +
-    tol`` an upper bound.  Returns 0 for saturated/infeasible networks.
-
-    One cold solve (ε = 0), then every probe of the exponential bracket
-    and the bisection is a warm parametric step: each probes ε > lo from a
-    :meth:`~repro.flow.warmstart.ParametricMaxFlow.fork` of the engine
-    state at the last *feasible* ε (``lo``), so an infeasible probe costs
-    only the marginal augmentation between ``lo`` and the probe — never a
-    re-solve from scratch — and is then discarded.  Each infeasible probe
-    additionally banks its min cut as a *certificate*: a cut's capacity is
-    linear in ε (``rest + (1 + ε)·inCross``), so later probes it blocks
-    are refuted in O(1) with no flow work at all (the Gallo–Grigoriadis–
-    Tarjan parametric-cut structure).  The lo/hi bracket trajectory is
-    identical to :func:`max_unsaturation_margin_cold`.
-    """
-    arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    if arrival <= 0:
-        raise FlowError("margin undefined for a network with no injections")
-
-    engine = ParametricMaxFlow(_exact_problem(ext), algorithm)  # state at ε = 0
-    if engine.value != arrival:
-        return Fraction(0)
-
-    # arc index of (s*, v) per source node, computed once for all probes
-    arc_of = source_arc_updates(ext, {v: v for v in ext.in_rates})
-    base_caps = engine.problem.capacities  # only source arcs are ever raised
-    # (inCross, rest) per banked min cut: capacity at ε is rest + (1+ε)·inCross
-    cut_certs: list[tuple[Fraction, Fraction]] = []
-
-    def probe(eps: Fraction) -> "ParametricMaxFlow | None":
-        """Engine advanced to ε, or None when ε is infeasible (discarded)."""
-        scale = 1 + eps
-        target = scale * arrival
-        if any(rest + scale * in_cross < target for in_cross, rest in cut_certs):
-            return None  # a banked cut already refutes this ε
-        fork = engine.fork()
-        updates = {j: scale * Fraction(ext.in_rates[v]) for j, v in arc_of.items()}
-        value = fork.raise_arc_capacities(updates, target_value=target)
-        if value == target:
-            return fork
-        cut = min_cut(fork.result)
-        in_cross = rest = Fraction(0)
-        for j in cut.arcs:
-            v = arc_of.get(j)
-            if v is not None:
-                in_cross += Fraction(ext.in_rates[v])
-            else:
-                rest += Fraction(base_caps[j])
-        cut_certs.append((in_cross, rest))
-        return None
-
-    lo = Fraction(0)
-    # exponential search for an infeasible upper bracket
-    hi = Fraction(1)
-    while (advanced := probe(hi)) is not None:
-        engine = advanced  # restart point: last feasible residual
-        lo = hi
-        hi *= 2
-        if hi > 2**20:  # pathological: essentially unbounded slack
-            return lo
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if (advanced := probe(mid)) is not None:
-            engine = advanced
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024), algorithm: str = "dinic") -> Fraction:
-    """The pre-warm-start margin search: every probe a cold solve.
+    """Largest ε (to within ``tol``) by bisection, every probe a cold solve.
 
-    Kept as the differential/benchmark twin of
-    :func:`max_unsaturation_margin` — identical brackets and result.
+    The differential oracle and benchmark baseline of
+    :func:`max_unsaturation_margin`: binary search on exact rationals, so
+    the returned value is a certified *lower* bound of the exact margin
+    and ``returned + tol`` an upper bound.  The exponential bracket gives
+    up at ``2**20`` (essentially unbounded slack) and returns its last
+    feasible ε.  Returns 0 for saturated/infeasible networks.
     """
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:

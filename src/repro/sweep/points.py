@@ -148,6 +148,8 @@ def random_instance_spec(params: Mapping[str, Any], seed: int) -> NetworkSpec:
         raise SweepError(
             f"rate ceilings must be >= 1, got in_rate={in_hi} out_rate={out_hi}"
         )
+    if k_src < 1:
+        raise SweepError(f"random instance needs sources >= 1, got {k_src}")
     g = _family_graph(family, n, knobs, rng)
     n = g.n  # kronecker fixes its own node count
     if k_src + k_snk > n:

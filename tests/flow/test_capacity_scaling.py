@@ -7,8 +7,8 @@ import pytest
 
 from repro.errors import FlowError
 from repro.flow import max_flow
-from repro.flow.capacity_scaling import capacity_scaling
 from repro.flow.residual import FlowProblem
+from tests.flow.capacity_scaling_oracle import capacity_scaling
 
 
 def problem(n, arcs, s, t):

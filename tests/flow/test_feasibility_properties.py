@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from repro.flow import NetworkClass, classify_network
 from repro.flow.feasibility import max_unsaturation_margin
-from repro.flow.lp import lp_unsaturation_margin
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
+from tests.flow.lp_oracle import lp_unsaturation_margin
 
 
 @st.composite

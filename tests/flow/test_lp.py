@@ -7,10 +7,10 @@ import pytest
 from repro.errors import FlowError
 from repro.flow import max_flow
 from repro.flow.feasibility import max_unsaturation_margin
-from repro.flow.lp import lp_max_flow, lp_unsaturation_margin
 from repro.flow.residual import FlowProblem
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
+from tests.flow.lp_oracle import lp_max_flow, lp_unsaturation_margin
 
 
 def problem(n, arcs, s, t):

@@ -1,15 +1,13 @@
 """Invariants of the max-unsaturation-margin searches.
 
-``max_unsaturation_margin`` is now *exact* — λ* − 1 from the parametric
+``max_unsaturation_margin`` is *exact* — λ* − 1 from the parametric
 breakpoint envelope — so its contract is the strongest possible:
 ``(1 + margin)·in`` is feasible and ``(1 + margin + δ)·in`` is not for
 *every* δ > 0 (the ε-feasible set is the closed interval ``[0, ε*]``).
-The PR 5 warm bracket/bisection search survives as
-``max_unsaturation_margin_probe`` and must still walk the identical
-bracket trajectory as the all-cold twin; both bracket the exact value.
-The documented escape hatches — no injections, essentially-unbounded
-slack — must keep working (the probe searches cap at 2**20; the exact
-path has no cap).
+The all-cold bisection ``max_unsaturation_margin_cold`` is its oracle
+and must bracket the exact value.  The documented escape hatches — no
+injections, essentially-unbounded slack — must keep working (the cold
+search caps at 2**20; the exact path has no cap).
 """
 
 from fractions import Fraction
@@ -25,7 +23,6 @@ from repro.flow.feasibility import (
     _exact_problem,
     max_unsaturation_margin,
     max_unsaturation_margin_cold,
-    max_unsaturation_margin_probe,
 )
 from repro.flow.maxflow import max_flow
 from repro.graphs import build_extended_graph
@@ -81,31 +78,22 @@ class TestExactMarginCertificate:
         if not _feasible_at(ext, Fraction(0)):
             assert margin == 0
 
-    @given(ext=random_networks())
-    @settings(max_examples=10, deadline=None)
-    def test_tol_is_deprecated_but_ignored(self, ext):
-        exact = max_unsaturation_margin(ext)
-        with pytest.deprecated_call():
-            assert max_unsaturation_margin(ext, tol=Fraction(1, 4)) == exact
-
 
 class TestProbeBracketsExact:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @given(ext=random_networks())
     @settings(max_examples=10, deadline=None)
-    def test_probe_equals_cold_and_brackets_exact(self, algorithm, ext):
-        probe = max_unsaturation_margin_probe(ext, tol=TOL, algorithm=algorithm)
+    def test_cold_brackets_exact(self, algorithm, ext):
         cold = max_unsaturation_margin_cold(ext, tol=TOL, algorithm=algorithm)
-        assert probe == cold  # exact Fraction equality, same bracket walk
         exact = max_unsaturation_margin(ext, algorithm=algorithm)
-        if probe >= 2**20:
+        if cold >= 2**20:
             # bracket search bailed out on the unbounded-slack escape
             # hatch; the exact path keeps going
             assert exact >= 2**20
         else:
             # the bisection's lo is a certified lower bound, lo + tol an
             # upper bound — the exact value must land inside
-            assert probe <= exact < probe + TOL
+            assert cold <= exact < cold + TOL
 
     @given(ext=random_networks())
     @settings(max_examples=10, deadline=None)
@@ -122,13 +110,11 @@ class TestEdgePaths:
         with pytest.raises(FlowError, match="no injections"):
             max_unsaturation_margin(ext)
         with pytest.raises(FlowError, match="no injections"):
-            max_unsaturation_margin_probe(ext)
-        with pytest.raises(FlowError, match="no injections"):
             max_unsaturation_margin_cold(ext)
 
     def test_unbounded_slack_exact_beyond_bracket_cap(self):
         # A 3-node path with a microscopic injection: even (1 + 2**20)·in
-        # stays far below the unit edge capacity, so the probe searches'
+        # stays far below the unit edge capacity, so the cold search's
         # exponential bracket gives up at 2**20 — but the envelope path
         # returns the exact frontier: λ* = 2**22, margin 2**22 − 1.
         g = MultiGraph(3)
@@ -136,7 +122,6 @@ class TestEdgePaths:
         g.add_edge(1, 2)
         ext = build_extended_graph(g, {0: Fraction(1, 2**22)}, {2: 1})
         assert max_unsaturation_margin(ext) == 2**22 - 1
-        assert max_unsaturation_margin_probe(ext) == 2**20
         assert max_unsaturation_margin_cold(ext) == 2**20
 
     def test_saturated_chain_is_zero(self):

@@ -64,6 +64,14 @@ class TestRandomInstanceSpecPins:
         with pytest.raises(SweepError, match="rate ceilings"):
             random_instance_spec({"in_rate": 0}, seed=1)
 
+    def test_sources_zero_rejected_not_crashed(self):
+        # with no sources the envelope has no injection ray to walk; the
+        # pin must fail as a one-line SweepError, not deep in the flow stack
+        with pytest.raises(SweepError, match="sources >= 1"):
+            random_instance_spec({"sources": 0}, seed=1)
+        with pytest.raises(SweepError, match="sources >= 1"):
+            classify_point({"sources": 0, "n": 8}, 1)
+
     def test_out_rate_zero_rejected(self):
         with pytest.raises(SweepError, match="rate ceilings"):
             random_instance_spec({"out_rate": 0}, seed=1)

@@ -1,0 +1,32 @@
+"""Import-path hygiene: loading the program never loads scipy.
+
+Only the e19 experiment (rank correlation, imported inside its ``run()``)
+and the LP oracle of the tests (``tests/flow/lp_oracle.py``) use scipy.
+Loading ``scipy.optimize`` roughly doubles the start-up time and the
+resident memory of every process, so the library, the CLI, the
+experiment registry and the serve tier must all import without it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import sys
+import repro, repro.cli, repro.exp, repro.serve.server
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_on_any_import_path():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
