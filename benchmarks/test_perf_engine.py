@@ -1,8 +1,9 @@
 """Performance benchmarks of the hot paths (not tied to a paper artifact).
 
 These track the throughput of the two LGG implementations (the vectorized
-step must beat the per-node reference), the full engine step, and the
-three max-flow solvers, so regressions in the substrates are visible.
+kernel, here at ``R = 1``, must beat the per-node reference), the full
+engine step, and the three max-flow solvers, so regressions in the
+substrates are visible.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ from repro.core import (
     LGGPolicy,
     SimulationConfig,
     Simulator,
-    lgg_select_fast,
     lgg_select_reference,
 )
+from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.flow import max_flow
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
@@ -37,7 +38,8 @@ class TestLGGStep:
     def test_lgg_fast_step(self, benchmark):
         g, _, queues = _grid_workload()
         half = HalfEdges.from_graph(g)
-        benchmark(lgg_select_fast, half, queues, queues)
+        Q = queues[None, :]
+        benchmark(lgg_select_fast_batched, half, Q, Q)
 
     def test_lgg_reference_step(self, benchmark):
         g, _, queues = _grid_workload()

@@ -28,7 +28,6 @@ from repro.core.pipeline import DEFAULT_PIPELINE, RecordingStage, StagePipeline
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
-from repro.network.state import network_state_rows
 from repro.obs import RingBufferSink, get_tracer, replay_trace
 from repro.obs.spans import get_span_sink
 
@@ -47,22 +46,12 @@ def gadget_spec():
 class BaselineRecording(RecordingStage):
     """The recording stage with the trace seam removed (pre-obs body)."""
 
-    def batched(self, host, st) -> None:
+    def run(self, host, st) -> None:
         Q = host.Q
         if host.config.validate_every_step and (Q < 0).any():
             raise SimulationError("negative queue after step")
         host.t += 1
-        host.total_hist.append(Q.sum(axis=1))
-        host.pot_hist.append(network_state_rows(Q))
-        host.max_hist.append(
-            Q.max(axis=1) if Q.shape[1] else np.zeros(host.R, dtype=np.int64)
-        )
-        host.injected_hist.append(st.injected)
-        host.transmitted_hist.append(st.transmitted)
-        host.lost_hist.append(st.lost)
-        host.delivered_hist.append(st.delivered)
-        if host.queue_hist is not None:
-            host.queue_hist.append(Q.copy())
+        host.history.append(Q, st.injected, st.transmitted, st.lost, st.delivered)
 
 
 BASELINE_PIPELINE = StagePipeline(tuple(

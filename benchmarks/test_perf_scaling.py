@@ -9,7 +9,8 @@ between the parametrized cases.
 import numpy as np
 import pytest
 
-from repro.core import HalfEdges, SimulationConfig, Simulator, lgg_select_fast
+from repro.core import HalfEdges, SimulationConfig, Simulator
+from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.core.packet_engine import PacketSimulator
 from repro.flow import max_flow
 from repro.flow.cut_enum import enumerate_min_cuts
@@ -30,8 +31,8 @@ class TestLGGStepScaling:
         g = gen.grid(side, side)
         half = HalfEdges.from_graph(g)
         rng = np.random.default_rng(0)
-        q = rng.integers(0, 20, size=g.n).astype(np.int64)
-        benchmark(lgg_select_fast, half, q, q)
+        Q = rng.integers(0, 20, size=(1, g.n)).astype(np.int64)
+        benchmark(lgg_select_fast_batched, half, Q, Q)
 
 
 class TestEngineScaling:

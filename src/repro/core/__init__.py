@@ -5,7 +5,7 @@ stability / Lyapunov analysis toolkit.
 
 from repro.core.tiebreak import TieBreak
 from repro.core.lgg import lgg_select_reference
-from repro.core.lgg_fast import lgg_select_fast, HalfEdges
+from repro.core.lgg_fast import HalfEdges
 from repro.core.policies import (
     BackpressurePolicy,
     FlowRoutingPolicy,
@@ -38,7 +38,6 @@ from repro.core import bounds, lyapunov
 __all__ = [
     "TieBreak",
     "lgg_select_reference",
-    "lgg_select_fast",
     "HalfEdges",
     "TransmissionPolicy",
     "LGGPolicy",

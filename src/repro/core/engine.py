@@ -16,11 +16,13 @@ One step of the S-D-network, in the paper's order:
 5. **extraction** — sinks remove packets (``min(out(d), q)`` classically;
    at least ``min(out, q - R)`` and at most ``out`` when R-generalized).
 
-Since the stage-pipeline refactor these semantics live as composable
-stage objects in :mod:`repro.core.pipeline`; :class:`Simulator` is a thin
-scalar-backend composition over :data:`~repro.core.pipeline.DEFAULT_PIPELINE`
-(and :class:`~repro.core.ensemble.EnsembleSimulator` is the batched one —
-same stages, same semantics, ``(R, n)`` arrays).
+These semantics live once, as the stage objects of
+:mod:`repro.core.pipeline`, run over an ``(R, n)`` queue matrix by
+:class:`Engine`.  :class:`Simulator` is that engine at ``R = 1`` with the
+single-run views its callers use (``queues``, ``rng``, ``trajectory``,
+``step() -> StepStats``); :class:`~repro.core.ensemble.EnsembleSimulator`
+is the same engine for ``R`` replicas.  Classical runs that qualify are
+carried by the integer kernel of :mod:`repro.core.fastpath` instead.
 
 Queue snapshots are taken at step *boundaries* (after extraction, before
 the next injection); ``P_t`` and all Lyapunov certificates use those
@@ -59,7 +61,7 @@ from repro.obs.trace import (
     run_start_record,
 )
 from repro.network.spec import NetworkSpec
-from repro.network.state import StepStats, Trajectory
+from repro.network.state import History, StepStats, Trajectory
 
 __all__ = [
     "ExtractionMode",
@@ -121,140 +123,126 @@ class SimulationResult:
         return self.trajectory.cumulative("lost")
 
 
-class Simulator:
-    """Reusable stepping simulator for one network spec (scalar backend).
+class Engine:
+    """The step engine: ``R`` independent runs of one network in lockstep.
 
-    Each :meth:`step` runs the shared stage pipeline
-    (:data:`repro.core.pipeline.DEFAULT_PIPELINE`) over this simulator's
-    ``(n,)`` queue vector; the batched
-    :class:`~repro.core.ensemble.EnsembleSimulator` runs the *same* stages
-    over an ``(R, n)`` matrix.
-
-    >>> from repro.graphs import generators
-    >>> from repro.network import NetworkSpec
-    >>> g, s, d = generators.bottleneck_gadget(2, 2, 2)
-    >>> spec = NetworkSpec.classical(g, {v: 1 for v in s}, {v: 1 for v in d})
-    >>> sim = Simulator(spec)
-    >>> result = sim.run(200)
-    >>> result.verdict.bounded
-    True
+    Holds the ``(R, n)`` queue matrix ``Q``, one generator per replica
+    (``rngs``), the policy, the :class:`~repro.network.state.History` and
+    the stage pipeline.  Subclasses choose ``R`` and the result type:
+    :class:`Simulator` (``R = 1``, backend ``"scalar"``) and
+    :class:`~repro.core.ensemble.EnsembleSimulator` (backend
+    ``"batched"``).
     """
 
     pipeline: StagePipeline = DEFAULT_PIPELINE
+    backend = "batched"
+    _hooked = False  # True when a subclass overrides the packet hooks
 
     def __init__(
         self,
         spec: NetworkSpec,
-        policy: Optional[TransmissionPolicy] = None,
-        config: Optional[SimulationConfig] = None,
+        config: SimulationConfig,
+        Q: np.ndarray,
+        rngs: list,
         *,
-        initial_queues: Optional[np.ndarray] = None,
+        policy: Optional[TransmissionPolicy] = None,
+        arrivals=None,
+        losses=None,
     ) -> None:
-        self.spec = spec
-        self.config = config or SimulationConfig()
-        if not (0.0 <= self.config.activation_prob <= 1.0):
+        if not (0.0 <= config.activation_prob <= 1.0):
             raise SimulationError(
-                f"activation_prob must be in [0, 1], got {self.config.activation_prob}"
+                f"activation_prob must be in [0, 1], got {config.activation_prob}"
             )
-        self.policy: TransmissionPolicy = policy if policy is not None else LGGPolicy(
-            tiebreak=self.config.tiebreak
-        )
-        self.rng = as_generator(self.config.seed)
+        if (Q < 0).any():
+            raise SimulationError("initial queue lengths must be non-negative")
+        self.spec = spec
+        self.config = config
+        self.Q = Q
+        self.R = Q.shape[0]
+        self.rngs = rngs
         self.t = 0
-        if initial_queues is not None:
-            q = np.asarray(initial_queues, dtype=np.int64).copy()
-            if q.shape != (spec.n,):
-                raise SimulationError(
-                    f"initial_queues shape {q.shape} != ({spec.n},)"
-                )
-            if (q < 0).any():
-                raise SimulationError("initial queue lengths must be non-negative")
-            self.queues = q
-        else:
-            self.queues = np.zeros(spec.n, dtype=np.int64)
+        self.policy: TransmissionPolicy = (
+            policy if policy is not None else LGGPolicy(tiebreak=config.tiebreak)
+        )
+        self.arrivals = arrivals
+        self.losses = losses
+        self.interference = config.interference
+        self.topology = config.topology
+        # the built-in LGG policy runs as the vectorized kernel; any other
+        # policy is asked through policy.select
+        self._lgg = type(self.policy) is LGGPolicy and not self.policy.use_reference
 
         self._in_vec = spec.in_vector()
         self._out_vec = spec.out_vector()
         self._terminal_mask = np.zeros(spec.n, dtype=bool)
         for v in spec.terminals:
             self._terminal_mask[v] = True
+        self._row = np.arange(self.R)[:, None]
         self._half = HalfEdges.from_graph(spec.graph)
-        self.trajectory = Trajectory.begin(self.queues, record_queues=self.config.record_queues)
+        self.history = History(Q, record_queues=config.record_queues)
         self.events: list[StepEvents] = []
         self.stage_timings: dict[str, StageTiming] = {}
         # resolved once: this run's trace sink (the global one unless the
         # config pins its own) — configure repro.obs *before* construction
-        self.trace = self.config.trace if self.config.trace is not None else get_tracer()
+        self.trace = config.trace if config.trace is not None else get_tracer()
 
-        arr = self.config.arrivals
-        if arr is None:
-            from repro.arrivals.deterministic import DeterministicArrivals
-
-            arr = DeterministicArrivals(spec)
-        self.arrivals = arr
-        self.losses = self.config.losses
-        self.interference = self.config.interference
-        self.topology = self.config.topology
+    def _out(self, values):
+        """A per-replica value as a single run reports it."""
+        return values[0] if self.backend == "scalar" else values
 
     # ------------------------------------------------------------------
-    def run(self, horizon: Optional[int] = None) -> SimulationResult:
+    def _step(self) -> StepState:
+        st = StepState(t=self.t)
+        if self.config.record_events:
+            st.q_start = self.Q[0].copy()
+        return self.pipeline.run(
+            self, st,
+            timings=self.stage_timings if self.config.profile_stages else None,
+        )
+
+    def run(self, horizon: Optional[int] = None):
         """Advance ``horizon`` steps (default from config) and assess.
 
         With tracing active the run is bracketed by ``run_start`` /
-        ``run_end`` spans (config fingerprint, seed, wall time, outcome).
+        ``run_end`` records (config fingerprint, seed, wall time, outcome).
         """
         steps = self.config.horizon if horizon is None else horizon
+        single = self.backend == "scalar"
+        attrs = {"backend": self.backend, "steps": steps, "n": self.spec.n}
+        if not single:
+            attrs["replicas"] = self.R
         tr = self.trace
         fingerprint = None
-        with span("sim.run", backend="scalar", steps=steps, n=self.spec.n):
+        with span("sim.run", **attrs):
             if tr.enabled:
                 fingerprint = config_fingerprint(self.config)
+                pot, total, mx = self.history.boundary()
                 tr.emit(run_start_record(
-                    backend="scalar",
+                    backend=self.backend,
                     fingerprint=fingerprint,
-                    seed=self.config.seed,
+                    # a batched run's identity lives in its per-replica seeds
+                    seed=self.config.seed if single else None,
                     n=self.spec.n,
-                    potential0=self.trajectory.potentials[-1],
-                    total_queued0=self.trajectory.total_queued[-1],
-                    max_queue0=self.trajectory.max_queues[-1],
+                    replicas=None if single else self.R,
+                    potential0=self._out(pot),
+                    total_queued0=self._out(total),
+                    max_queue0=self._out(mx),
                 ))
             tick = perf_counter()
             if not fastpath.maybe_run(self, steps):
                 for _ in range(steps):
-                    self.step()
+                    self._step()
             result = self.result()
             if tr.enabled:
                 tr.emit(run_end_record(
                     fingerprint=fingerprint,
                     steps=steps,
-                    bounded=result.verdict.bounded,
+                    bounded=(result.verdict.bounded if single
+                             else [v.bounded for v in result.verdicts]),
                     wall_time=perf_counter() - tick,
                 ))
         return result
 
-    def result(self) -> SimulationResult:
-        self.trajectory.check_conservation()
-        return SimulationResult(
-            spec=self.spec,
-            config=self.config,
-            trajectory=self.trajectory,
-            final_queues=self.queues.copy(),
-            verdict=assess_stability(self.trajectory),
-        )
-
-    # ------------------------------------------------------------------
-    def step(self) -> StepStats:
-        """Execute one synchronous network step; returns its statistics."""
-        st = StepState(t=self.t)
-        if self.config.record_events:
-            st.q_start = self.queues.copy()
-        self.pipeline.run(
-            self, st, backend="scalar",
-            timings=self.stage_timings if self.config.profile_stages else None,
-        )
-        return st.stats
-
-    # ------------------------------------------------------------------
     def profile_report(self) -> str:
         """Per-stage timing table (needs ``profile_stages=True``)."""
         from repro.obs.profile import profile_report
@@ -266,9 +254,97 @@ class Simulator:
             )
         return profile_report(self.stage_timings, stage_order=self.pipeline.names)
 
+
+class Simulator(Engine):
+    """Reusable stepping simulator for one network spec: the ``R = 1`` engine.
+
+    Each :meth:`step` runs the stage pipeline
+    (:data:`repro.core.pipeline.DEFAULT_PIPELINE`) over a ``(1, n)`` queue
+    matrix; :attr:`queues` is its row and :attr:`rng` its generator.
+
+    >>> from repro.graphs import generators
+    >>> from repro.network import NetworkSpec
+    >>> g, s, d = generators.bottleneck_gadget(2, 2, 2)
+    >>> spec = NetworkSpec.classical(g, {v: 1 for v in s}, {v: 1 for v in d})
+    >>> sim = Simulator(spec)
+    >>> result = sim.run(200)
+    >>> result.verdict.bounded
+    True
+    """
+
+    backend = "scalar"
+
+    def __init__(
+        self,
+        spec: NetworkSpec,
+        policy: Optional[TransmissionPolicy] = None,
+        config: Optional[SimulationConfig] = None,
+        *,
+        initial_queues: Optional[np.ndarray] = None,
+    ) -> None:
+        config = config or SimulationConfig()
+        Q = np.zeros((1, spec.n), dtype=np.int64)
+        if initial_queues is not None:
+            q = np.asarray(initial_queues, dtype=np.int64)
+            if q.shape != (spec.n,):
+                raise SimulationError(
+                    f"initial_queues shape {q.shape} != ({spec.n},)"
+                )
+            Q[0] = q
+        super().__init__(
+            spec, config, Q, [as_generator(config.seed)],
+            policy=policy, arrivals=config.arrivals, losses=config.losses,
+        )
+        cls = type(self)
+        self._hooked = any(
+            getattr(cls, hook) is not getattr(Simulator, hook)
+            for hook in ("_on_inject", "_on_transmit", "_on_extract")
+        )
+
+    @property
+    def queues(self) -> np.ndarray:
+        """The ``(n,)`` queue vector (a view of row 0)."""
+        return self.Q[0]
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self.rngs[0]
+
+    @property
+    def trajectory(self) -> Trajectory:
+        """The run so far, materialised from the history."""
+        return self.history.trajectory(0)
+
+    def step(self) -> StepStats:
+        """Execute one synchronous network step; returns its statistics."""
+        st = self._step()
+        pot, total, mx = self.history.boundary()
+        return StepStats(
+            t=self.t,
+            injected=int(st.injected[0]),
+            transmitted=int(st.transmitted[0]),
+            lost=int(st.lost[0]),
+            delivered=int(st.delivered[0]),
+            potential=int(pot[0]),
+            total_queued=int(total[0]),
+            max_queue=int(mx[0]),
+        )
+
+    def result(self) -> SimulationResult:
+        trajectory = self.trajectory
+        trajectory.check_conservation()
+        return SimulationResult(
+            spec=self.spec,
+            config=self.config,
+            trajectory=trajectory,
+            final_queues=self.queues.copy(),
+            verdict=assess_stability(trajectory),
+        )
+
     # ------------------------------------------------------------------
-    # hooks for packet-level subclasses (queues array is already updated
-    # when each hook fires; overrides mirror the change on richer state)
+    # hooks for packet-level subclasses: each receives replica 0's arrays
+    # (the queues are already updated when it fires; overrides mirror the
+    # change on richer state)
     # ------------------------------------------------------------------
     def _on_inject(self, injections: np.ndarray) -> None:  # noqa: B027
         pass

@@ -2,28 +2,29 @@
 
 Monte-Carlo experiments (Conjecture 3's "with high probability", the E17
 confusion matrix, seed-sensitivity sweeps) re-run the same network dozens
-of times.  :class:`EnsembleSimulator` is the *batched backend* of the
-shared stage pipeline (:mod:`repro.core.pipeline`): it steps ``R``
-replicas as a single ``(R, n)`` queue matrix — one composite-key argsort
-per step for all replicas' Algorithm 1 decisions — while running exactly
-the same stage objects as the scalar :class:`~repro.core.engine.Simulator`.
+of times.  :class:`EnsembleSimulator` is the step engine of
+:mod:`repro.core.engine` for ``R`` replicas: it steps them as a single
+``(R, n)`` queue matrix — one composite-key argsort per step for all
+replicas' Algorithm 1 decisions — through the one stage pipeline
+(:mod:`repro.core.pipeline`) that :class:`~repro.core.engine.Simulator`
+runs at ``R = 1``.
 
-Since the pipeline refactor the batched path supports the *full* model
-knob set: every :class:`~repro.core.pipeline.ExtractionMode`, lying
+It supports every :class:`~repro.core.pipeline.ExtractionMode`, lying
 :class:`~repro.network.spec.RevelationPolicy` terminals,
 ``activation_prob < 1``, every tie-break strategy, arbitrary arrival
 processes and loss models (via per-replica instances or the
-``sample_batch`` protocol), and per-link capacity contention.  Still
-scalar-only: interference models, dynamic topology, non-LGG policies and
-per-step event records — those are rejected at construction.
+``sample_batch`` protocol), and per-link capacity contention.  With more
+than one replica it rejects interference models, dynamic topology and
+per-step event records at construction, and it always runs LGG: those
+are single-run features (:class:`~repro.core.engine.Simulator`).
 
 Randomness is **per replica**: each replica owns an independent generator
 (``seeds=[s_0, …]`` or spawned from ``seed``), and every stochastic stage
-replays the scalar engine's draw pattern against it.  A batched run with
+draws from it exactly as a single run would.  An ensemble run with
 ``seeds=[s_0, …, s_{R-1}]`` is bit-identical, per replica, to ``R``
-scalar runs seeded ``s_r`` — the differential test matrix in
-``tests/core/test_pipeline.py`` asserts exact trajectory equality across
-the whole knob product.
+:class:`~repro.core.engine.Simulator` runs seeded ``s_r`` — the
+differential matrix in ``tests/core/test_pipeline.py`` checks both
+against a per-node reference stepper across the whole knob product.
 
 Stateful components (e.g. :class:`~repro.loss.models.GilbertElliottLoss`)
 must not be shared across replicas: pass a *factory* (``lambda: model()``
@@ -34,35 +35,18 @@ shared instance is fine for stateless models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro._rng import SeedLike, as_generator, spawn
-from repro.core import fastpath
-from repro.core.engine import SimulationConfig, SimulationResult
-from repro.core.lgg_fast import HalfEdges
-from repro.core.pipeline import DEFAULT_PIPELINE, StagePipeline, StageTiming, StepState
+from repro.core.engine import Engine, SimulationConfig, SimulationResult
 from repro.core.stability import StabilityVerdict, assess_stability
-from repro.errors import ObservabilityError, SimulationError
-from repro.obs.spans import span
-from repro.obs.trace import (
-    config_fingerprint,
-    get_tracer,
-    run_end_record,
-    run_start_record,
-)
+from repro.errors import SimulationError
 from repro.network.spec import NetworkSpec
-from repro.network.state import Trajectory, network_state_rows
+from repro.network.state import Trajectory
 
 __all__ = ["EnsembleResult", "EnsembleSimulator"]
-
-
-def _stack(rows: list[np.ndarray], replicas: int) -> np.ndarray:
-    if rows:
-        return np.stack(rows)
-    return np.zeros((0, replicas), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -137,7 +121,7 @@ class EnsembleResult:
         )
 
     def replica(self, r: int) -> SimulationResult:
-        """Replica ``r`` as a scalar-engine result (for ``summarize`` etc.)."""
+        """Replica ``r`` as a single-run result (for ``summarize`` etc.)."""
         return SimulationResult(
             spec=self.spec,
             config=self.config,
@@ -150,7 +134,27 @@ class EnsembleResult:
 ProcessLike = Union[None, object, Sequence[object], Callable]
 
 
-class EnsembleSimulator:
+def _resolve_processes(given, spec: NetworkSpec, replicas: int, kind: str):
+    """Normalise a process spec to ``None`` / single instance / list."""
+    if given is None:
+        return None
+    if callable(given) and not hasattr(given, "sample"):
+        try:
+            return [given(spec) for _ in range(replicas)]
+        except TypeError:
+            return [given() for _ in range(replicas)]
+    if isinstance(given, (list, tuple)):
+        items = list(given)
+        if len(items) != replicas:
+            raise SimulationError(
+                f"{kind} process list has {len(items)} entries for "
+                f"{replicas} replicas"
+            )
+        return items
+    return given
+
+
+class EnsembleSimulator(Engine):
     """Run ``replicas`` independent copies of one LGG network in lockstep.
 
     Parameters
@@ -160,13 +164,13 @@ class EnsembleSimulator:
     seed / seeds:
         Either one master ``seed`` (per-replica generators are spawned
         from it) or an explicit ``seeds`` list of length ``R``.  With
-        ``seeds=[s_0, …]`` replica ``r`` reproduces the scalar
+        ``seeds=[s_0, …]`` replica ``r`` reproduces the
         ``Simulator`` run seeded ``s_r`` bit-for-bit.
     config:
         A full :class:`~repro.core.engine.SimulationConfig`; all knobs are
-        honoured except interference / topology / record_events (scalar
-        backend only — rejected here) and ``seed`` (superseded by
-        ``seed``/``seeds`` above).
+        honoured except ``seed`` (superseded by ``seed``/``seeds`` above)
+        and, for more than one replica, interference / topology /
+        record_events (rejected here).
     arrivals, losses:
         Override ``config``'s processes: a single (stateless) instance
         shared by all replicas, a list of ``R`` instances, or a factory
@@ -174,10 +178,9 @@ class EnsembleSimulator:
         instance per replica).
     loss_p, uniform_arrivals:
         Back-compat conveniences: i.i.d. Bernoulli losses and uniform
-        ``[0, in(v)]`` injections.
+        ``[0, in(v)]`` injections.  Each conflicts with an explicit loss
+        model / arrival process (argument or config) and raises.
     """
-
-    pipeline: StagePipeline = DEFAULT_PIPELINE
 
     def __init__(
         self,
@@ -201,198 +204,93 @@ class EnsembleSimulator:
             raise SimulationError(
                 "uniform arrivals require a generalized spec (pseudo-sources)"
             )
-        self.spec = spec
-        self.R = replicas
-        self.config = config or SimulationConfig()
-        if not (0.0 <= self.config.activation_prob <= 1.0):
-            raise SimulationError(
-                f"activation_prob must be in [0, 1], got {self.config.activation_prob}"
-            )
-        for name in ("interference", "topology"):
-            if getattr(self.config, name) is not None:
+        config = config or SimulationConfig()
+        if replicas > 1:
+            for name in ("interference", "topology"):
+                if getattr(config, name) is not None:
+                    raise SimulationError(
+                        f"the batched backend does not support {name} models; "
+                        "use the scalar Simulator"
+                    )
+            if config.record_events:
                 raise SimulationError(
-                    f"the batched backend does not support {name} models; "
-                    "use the scalar Simulator"
+                    "per-step event records are scalar-only; use the Simulator"
                 )
-        if self.config.record_events:
-            raise SimulationError(
-                "per-step event records are scalar-only; use the Simulator"
-            )
+        arrivals = _pick("uniform_arrivals=True", uniform_arrivals, "arrivals",
+                         arrivals, config.arrivals)
+        losses = _pick(f"loss_p={loss_p}", loss_p > 0.0, "losses",
+                       losses, config.losses)
+        if uniform_arrivals:
+            from repro.arrivals.stochastic import UniformArrivals
+
+            arrivals = UniformArrivals(spec)  # stateless: safe to share
+        if loss_p > 0.0:
+            from repro.loss.models import BernoulliLoss
+
+            losses = BernoulliLoss(loss_p)    # stateless: safe to share
 
         if seeds is not None:
             if len(seeds) != replicas:
                 raise SimulationError(
                     f"seeds has {len(seeds)} entries for {replicas} replicas"
                 )
-            self.rngs = [as_generator(s) for s in seeds]
+            rngs = [as_generator(s) for s in seeds]
         else:
-            self.rngs = spawn(seed, replicas)
-        self.t = 0
+            rngs = spawn(seed, replicas)
 
         n = spec.n
         if initial_queues is not None:
             q0 = np.asarray(initial_queues, dtype=np.int64)
             if q0.shape == (n,):
-                self.Q = np.tile(q0, (replicas, 1))
+                Q = np.tile(q0, (replicas, 1))
             elif q0.shape == (replicas, n):
-                self.Q = q0.copy()
+                Q = q0.copy()
             else:
                 raise SimulationError(
                     f"initial_queues shape {q0.shape} != ({n},) or ({replicas}, {n})"
                 )
-            if (self.Q < 0).any():
-                raise SimulationError("initial queue lengths must be non-negative")
         else:
-            self.Q = np.zeros((replicas, n), dtype=np.int64)
+            Q = np.zeros((replicas, n), dtype=np.int64)
 
-        self._in_vec = spec.in_vector()
-        self._out_vec = spec.out_vector()
-        self._terminal_mask = np.zeros(n, dtype=bool)
-        for v in spec.terminals:
-            self._terminal_mask[v] = True
-        self._half = HalfEdges.from_graph(spec.graph)
-        self._row = np.arange(replicas)[:, None]
-
-        self.arrivals = self._resolve_processes(
-            arrivals if arrivals is not None else self.config.arrivals,
-            legacy=uniform_arrivals, kind="arrival",
+        super().__init__(
+            spec, config, Q, rngs,
+            arrivals=_resolve_processes(arrivals, spec, replicas, "arrival"),
+            losses=_resolve_processes(losses, spec, replicas, "loss"),
         )
-        self.losses = self._resolve_processes(
-            losses if losses is not None else self.config.losses,
-            legacy=loss_p > 0.0, kind="loss", loss_p=loss_p,
-        )
-
-        self.stage_timings: dict[str, StageTiming] = {}
-        # resolved once, like the scalar engine: configure repro.obs first
-        self.trace = self.config.trace if self.config.trace is not None else get_tracer()
-        self.total_hist: list[np.ndarray] = [self.Q.sum(axis=1)]
-        self.pot_hist: list[np.ndarray] = [network_state_rows(self.Q)]
-        self.max_hist: list[np.ndarray] = [
-            self.Q.max(axis=1) if n else np.zeros(replicas, dtype=np.int64)
-        ]
-        self.injected_hist: list[np.ndarray] = []
-        self.transmitted_hist: list[np.ndarray] = []
-        self.lost_hist: list[np.ndarray] = []
-        self.delivered_hist: list[np.ndarray] = []
-        self.queue_hist: Optional[list[np.ndarray]] = (
-            [self.Q.copy()] if self.config.record_queues else None
-        )
-
-    # ------------------------------------------------------------------
-    def _resolve_processes(self, given, *, legacy: bool, kind: str, loss_p: float = 0.0):
-        """Normalise a process spec to ``None`` / single instance / list."""
-        if given is None and legacy:
-            if kind == "arrival":
-                from repro.arrivals.stochastic import UniformArrivals
-
-                return UniformArrivals(self.spec)  # stateless: safe to share
-            from repro.loss.models import BernoulliLoss
-
-            return BernoulliLoss(loss_p)           # stateless: safe to share
-        if given is None:
-            return None
-        if callable(given) and not hasattr(given, "sample"):
-            try:
-                return [given(self.spec) for _ in range(self.R)]
-            except TypeError:
-                return [given() for _ in range(self.R)]
-        if isinstance(given, (list, tuple)):
-            items = list(given)
-            if len(items) != self.R:
-                raise SimulationError(
-                    f"{kind} process list has {len(items)} entries for "
-                    f"{self.R} replicas"
-                )
-            return items
-        return given
 
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance every replica by one synchronous network step."""
-        st = StepState(t=self.t)
-        self.pipeline.run(
-            self, st, backend="batched",
-            timings=self.stage_timings if self.config.profile_stages else None,
-        )
-
-    def run(self, horizon: Optional[int] = None) -> EnsembleResult:
-        steps = self.config.horizon if horizon is None else horizon
-        tr = self.trace
-        fingerprint = None
-        with span("sim.run", backend="batched", steps=steps, n=self.spec.n,
-                  replicas=self.R):
-            if tr.enabled:
-                fingerprint = config_fingerprint(self.config)
-                tr.emit(run_start_record(
-                    backend="batched",
-                    fingerprint=fingerprint,
-                    seed=None,  # per-replica seeds; identity lives in the spans
-                    n=self.spec.n,
-                    replicas=self.R,
-                    potential0=self.pot_hist[-1],
-                    total_queued0=self.total_hist[-1],
-                    max_queue0=self.max_hist[-1],
-                ))
-            tick = perf_counter()
-            if not fastpath.maybe_run_ensemble(self, steps):
-                for _ in range(steps):
-                    self.step()
-            result = self.result()
-            if tr.enabled:
-                tr.emit(run_end_record(
-                    fingerprint=fingerprint,
-                    steps=steps,
-                    bounded=[v.bounded for v in result.verdicts],
-                    wall_time=perf_counter() - tick,
-                ))
-        return result
-
-    def profile_report(self) -> str:
-        """Per-stage timing table (needs ``profile_stages=True``)."""
-        from repro.obs.profile import profile_report
-
-        if not self.stage_timings:
-            raise ObservabilityError(
-                "no stage timings recorded — run with "
-                "SimulationConfig(profile_stages=True)"
-            )
-        return profile_report(self.stage_timings, stage_order=self.pipeline.names)
+        self._step()
 
     def result(self) -> EnsembleResult:
-        total = np.stack(self.total_hist)       # (T+1, R)
-        pots = np.stack(self.pot_hist)
-        maxes = np.stack(self.max_hist)
-        injected = _stack(self.injected_hist, self.R)
-        transmitted = _stack(self.transmitted_hist, self.R)
-        lost = _stack(self.lost_hist, self.R)
-        delivered = _stack(self.delivered_hist, self.R)
+        h = self.history
         verdicts = []
         for r in range(self.R):
-            traj = Trajectory.from_series(
-                self.spec.n,
-                potentials=pots[:, r],
-                total_queued=total[:, r],
-                max_queues=maxes[:, r],
-                injected=injected[:, r],
-                transmitted=transmitted[:, r],
-                lost=lost[:, r],
-                delivered=delivered[:, r],
-            )
+            traj = h.trajectory(r)
             traj.check_conservation()
             verdicts.append(assess_stability(traj))
         return EnsembleResult(
             spec=self.spec,
             config=self.config,
-            total_queued=total,
-            potentials=pots,
-            max_queues=maxes,
-            injected_series=injected,
-            transmitted_series=transmitted,
-            lost_series=lost,
-            delivered_series=delivered,
+            total_queued=h.series("total_queued"),
+            potentials=h.series("potentials"),
+            max_queues=h.series("max_queues"),
+            injected_series=h.series("injected"),
+            transmitted_series=h.series("transmitted"),
+            lost_series=h.series("lost"),
+            delivered_series=h.series("delivered"),
             final_queues=self.Q.copy(),
             verdicts=tuple(verdicts),
-            queue_history=(
-                np.stack(self.queue_hist) if self.queue_hist is not None else None
-            ),
+            queue_history=h.queue_history(),
         )
+
+
+def _pick(flag_name: str, flag: bool, name: str, given, configured):
+    """The explicit ``name`` process (argument, else config); raises when a
+    back-compat ``flag`` would silently override it."""
+    chosen = given if given is not None else configured
+    if flag and chosen is not None:
+        source = name if given is not None else f"config.{name}"
+        raise SimulationError(f"pass either {flag_name} or {source}, not both")
+    return chosen

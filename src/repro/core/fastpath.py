@@ -19,11 +19,14 @@ This module runs the recurrence in plain Python integers instead:
 
 Bit-exactness against the stage pipeline is the contract: the differential
 matrix in ``tests/numeric/test_fastpath.py`` asserts step-for-step
-trajectory equality against both the scalar engine and the batched
-ensemble.  Eligibility is checked conservatively — any knob the kernel
-does not model routes the run back to the pipeline (and
-``SimulationConfig(numeric_fastpath=True)`` turns that silent fallback
-into an error for callers who *require* the kernel).
+trajectory equality against the pipeline for single runs and ensembles.
+One front end serves both: an eligible run of ``R`` replicas is fully
+deterministic and replica-symmetric, so one kernel trajectory, booked into
+every column of the engine's history, is the whole run.  Eligibility is
+checked conservatively — any knob the kernel does not model routes the run
+back to the pipeline (and ``SimulationConfig(numeric_fastpath=True)``
+turns that silent fallback into an error for callers who *require* the
+kernel).
 """
 
 from __future__ import annotations
@@ -37,15 +40,14 @@ from repro.core.policies import LGGPolicy
 from repro.core.tiebreak import TieBreak
 from repro.errors import SimulationError
 from repro.network.spec import RevelationPolicy
+from repro.network.state import BIGINT_THRESHOLD
 from repro.numeric import note_fastpath_steps
 
 __all__ = [
     "MEMO_CAP",
     "MISS_STREAK_LIMIT",
     "ineligibility_reasons",
-    "ensemble_ineligibility_reasons",
     "maybe_run",
-    "maybe_run_ensemble",
 ]
 
 #: Step-transition memo size bound (entries are whole queue vectors).
@@ -66,16 +68,23 @@ if _sumprod is None:  # pragma: no cover - Python < 3.12
 
 _FAST_TIEBREAKS = (TieBreak.QUEUE_THEN_ID, TieBreak.QUEUE_THEN_REVERSED_ID)
 
-# network_state_rows switches to big-int rows at this queue magnitude; the
-# ensemble fast path must replicate the dtype choice step for step
-_BIGINT_THRESHOLD = 3_000_000_000
-
 
 # ----------------------------------------------------------------------
 # eligibility
 # ----------------------------------------------------------------------
-def _spec_config_reasons(spec, cfg, trace) -> list[str]:
-    """Ineligibility reasons shared by the scalar and batched front ends."""
+def ineligibility_reasons(engine) -> list[str]:
+    """Why a run cannot use the kernel (empty = it can).
+
+    Besides the model knobs, the replicas must be *indistinguishable*: no
+    loss or arrival process (the only randomness left after the knob
+    checks) and identical starting queue vectors — then all ``R``
+    trajectories coincide and one kernel run covers them.
+    """
+    from repro.arrivals.deterministic import DeterministicArrivals
+    from repro.core.engine import Simulator
+    from repro.core.ensemble import EnsembleSimulator
+
+    spec, cfg = engine.spec, engine.config
     reasons = []
     if spec.retention != 0:
         reasons.append(f"retention R={spec.retention} (kernel models R=0)")
@@ -95,55 +104,26 @@ def _spec_config_reasons(spec, cfg, trace) -> list[str]:
         reasons.append("stage profiling")
     if cfg.validate_every_step:
         reasons.append("per-step validation")
-    if trace.enabled:
+    if engine.trace.enabled:
         reasons.append("tracing enabled")
-    return reasons
-
-
-def ineligibility_reasons(sim) -> list[str]:
-    """Why the scalar ``Simulator`` run cannot use the kernel (empty = can)."""
-    from repro.arrivals.deterministic import DeterministicArrivals
-    from repro.core.engine import Simulator
-
-    reasons = _spec_config_reasons(sim.spec, sim.config, sim.trace)
-    if type(sim) is not Simulator:
+    if type(engine) not in (Simulator, EnsembleSimulator):
         # subclasses (e.g. PacketSimulator) hang extra state off the
-        # per-step _on_inject/_on_transmit/_on_extract hooks
-        reasons.append(f"simulator subclass {type(sim).__name__}")
-    if type(sim.policy) is not LGGPolicy:
-        reasons.append(f"policy {type(sim.policy).__name__}")
+        # per-step hooks or stages
+        reasons.append(f"simulator subclass {type(engine).__name__}")
+    policy = engine.policy
+    if type(policy) is not LGGPolicy:
+        reasons.append(f"policy {type(policy).__name__}")
     else:
-        if sim.policy.use_reference:
+        if policy.use_reference:
             reasons.append("reference LGG selection")
-        if sim.policy.tiebreak not in _FAST_TIEBREAKS:
-            reasons.append(f"tie-break {sim.policy.tiebreak.value}")
-    if sim.losses is not None:
+        if policy.tiebreak not in _FAST_TIEBREAKS:
+            reasons.append(f"tie-break {policy.tiebreak.value}")
+    if engine.losses is not None:
         reasons.append("loss model")
-    if type(sim.arrivals) is not DeterministicArrivals:
-        reasons.append(f"arrival process {type(sim.arrivals).__name__}")
-    return reasons
-
-
-def ensemble_ineligibility_reasons(ens) -> list[str]:
-    """Why the batched ``EnsembleSimulator`` run cannot broadcast the kernel.
-
-    On top of the scalar conditions the replicas must be *indistinguishable*:
-    no per-replica arrival or loss process (the only randomness sources left
-    after the shared checks) and identical starting queue vectors — then all
-    ``R`` trajectories coincide and one kernel run covers the ensemble.
-    """
-    from repro.core.ensemble import EnsembleSimulator
-
-    reasons = _spec_config_reasons(ens.spec, ens.config, ens.trace)
-    if type(ens) is not EnsembleSimulator:
-        reasons.append(f"ensemble subclass {type(ens).__name__}")
-    if ens.config.tiebreak not in _FAST_TIEBREAKS:
-        reasons.append(f"tie-break {ens.config.tiebreak.value}")
-    if ens.arrivals is not None:
-        reasons.append("per-replica arrival process")
-    if ens.losses is not None:
-        reasons.append("per-replica loss model")
-    if not bool((ens.Q == ens.Q[0]).all()):
+    arrivals = engine.arrivals
+    if arrivals is not None and type(arrivals) is not DeterministicArrivals:
+        reasons.append(f"arrival process {type(arrivals).__name__}")
+    if not bool((engine.Q == engine.Q[0]).all()):
         reasons.append("replicas start from differing queue vectors")
     return reasons
 
@@ -268,19 +248,21 @@ def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
 
 
 # ----------------------------------------------------------------------
-# engine front ends
+# the engine front end
 # ----------------------------------------------------------------------
-def maybe_run(sim, steps: int) -> bool:
-    """Advance a scalar ``Simulator`` by ``steps`` via the kernel if eligible.
+def maybe_run(engine, steps: int) -> bool:
+    """Advance an engine by ``steps`` via the kernel if eligible.
 
-    Mutates ``sim.queues`` / ``sim.trajectory`` / ``sim.t`` exactly as
-    ``steps`` pipeline iterations would; returns ``False`` (and touches
-    nothing) when the configuration is not kernel-eligible.
+    Mutates ``engine.Q`` / ``engine.history`` / ``engine.t`` exactly as
+    ``steps`` pipeline iterations would (including
+    :func:`network_state_rows`' int64-vs-bigint choice for ``P_t``);
+    returns ``False`` (and touches nothing) when the run is not
+    kernel-eligible.
     """
-    want = sim.config.numeric_fastpath
+    want = engine.config.numeric_fastpath
     if want is False or steps <= 0:
         return False
-    reasons = ineligibility_reasons(sim)
+    reasons = ineligibility_reasons(engine)
     if reasons:
         if want is True:
             raise SimulationError(
@@ -288,67 +270,22 @@ def maybe_run(sim, steps: int) -> bool:
                 + "; ".join(reasons)
             )
         return False
-    traj = sim.trajectory
+    history = engine.history
     q, inj_total, pots, tots, mxs, txs, dels, snaps = _simulate(
-        sim.spec, sim._half, sim.policy.tiebreak, sim.queues, steps,
-        traj.queue_history is not None,
+        engine.spec, engine._half, engine.policy.tiebreak, engine.Q[0], steps,
+        history.records_queues,
     )
-    traj.potentials.extend(pots)
-    traj.total_queued.extend(tots)
-    traj.max_queues.extend(mxs)
-    traj.injected.extend([inj_total] * steps)
-    traj.transmitted.extend(txs)
-    traj.lost.extend([0] * steps)
-    traj.delivered.extend(dels)
-    if traj.queue_history is not None:
-        traj.queue_history.extend(snaps)
-    sim.queues = np.array(q, dtype=np.int64)
-    sim.t += steps
-    note_fastpath_steps(steps)
-    return True
-
-
-def maybe_run_ensemble(ens, steps: int) -> bool:
-    """Advance an ``EnsembleSimulator`` by broadcasting one kernel run.
-
-    Eligible ensembles are fully deterministic and replica-symmetric, so a
-    single kernel trajectory tiled ``R`` ways reproduces the batched
-    pipeline bit for bit (including :func:`network_state_rows`' per-step
-    int64-vs-bigint dtype choice).
-    """
-    want = ens.config.numeric_fastpath
-    if want is False or steps <= 0:
-        return False
-    reasons = ensemble_ineligibility_reasons(ens)
-    if reasons:
-        if want is True:
-            raise SimulationError(
-                "numeric_fastpath=True but the ensemble is not kernel-eligible: "
-                + "; ".join(reasons)
-            )
-        return False
-    R = ens.R
-    record = ens.queue_hist is not None
-    q, inj_total, pots, tots, mxs, txs, dels, snaps = _simulate(
-        ens.spec, ens._half, ens.config.tiebreak, ens.Q[0], steps, record,
-    )
-    zero = np.zeros(R, dtype=np.int64)
-    inj_row = np.full(R, inj_total, dtype=np.int64)
-    for pot, tot, mx, tx, dv in zip(pots, tots, mxs, txs, dels):
-        if mx < _BIGINT_THRESHOLD:
-            ens.pot_hist.append(np.full(R, pot, dtype=np.int64))
-        else:
-            ens.pot_hist.append(np.array([pot] * R, dtype=object))
-        ens.total_hist.append(np.full(R, tot, dtype=np.int64))
-        ens.max_hist.append(np.full(R, mx, dtype=np.int64))
-        ens.injected_hist.append(inj_row.copy())
-        ens.transmitted_hist.append(np.full(R, tx, dtype=np.int64))
-        ens.lost_hist.append(zero.copy())
-        ens.delivered_hist.append(np.full(R, dv, dtype=np.int64))
-    if record:
-        for s in snaps:
-            ens.queue_hist.append(np.tile(s, (R, 1)))
-    ens.Q = np.tile(np.array(q, dtype=np.int64), (R, 1))
-    ens.t += steps
+    big = max(mxs) >= BIGINT_THRESHOLD
+    history.extend({
+        "potentials": np.array(pots, dtype=object if big else np.int64),
+        "total_queued": tots,
+        "max_queues": mxs,
+        "injected": [inj_total] * steps,
+        "transmitted": txs,
+        "lost": [0] * steps,
+        "delivered": dels,
+    }, snaps)
+    engine.Q[:] = q
+    engine.t += steps
     note_fastpath_steps(steps)
     return True

@@ -1,28 +1,32 @@
-"""Vectorized Algorithm 1 — the engine hot path.
+"""Vectorized Algorithm 1 — the engine hot path, for ``R`` replicas at once.
 
 Per the hpc-parallel guidance (vectorize the bottleneck, keep a legible
-reference): one ``numpy.lexsort`` over the half-edge arrays replaces the
-per-node Python loops of :func:`repro.core.lgg.lgg_select_reference`.
+reference): one stable composite-key argsort over the half-edge arrays of
+an ``(R, n)`` queue matrix replaces the per-node Python loops of
+:func:`repro.core.lgg.lgg_select_reference`.  A single run is the
+``R = 1`` case.
 
 Correctness argument: within one sender's block sorted by ascending
 revealed queue, the *eligible* half-edges (receiver revealed queue strictly
 below the sender's true queue ``q_u``) form a prefix.  Algorithm 1 sends on
 the first ``min(q_u, #eligible)`` of them, i.e. exactly the half-edges that
 are both eligible and have within-block rank ``< q_u``.  Both conditions
-are elementwise once ranks are computed, so the whole step is a lexsort
+are elementwise once ranks are computed, so the whole step is one sort
 plus a handful of vector ops — no per-neighbour Python loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from repro.core.tiebreak import TieBreak, tie_keys
+from repro.errors import SimulationError
 from repro.graphs.multigraph import MultiGraph
 
-__all__ = ["HalfEdges", "lgg_select_fast", "lgg_select_fast_batched"]
+__all__ = ["HalfEdges", "SortKeys", "lgg_select_fast_batched"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,7 @@ class HalfEdges:
     edge_ids: np.ndarray
     indptr: np.ndarray  # CSR offsets: half-edges of node u in [indptr[u], indptr[u+1])
     num_edge_slots: int
+    _sort_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_graph(cls, graph: MultiGraph) -> "HalfEdges":
@@ -57,45 +62,48 @@ class HalfEdges:
     def size(self) -> int:
         return len(self.senders)
 
+    def sort_keys(self, tiebreak: TieBreak) -> "SortKeys":
+        """The selection kernel's constants for this topology, built once
+        per tie-break."""
+        keys = self._sort_keys.get(tiebreak)
+        if keys is None:
+            keys = self._sort_keys[tiebreak] = SortKeys.build(self, tiebreak)
+        return keys
 
-def lgg_select_fast(
-    half: HalfEdges,
-    queues: np.ndarray,
-    revealed: np.ndarray,
-    *,
-    tiebreak: TieBreak = TieBreak.QUEUE_THEN_ID,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Algorithm 1.
 
-    Returns ``(edge_ids, senders, receivers)`` arrays of the selected
-    transmissions, ordered by (sender, revealed queue, tie key) — the same
-    order the reference implementation produces.
+@dataclass(frozen=True)
+class SortKeys:
+    """The per-topology constants of :func:`lgg_select_fast_batched`.
+
+    Built once per topology epoch and tie-break
+    (:meth:`HalfEdges.sort_keys`).  Deterministic tie keys are ranked
+    densely, so the composite key's tie base ``b_tie`` is at most ``H``
+    (the number of half-edges) instead of about ``n·(m + 1)``; only their
+    order within a sender block matters, and ranking keeps it.  For
+    ``QUEUE_THEN_RANDOM`` the keys are drawn every step (``tie`` is
+    ``None``) and ``b_tie`` is the edge-slot count the permutation spans.
     """
-    if half.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
 
-    q_send = queues[half.senders]
-    q_recv = revealed[half.receivers]
-    keys = tie_keys(
-        tiebreak, half.receivers, half.edge_ids, rng, num_edge_slots=half.num_edge_slots
-    )
+    tie: Optional[np.ndarray]   # (H,) dense tie ranks, or None (drawn per step)
+    b_tie: int
+    n_senders: int              # max sender id + 1
+    position: np.ndarray        # arange(H): rank = position - block start
 
-    # lexsort: primary sender, secondary revealed queue, tertiary tie key
-    order = np.lexsort((keys, q_recv, half.senders))
-    s_sorted = half.senders[order]
-
-    # rank of each half-edge within its sender block
-    block_starts = half.indptr[s_sorted]
-    rank = np.arange(half.size, dtype=np.int64) - block_starts
-
-    eligible = q_send[order] > q_recv[order]
-    chosen = eligible & (rank < q_send[order])
-
-    sel = order[chosen]
-    # `sel` preserves the lexsort order, matching the reference output
-    return half.edge_ids[sel], half.senders[sel], half.receivers[sel]
+    @classmethod
+    def build(cls, half: HalfEdges, tiebreak: TieBreak) -> "SortKeys":
+        if tiebreak is TieBreak.QUEUE_THEN_RANDOM:
+            tie, b_tie = None, half.num_edge_slots + 1
+        else:
+            raw = tie_keys(tiebreak, half.receivers, half.edge_ids, None,
+                           num_edge_slots=half.num_edge_slots)
+            uniq, tie = np.unique(raw, return_inverse=True)
+            tie, b_tie = tie.astype(np.int64), max(len(uniq), 1)
+        return cls(
+            tie=tie,
+            b_tie=b_tie,
+            n_senders=int(half.senders.max(initial=0)) + 1,
+            position=np.arange(half.size, dtype=np.int64),
+        )
 
 
 def lgg_select_fast_batched(
@@ -108,31 +116,26 @@ def lgg_select_fast_batched(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Algorithm 1 for ``R`` replicas at once on an ``(R, n)`` queue matrix.
 
-    One stable composite-key argsort replaces ``R`` per-replica lexsorts:
-    the key packs (sender, revealed receiver queue, tie key) into a single
-    int64 so that row ``r``'s sorted order is *exactly* the order
-    :func:`lgg_select_fast` would produce for replica ``r`` — including the
-    tie-break strategy, whose key is reused verbatim (``QUEUE_THEN_RANDOM``
-    draws one permutation per replica from ``rngs[r]``, mirroring the
-    scalar per-step draw).
+    One stable composite-key argsort sorts every row: the key packs
+    (sender, revealed receiver queue, tie key) into a single int64, so row
+    ``r`` comes out in (sender, revealed queue, tie key) order — the order
+    the reference implementation produces.  ``QUEUE_THEN_RANDOM`` draws one
+    permutation per replica from ``rngs[r]``, the reference's single draw
+    per step.
 
     Returns ``(edge_ids, senders, receivers, mask)``, all ``(R, H)``: the
     half-edge arrays sorted per replica plus the boolean selection mask.
     Restricting row ``r`` to ``mask[r]`` yields replica ``r``'s selected
-    transmissions in scalar engine order.
+    transmissions in that order.
     """
-    from repro.core.tiebreak import tie_keys
-
     H = half.size
     R = queues.shape[0]
     if H == 0:
         empty = np.empty((R, 0), dtype=np.int64)
         return empty, empty.copy(), empty.copy(), np.empty((R, 0), dtype=bool)
-
-    q_send = queues[:, half.senders]      # (R, H) true sender queues
+    keys = half.sort_keys(tiebreak)
     q_recv = revealed[:, half.receivers]  # (R, H) revealed receiver queues
-
-    if tiebreak is TieBreak.QUEUE_THEN_RANDOM:
+    if keys.tie is None:
         if rngs is None:
             raise ValueError("QUEUE_THEN_RANDOM tie-break needs per-replica rngs")
         tie = np.stack([
@@ -141,26 +144,17 @@ def lgg_select_fast_batched(
             for g in rngs
         ])
     else:
-        tie = tie_keys(tiebreak, half.receivers, half.edge_ids, None,
-                       num_edge_slots=half.num_edge_slots)
-    # shift ties to [0, B_t) — a constant offset preserves their order
-    tie = tie - tie.min()
-    b_tie = int(tie.max()) + 1
+        tie = keys.tie
+    b_tie = keys.b_tie
     b_q = int(q_recv.max()) + 2
-    if (int(half.senders.max(initial=0)) + 1) * b_q * b_tie > 2**62:
-        from repro.errors import SimulationError
-
+    if keys.n_senders * b_q * b_tie > 2**62:
         raise SimulationError("composite sort key would overflow int64")
-    keys = (
-        half.senders.astype(np.int64) * (b_q * b_tie)
-        + q_recv * b_tie
-        + tie
-    )
-    order = np.argsort(keys, axis=1, kind="stable")
+    composite = half.senders * (b_q * b_tie) + q_recv * b_tie + tie
+    order = np.argsort(composite, axis=1, kind="stable")
 
     s_sorted = half.senders[order]                       # (R, H)
-    rank = np.arange(H, dtype=np.int64)[None, :] - half.indptr[s_sorted]
-    qs = np.take_along_axis(q_send, order, axis=1)
+    rank = keys.position - half.indptr[s_sorted]
+    qs = np.take_along_axis(queues, s_sorted, axis=1)    # true sender queues
     qr = np.take_along_axis(q_recv, order, axis=1)
     mask = (qs > qr) & (rank < qs)
     return half.edge_ids[order], s_sorted, half.receivers[order], mask

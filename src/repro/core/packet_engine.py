@@ -3,11 +3,13 @@
 The paper's analysis never needs packet identities (its potential only
 counts queue *lengths*), but a downstream user evaluating LGG does:
 end-to-end latency and path stretch are the observable costs of the
-gradient build-up.  :class:`PacketSimulator` extends the array engine with
-per-node FIFO queues of packet records, mirroring every queue-length
-mutation one-for-one via the engine's hooks — the queue-length trajectory
+gradient build-up.  :class:`PacketSimulator` extends the ``R = 1`` engine
+with per-node FIFO queues of packet records, mirroring every queue-length
+mutation one-for-one via the engine's hooks (each receives replica 0's
+arrays, transmissions in selection order) — the queue-length trajectory
 is therefore *identical by construction* to :class:`Simulator`'s (and a
-differential test asserts it).
+differential test asserts it).  The integer kernel never carries a
+subclass run, so the hooks see every step.
 
 FIFO discipline is a modelling choice the paper leaves open (packets are
 indistinguishable there); it yields the standard latency semantics.

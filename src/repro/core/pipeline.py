@@ -1,15 +1,11 @@
-"""The composable step pipeline: one set of stage objects, two backends.
+"""The composable step pipeline: Section II's synchronous step, once.
 
-Section II's step semantics (inject → reveal → transmit → lose → extract)
-used to live twice: once in the monolithic ``Simulator.step()`` and again
-as a restricted hand-vectorized copy in the ensemble engine.  This module
-is the single home of those semantics.  Each phase of a synchronous step
-is a small :class:`Stage` object with two entry points:
-
-* ``scalar(host, st)``  — operates on one ``(n,)`` queue vector
-  (:class:`repro.core.engine.Simulator` and its packet-level subclass);
-* ``batched(host, st)`` — operates on an ``(R, n)`` queue matrix of ``R``
-  independent replicas (:class:`repro.core.ensemble.EnsembleSimulator`).
+Each phase of a step (inject → reveal → transmit → lose → extract) is a
+small :class:`Stage` object with one entry point, ``run(host, st)``, over
+the host engine's ``(R, n)`` queue matrix of ``R`` independent replicas.
+:class:`~repro.core.ensemble.EnsembleSimulator` runs it for ``R``
+replicas; :class:`~repro.core.engine.Simulator` (and its packet-level
+subclass) is the ``R = 1`` case.
 
 The stage order is fixed by :data:`DEFAULT_PIPELINE`::
 
@@ -17,21 +13,17 @@ The stage order is fixed by :data:`DEFAULT_PIPELINE`::
     budget → link-capacity → interference → loss → application →
     extraction → recording
 
-Both backends share one :class:`StepState` contract (the per-step working
-fields each stage reads/writes) and, wherever the maths is identical, one
-helper function — so the two implementations cannot drift apart.
-
-Bit-exactness across backends
------------------------------
-The batched backend keeps **one RNG stream per replica** and mirrors the
-scalar engine's draw pattern exactly: every stage draws from replica
-``r``'s generator with the same numpy calls, in the same order, behind
-the same guards ("only draw when there is something to randomise") as the
-scalar stage does.  A batched run seeded ``seeds=[s_0, …, s_{R-1}]`` is
-therefore *bit-identical*, per replica, to ``R`` scalar runs seeded
-``s_r`` — for every extraction mode, revelation policy, loss model,
-tie-break strategy and ``activation_prob``.  The differential test matrix
-in ``tests/core/test_pipeline.py`` asserts this for the full knob product.
+Draw order
+----------
+Every replica owns one generator, and each stochastic stage draws from
+replica ``r``'s generator with the same numpy calls, in the same order,
+behind the same guards ("only draw when there is something to
+randomise") whatever ``R`` is.  A run of ``R`` replicas seeded
+``seeds=[s_0, …, s_{R-1}]`` is therefore *bit-identical*, per replica, to
+``R`` single runs seeded ``s_r`` — for every extraction mode, revelation
+policy, loss model, tie-break strategy and ``activation_prob``.  The
+differential matrix in ``tests/core/test_pipeline.py`` checks both
+against a per-node reference stepper (``tests/core/reference_step.py``).
 
 Per-stage instrumentation
 -------------------------
@@ -51,10 +43,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
+from repro.core.policies import StepContext
 from repro.errors import SimulationError, SpecError
 from repro.obs.trace import step_record
 from repro.network.spec import RevelationPolicy
-from repro.network.state import StepStats, network_state, network_state_rows
 
 __all__ = [
     "ExtractionMode",
@@ -66,9 +58,7 @@ __all__ = [
     "StagePipeline",
     "DEFAULT_PIPELINE",
     "STAGE_NAMES",
-    "reveal_queues",
     "link_capacity_keep",
-    "extraction_amounts",
 ]
 
 
@@ -121,8 +111,8 @@ class StepEvents:
     extractions: np.ndarray
 
 
-_EMPTY = np.empty(0, dtype=np.int64)
-_EMPTY_BOOL = np.empty(0, dtype=bool)
+_EMPTY = np.empty((1, 0), dtype=np.int64)
+_EMPTY_BOOL = np.empty((1, 0), dtype=bool)
 
 
 @dataclass
@@ -130,27 +120,24 @@ class StepState:
     """Per-step working state passed through the pipeline.
 
     The *contract* between stages: each stage reads the fields earlier
-    stages filled and writes its own.  Field shapes depend on the backend:
+    stages filled and writes its own.  ``R`` replicas, ``n`` nodes and
+    ``K`` candidate transmissions per replica:
 
-    =================  =======================  ==========================
-    field              scalar backend           batched backend
-    =================  =======================  ==========================
-    ``injections``     ``(n,)`` int64           unset (totals only)
-    ``revealed``       ``(n,)`` int64           ``(R, n)`` int64
-    ``eids/snd/rcv``   ``(k,)`` selected        ``(R, H)`` half-edges in
-                       transmissions, kept in   per-replica scalar order;
-                       scalar engine order      ``sel_mask`` marks selected
-    ``sel_mask``       unused                   ``(R, H)`` bool
-    ``lost_mask``      ``(k,)`` bool            ``(R, H)`` bool (⊆ mask)
-    ``extractions``    ``(n,)`` int64           ``(R, n)`` int64
-    counters           python ints              ``(R,)`` int64 arrays
-    =================  =======================  ==========================
+    ===================  ===================================================
+    ``q_start``          ``(n,)`` replica 0 before injection (event records)
+    ``injections``       ``(R, n)``, or the ``(1, n)`` broadcast row
+    ``revealed``         ``(R, n)`` declared queue lengths
+    ``eids/snd/rcv``     ``(R, K)`` candidates; restricted to ``sel_mask``,
+                         row ``r`` lists replica ``r``'s transmissions in
+                         selection order (sender, revealed queue, tie key)
+    ``sel_mask``         ``(R, K)`` bool, narrowed by the filtering stages
+    ``lost_mask``        ``(R, K)`` bool (⊆ ``sel_mask``)
+    ``extractions``      ``(R, n)``
+    counters             ``(R,)`` int64
+    ===================  ===================================================
 
-    ``eids/snd/rcv`` in the batched backend hold *every* half-edge sorted
-    per replica so that, restricted to ``sel_mask``, replica ``r``'s
-    transmissions appear in exactly the order the scalar engine's arrays
-    would — the property that lets stochastic stages replay the scalar
-    draw pattern per replica.
+    Stochastic stages walk row ``r`` in that order, which is what keeps a
+    replica's draws independent of ``R``.
     """
 
     t: int
@@ -163,12 +150,10 @@ class StepState:
     sel_mask: np.ndarray = field(default_factory=lambda: _EMPTY_BOOL)
     lost_mask: np.ndarray = field(default_factory=lambda: _EMPTY_BOOL)
     extractions: np.ndarray = field(default_factory=lambda: _EMPTY)
-    # counters: ints (scalar) or (R,) int64 (batched)
-    injected: object = 0
-    transmitted: object = 0
-    lost: object = 0
-    delivered: object = 0
-    stats: Optional[StepStats] = None   # scalar backend only
+    injected: Optional[np.ndarray] = None
+    transmitted: Optional[np.ndarray] = None
+    lost: Optional[np.ndarray] = None
+    delivered: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -181,39 +166,6 @@ class StageTiming:
     @property
     def mean_us(self) -> float:
         return 1e6 * self.seconds / self.calls if self.calls else 0.0
-
-
-# ----------------------------------------------------------------------
-# shared helpers — one implementation of the maths, used by both backends
-# ----------------------------------------------------------------------
-def reveal_queues(
-    q: np.ndarray,
-    terminal_mask: np.ndarray,
-    retention: int,
-    policy: RevelationPolicy,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Declared queue lengths per Definition 7(ii), for one ``(n,)`` vector.
-
-    Draws from ``rng`` only for :attr:`RevelationPolicy.RANDOM` and only
-    when liars exist — the guard both backends must mirror.
-    """
-    if policy is RevelationPolicy.TRUTHFUL or retention == 0:
-        return q
-    revealed = q.copy()
-    liars = terminal_mask & (q <= retention)
-    if not liars.any():
-        return revealed
-    idx = np.nonzero(liars)[0]
-    if policy is RevelationPolicy.ALWAYS_R:
-        revealed[idx] = retention
-    elif policy is RevelationPolicy.ZERO:
-        revealed[idx] = 0
-    elif policy is RevelationPolicy.RANDOM:
-        revealed[idx] = rng.integers(0, retention + 1, size=len(idx))
-    else:  # pragma: no cover - enum is closed
-        raise SpecError(f"unknown revelation policy {policy!r}")
-    return revealed
 
 
 def link_capacity_keep(
@@ -248,64 +200,34 @@ def link_capacity_keep(
     return keep
 
 
-def extraction_amounts(
-    q: np.ndarray,
-    out_vec: np.ndarray,
-    retention: int,
-    mode: ExtractionMode,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-node extraction amounts for one ``(n,)`` queue vector.
-
-    ``RANDOM`` draws ``rng.random(n)`` every step (no guard) — the batched
-    backend replays the same unconditional draw per replica.
-    """
-    greedy = np.minimum(out_vec, np.maximum(q, 0))
-    if mode is ExtractionMode.GREEDY or retention == 0:
-        return greedy
-    mandated = np.minimum(out_vec, np.maximum(q - retention, 0))
-    if mode is ExtractionMode.MANDATORY_MINIMUM:
-        return mandated
-    if mode is ExtractionMode.RANDOM:
-        span = greedy - mandated
-        extra = (rng.random(len(q)) * (span + 1)).astype(np.int64)
-        return mandated + np.minimum(extra, span)
-    raise SpecError(f"unknown extraction mode {mode!r}")  # pragma: no cover
-
-
 # ----------------------------------------------------------------------
 # stages
 # ----------------------------------------------------------------------
 class Stage:
-    """One phase of a synchronous step, implemented for both backends.
+    """One phase of a synchronous step over the host's ``(R, n)`` state.
 
-    ``host`` is the owning simulator: :class:`~repro.core.engine.Simulator`
-    for ``scalar``, :class:`~repro.core.ensemble.EnsembleSimulator` for
-    ``batched``.  Stages are stateless; all per-step state lives in the
-    :class:`StepState`, all run-long state on the host.
+    ``host`` is the owning engine (:class:`~repro.core.engine.Simulator`
+    or :class:`~repro.core.ensemble.EnsembleSimulator`).  Stages are
+    stateless; all per-step state lives in the :class:`StepState`, all
+    run-long state on the host.
     """
 
     name: str = "stage"
 
-    def scalar(self, host, st: StepState) -> None:
-        raise NotImplementedError(f"{self.name} has no scalar backend")
-
-    def batched(self, host, st: StepState) -> None:
-        raise NotImplementedError(f"{self.name} has no batched backend")
+    def run(self, host, st: StepState) -> None:
+        raise NotImplementedError(self.name)
 
 
 class TopologyStage(Stage):
-    """Apply the dynamic-topology schedule, if any (static in batched runs)."""
+    """Apply the dynamic-topology schedule, if any."""
 
     name = "topology"
 
-    def scalar(self, host, st: StepState) -> None:
-        if host.topology is not None and host.topology.apply(host.spec.graph, host.t):
+    def run(self, host, st: StepState) -> None:
+        if host.topology is not None and host.topology.apply(host.spec.graph, st.t):
+            # new half-edges come with their own selection-kernel constants
             host._half = HalfEdges.from_graph(host.spec.graph)
             host.policy.on_topology_change(host.spec, host._half)
-
-    def batched(self, host, st: StepState) -> None:
-        pass  # dynamic topology is rejected at EnsembleSimulator construction
 
 
 class InjectionStage(Stage):
@@ -314,49 +236,44 @@ class InjectionStage(Stage):
 
     name = "injection"
 
-    def scalar(self, host, st: StepState) -> None:
-        spec = host.spec
-        inj = np.asarray(host.arrivals.sample(host.t, host.rng), dtype=np.int64)
-        self._validate(spec, inj, (spec.n,), host._in_vec)
-        host.queues += inj
-        host._on_inject(inj)
-        st.injections = inj
-        st.injected = int(inj.sum())
-
-    def batched(self, host, st: StepState) -> None:
-        spec, R = host.spec, host.R
+    def run(self, host, st: StepState) -> None:
         arr = host.arrivals
         if arr is None:
             # classical exact injection: a broadcast, no validation needed
             host.Q += host._in_vec
-            st.injected = np.full(R, int(host._in_vec.sum()), dtype=np.int64)
-            return
-        if isinstance(arr, list):
-            inj = np.stack([
-                np.asarray(a.sample(st.t, g), dtype=np.int64)
-                for a, g in zip(arr, host.rngs)
-            ])
-        elif hasattr(arr, "sample_batch"):
-            inj = np.asarray(arr.sample_batch(st.t, host.rngs), dtype=np.int64)
+            st.injections = host._in_vec[None, :]
+            st.injected = np.full(host.R, host._in_vec.sum(), dtype=np.int64)
         else:
-            inj = np.stack([
-                np.asarray(arr.sample(st.t, g), dtype=np.int64) for g in host.rngs
-            ])
-        self._validate(spec, inj, (R, spec.n), host._in_vec)
-        host.Q += inj
-        st.injected = inj.sum(axis=1).astype(np.int64)
+            n = host.spec.n
+            if not isinstance(arr, list) and hasattr(arr, "sample_batch"):
+                inj = np.asarray(arr.sample_batch(st.t, host.rngs), dtype=np.int64)
+                self._check_shape(inj.shape, (host.R, n))
+            else:
+                procs = arr if isinstance(arr, list) else [arr] * host.R
+                rows = [np.asarray(a.sample(st.t, g), dtype=np.int64)
+                        for a, g in zip(procs, host.rngs)]
+                for row in rows:
+                    self._check_shape(row.shape, (n,))
+                inj = np.stack(rows)
+            self._validate(host.spec, inj, host._in_vec)
+            host.Q += inj
+            st.injections = inj
+            st.injected = inj.sum(axis=1)
+        if host._hooked:
+            host._on_inject(st.injections[0])
 
     @staticmethod
-    def _validate(spec, inj, shape, in_vec) -> None:
-        if inj.shape != shape:
-            raise SimulationError(f"arrival process returned shape {inj.shape}")
+    def _check_shape(got, want) -> None:
+        if got != want:
+            raise SimulationError(f"arrival process returned shape {got}")
+
+    @staticmethod
+    def _validate(spec, inj, in_vec) -> None:
         if (inj < 0).any():
             raise SimulationError("arrival process injected negative packets")
         if (inj > in_vec).any():
             raise SimulationError("arrival process exceeded in(v) for some node")
-        if spec.exact_injection and not np.array_equal(
-            inj, np.broadcast_to(in_vec, shape)
-        ):
+        if spec.exact_injection and not (inj == in_vec).all():
             raise SimulationError(
                 "classical S-D-network requires exact injection in(s) per step; "
                 "use NetworkSpec.generalized for pseudo-sources"
@@ -368,13 +285,7 @@ class RevelationStage(Stage):
 
     name = "revelation"
 
-    def scalar(self, host, st: StepState) -> None:
-        st.revealed = reveal_queues(
-            host.queues, host._terminal_mask, host.spec.retention,
-            host.spec.revelation, host.rng,
-        )
-
-    def batched(self, host, st: StepState) -> None:
+    def run(self, host, st: StepState) -> None:
         spec, Q = host.spec, host.Q
         pol, ret = spec.revelation, spec.retention
         if pol is RevelationPolicy.TRUTHFUL or ret == 0:
@@ -387,47 +298,48 @@ class RevelationStage(Stage):
         elif pol is RevelationPolicy.ZERO:
             revealed[liars] = 0
         elif pol is RevelationPolicy.RANDOM:
-            # per-replica draws, mirroring the scalar guard (no liars →
-            # no draw) and call signature exactly
             for r in range(host.R):
                 idx = np.nonzero(liars[r])[0]
-                if len(idx):
-                    revealed[r, idx] = host.rngs[r].integers(
-                        0, ret + 1, size=len(idx)
-                    )
+                if len(idx):  # no liars, no draw
+                    revealed[r, idx] = host.rngs[r].integers(0, ret + 1, size=len(idx))
         else:  # pragma: no cover - enum is closed
             raise SpecError(f"unknown revelation policy {pol!r}")
         st.revealed = revealed
 
 
 class SelectionStage(Stage):
-    """The transmission policy picks ``E_t`` (Algorithm 1 by default)."""
+    """The transmission policy picks ``E_t`` (Algorithm 1 by default).
+
+    The built-in LGG policy runs as one vectorized kernel over all rows;
+    any other policy is asked row by row and its answers are padded into
+    ``(R, K)`` arrays with a mask.
+    """
 
     name = "selection"
 
-    def scalar(self, host, st: StepState) -> None:
-        from repro.core.policies import StepContext
-
-        ctx = StepContext(
-            spec=host.spec, half=host._half, queues=host.queues,
-            revealed=st.revealed, t=host.t, rng=host.rng,
-        )
-        eids, snd, rcv = host.policy.select(ctx)
-        st.eids = np.asarray(eids, dtype=np.int64)
-        st.snd = np.asarray(snd, dtype=np.int64)
-        st.rcv = np.asarray(rcv, dtype=np.int64)
-
-    def batched(self, host, st: StepState) -> None:
-        h = host._half
-        if h.size == 0:
-            R = host.R
-            st.eids = st.snd = st.rcv = np.empty((R, 0), dtype=np.int64)
-            st.sel_mask = np.empty((R, 0), dtype=bool)
+    def run(self, host, st: StepState) -> None:
+        if host._lgg:
+            st.eids, st.snd, st.rcv, st.sel_mask = lgg_select_fast_batched(
+                host._half, host.Q, st.revealed,
+                tiebreak=host.policy.tiebreak, rngs=host.rngs,
+            )
             return
-        st.eids, st.snd, st.rcv, st.sel_mask = lgg_select_fast_batched(
-            h, host.Q, st.revealed,
-            tiebreak=host.config.tiebreak, rngs=host.rngs,
-        )
+        picks = []
+        for r in range(host.R):
+            ctx = StepContext(
+                spec=host.spec, half=host._half, queues=host.Q[r],
+                revealed=st.revealed[r], t=st.t, rng=host.rngs[r],
+            )
+            picks.append([np.asarray(a, dtype=np.int64) for a in host.policy.select(ctx)])
+        K = max(len(eids) for eids, _, _ in picks)
+        arrays = np.zeros((3, host.R, K), dtype=np.int64)
+        st.sel_mask = np.zeros((host.R, K), dtype=bool)
+        for r, pick in enumerate(picks):
+            k = len(pick[0])
+            for a, values in zip(arrays, pick):
+                a[r, :k] = values
+            st.sel_mask[r, :k] = True
+        st.eids, st.snd, st.rcv = arrays
 
 
 class ActivationStage(Stage):
@@ -435,52 +347,39 @@ class ActivationStage(Stage):
 
     name = "activation"
 
-    def scalar(self, host, st: StepState) -> None:
+    def run(self, host, st: StepState) -> None:
         p_act = host.config.activation_prob
-        if p_act < 1.0 and len(st.snd):
-            awake = host.rng.random(host.spec.n) < p_act
-            keep = awake[st.snd]
-            st.eids, st.snd, st.rcv = st.eids[keep], st.snd[keep], st.rcv[keep]
-
-    def batched(self, host, st: StepState) -> None:
-        p_act = host.config.activation_prob
-        if p_act >= 1.0 or st.sel_mask.shape[1] == 0:
+        if p_act >= 1.0:
             return
         n = host.spec.n
         for r in range(host.R):
             if not st.sel_mask[r].any():
-                continue  # scalar draws only when it selected something
+                continue  # draw only when the row selected something
             awake = host.rngs[r].random(n) < p_act
             st.sel_mask[r] &= awake[st.snd[r]]
 
 
 class BudgetStage(Stage):
-    """Validate sender budgets — a policy may never send packets it lacks."""
+    """Validate sender budgets — a policy may never send packets it lacks.
+
+    The LGG kernel cannot overdraw (it sends on block ranks ``< q_u``), so
+    only other policies are checked.
+    """
 
     name = "budget"
 
-    def scalar(self, host, st: StepState) -> None:
-        if len(st.snd):
-            counts = np.bincount(st.snd, minlength=host.spec.n)
-            if (counts > host.queues).any():
-                bad = int(np.nonzero(counts > host.queues)[0][0])
-                raise SimulationError(
-                    f"policy overdrew node {bad}: {counts[bad]} sends > "
-                    f"queue {host.queues[bad]}"
-                )
-
-    def batched(self, host, st: StepState) -> None:
-        if st.sel_mask.shape[1] == 0 or not st.sel_mask.any():
+    def run(self, host, st: StepState) -> None:
+        if host._lgg or not st.sel_mask.any():
             return
-        n = host.spec.n
+        R, n = host.R, host.spec.n
         flat = (host._row * n + st.snd)[st.sel_mask]
-        counts = np.bincount(flat, minlength=host.R * n).reshape(host.R, n)
+        counts = np.bincount(flat, minlength=R * n).reshape(R, n)
         over = counts > host.Q
         if over.any():
             r, bad = (int(x[0]) for x in np.nonzero(over))
             raise SimulationError(
                 f"policy overdrew node {bad}: {counts[r, bad]} sends > "
-                f"queue {host.Q[r, bad]} (replica {r})"
+                f"queue {host.Q[r, bad]}"
             )
 
 
@@ -489,51 +388,45 @@ class LinkCapacityStage(Stage):
 
     name = "link_capacity"
 
-    def scalar(self, host, st: StepState) -> None:
-        keep = link_capacity_keep(
-            st.eids, st.snd, st.rcv, host.queues, host.config.link_capacity
-        )
-        if not keep.all():
-            st.eids, st.snd, st.rcv = st.eids[keep], st.snd[keep], st.rcv[keep]
-
-    def batched(self, host, st: StepState) -> None:
-        # Conflicts are provably impossible for LGG under truthful
-        # revelation (the gradient test is strict: q_u > q_v and q_v > q_u
-        # cannot both hold) and under PER_DIRECTION capacity (each directed
-        # half-edge is selected at most once).  Only lying terminals with
-        # PER_LINK capacity can contest a link.
-        if host.spec.revelation is RevelationPolicy.TRUTHFUL:
-            return
-        if host.config.link_capacity is LinkCapacityMode.PER_DIRECTION:
-            return
-        if st.sel_mask.shape[1] == 0:
+    def run(self, host, st: StepState) -> None:
+        # LGG cannot contest a link under truthful revelation (the gradient
+        # test is strict: q_u > q_v and q_v > q_u cannot both hold) nor
+        # under PER_DIRECTION capacity (each directed half-edge is selected
+        # at most once).  Only lying terminals with PER_LINK capacity, or
+        # other policies, can.
+        mode = host.config.link_capacity
+        if host._lgg and (
+            host.spec.revelation is RevelationPolicy.TRUTHFUL
+            or mode is LinkCapacityMode.PER_DIRECTION
+        ):
             return
         for r in range(host.R):
             idx = np.nonzero(st.sel_mask[r])[0]
             if len(idx) < 2:
                 continue
             keep = link_capacity_keep(
-                st.eids[r, idx], st.snd[r, idx], st.rcv[r, idx],
-                host.Q[r], host.config.link_capacity,
+                st.eids[r, idx], st.snd[r, idx], st.rcv[r, idx], host.Q[r], mode,
             )
             if not keep.all():
                 st.sel_mask[r, idx[~keep]] = False
 
 
 class InterferenceStage(Stage):
-    """Apply the interference model (Conjecture 5), scalar backend only."""
+    """Apply the interference model (Conjecture 5), if any."""
 
     name = "interference"
 
-    def scalar(self, host, st: StepState) -> None:
-        if host.interference is not None and len(st.eids):
-            keep = host.interference.filter(
-                st.eids, st.snd, st.rcv, host.queues, st.revealed, host.rng
-            )
-            st.eids, st.snd, st.rcv = st.eids[keep], st.snd[keep], st.rcv[keep]
-
-    def batched(self, host, st: StepState) -> None:
-        pass  # interference models are rejected at construction
+    def run(self, host, st: StepState) -> None:
+        if host.interference is None:
+            return
+        for r in range(host.R):
+            idx = np.nonzero(st.sel_mask[r])[0]
+            if len(idx):
+                keep = host.interference.filter(
+                    st.eids[r, idx], st.snd[r, idx], st.rcv[r, idx],
+                    host.Q[r], st.revealed[r], host.rngs[r],
+                )
+                st.sel_mask[r, idx[~keep]] = False
 
 
 class LossStage(Stage):
@@ -542,24 +435,9 @@ class LossStage(Stage):
 
     name = "loss"
 
-    def scalar(self, host, st: StepState) -> None:
-        transmitted = len(st.eids)
-        st.transmitted = transmitted
-        if host.losses is not None and transmitted:
-            lost_mask = np.asarray(
-                host.losses.sample(st.eids, st.snd, st.rcv, host.t, host.rng),
-                dtype=bool,
-            )
-            if lost_mask.shape != (transmitted,):
-                raise SimulationError("loss model returned a mask of wrong shape")
-        else:
-            lost_mask = np.zeros(transmitted, dtype=bool)
-        st.lost_mask = lost_mask
-        st.lost = int(lost_mask.sum())
-
-    def batched(self, host, st: StepState) -> None:
+    def run(self, host, st: StepState) -> None:
         mask = st.sel_mask
-        st.transmitted = mask.sum(axis=1).astype(np.int64)
+        st.transmitted = mask.sum(axis=1)
         models = host.losses
         if models is None or mask.shape[1] == 0:
             st.lost_mask = np.zeros_like(mask)
@@ -579,7 +457,7 @@ class LossStage(Stage):
                 model = models[r] if isinstance(models, list) else models
                 idx = np.nonzero(mask[r])[0]
                 if len(idx) == 0:
-                    continue  # scalar skips the model when nothing transmitted
+                    continue  # nothing transmitted, no draw
                 row = np.asarray(
                     model.sample(
                         st.eids[r, idx], st.snd[r, idx], st.rcv[r, idx],
@@ -591,7 +469,7 @@ class LossStage(Stage):
                     raise SimulationError("loss model returned a mask of wrong shape")
                 lost[r, idx[row]] = True
         st.lost_mask = lost
-        st.lost = lost.sum(axis=1).astype(np.int64)
+        st.lost = lost.sum(axis=1)
 
 
 class ApplicationStage(Stage):
@@ -599,18 +477,9 @@ class ApplicationStage(Stage):
 
     name = "application"
 
-    def scalar(self, host, st: StepState) -> None:
-        if len(st.eids):
-            q = host.queues
-            np.subtract.at(q, st.snd, 1)
-            survivors = st.rcv[~st.lost_mask]
-            if len(survivors):
-                np.add.at(q, survivors, 1)
-            host._on_transmit(st.snd, st.rcv, st.lost_mask)
-
-    def batched(self, host, st: StepState) -> None:
+    def run(self, host, st: StepState) -> None:
         mask = st.sel_mask
-        if mask.shape[1] == 0 or not mask.any():
+        if not mask.any():
             return
         R, n = host.R, host.spec.n
         idx_snd = (host._row * n + st.snd)[mask]
@@ -619,6 +488,9 @@ class ApplicationStage(Stage):
         if arrived.any():
             idx_rcv = (host._row * n + st.rcv)[arrived]
             host.Q += np.bincount(idx_rcv, minlength=R * n).reshape(R, n)
+        if host._hooked and mask[0].any():
+            m = mask[0]
+            host._on_transmit(st.snd[0, m], st.rcv[0, m], st.lost_mask[0, m])
 
 
 class ExtractionStage(Stage):
@@ -627,17 +499,7 @@ class ExtractionStage(Stage):
 
     name = "extraction"
 
-    def scalar(self, host, st: StepState) -> None:
-        ext = extraction_amounts(
-            host.queues, host._out_vec, host.spec.retention,
-            host.config.extraction, host.rng,
-        )
-        host.queues -= ext
-        host._on_extract(ext)
-        st.extractions = ext
-        st.delivered = int(ext.sum())
-
-    def batched(self, host, st: StepState) -> None:
+    def run(self, host, st: StepState) -> None:
         Q, out = host.Q, host._out_vec
         ret = host.spec.retention
         mode = host.config.extraction
@@ -652,7 +514,7 @@ class ExtractionStage(Stage):
                 span = greedy - mandated
                 ext = np.empty_like(mandated)
                 for r in range(host.R):
-                    # same unconditional per-step draw as the scalar engine
+                    # one unconditional draw per replica and step
                     extra = (
                         host.rngs[r].random(Q.shape[1]) * (span[r] + 1)
                     ).astype(np.int64)
@@ -661,90 +523,58 @@ class ExtractionStage(Stage):
                 raise SpecError(f"unknown extraction mode {mode!r}")
         Q -= ext
         st.extractions = ext
-        st.delivered = ext.sum(axis=1).astype(np.int64)
+        st.delivered = ext.sum(axis=1)
+        if host._hooked:
+            host._on_extract(ext[0])
 
 
 class RecordingStage(Stage):
-    """Book the step: invariants, event records, trajectory/history rows."""
+    """Book the step: invariants, event records, history rows, trace."""
 
     name = "recording"
 
-    def scalar(self, host, st: StepState) -> None:
-        q = host.queues
-        if host.config.validate_every_step and (q < 0).any():
-            raise SimulationError("negative queue after step — engine invariant broken")
-        if host.config.record_events:
-            host.events.append(
-                StepEvents(
-                    t=host.t,
-                    q_start=st.q_start,
-                    injections=st.injections.copy(),
-                    edge_ids=st.eids.copy(),
-                    senders=st.snd.copy(),
-                    receivers=st.rcv.copy(),
-                    lost_mask=st.lost_mask.copy(),
-                    extractions=st.extractions.copy(),
-                )
-            )
-        host.t += 1
-        stats = StepStats(
-            t=host.t,
-            injected=st.injected,
-            transmitted=st.transmitted,
-            lost=st.lost,
-            delivered=st.delivered,
-            potential=network_state(q),
-            total_queued=int(q.sum()),
-            max_queue=int(q.max()) if len(q) else 0,
-        )
-        host.trajectory.record(stats, q if host.config.record_queues else None)
-        st.stats = stats
-        tr = host.trace
-        if tr.enabled:
-            tr.emit(step_record(
-                st.t,
-                injected=stats.injected,
-                transmitted=stats.transmitted,
-                lost=stats.lost,
-                delivered=stats.delivered,
-                potential=stats.potential,
-                total_queued=stats.total_queued,
-                max_queue=stats.max_queue,
-                active_edges=len(np.unique(st.eids)),
-            ))
-
-    def batched(self, host, st: StepState) -> None:
+    def run(self, host, st: StepState) -> None:
         Q = host.Q
         if host.config.validate_every_step and (Q < 0).any():
             raise SimulationError("negative queue after step — engine invariant broken")
+        if host.config.record_events:
+            m = st.sel_mask[0]
+            host.events.append(
+                StepEvents(
+                    t=st.t,
+                    q_start=st.q_start,
+                    injections=st.injections[0].copy(),
+                    edge_ids=st.eids[0, m],
+                    senders=st.snd[0, m],
+                    receivers=st.rcv[0, m],
+                    lost_mask=st.lost_mask[0, m],
+                    extractions=st.extractions[0].copy(),
+                )
+            )
         host.t += 1
-        host.total_hist.append(Q.sum(axis=1))
-        host.pot_hist.append(network_state_rows(Q))
-        host.max_hist.append(
-            Q.max(axis=1) if Q.shape[1] else np.zeros(host.R, dtype=np.int64)
-        )
-        host.injected_hist.append(st.injected)
-        host.transmitted_hist.append(st.transmitted)
-        host.lost_hist.append(st.lost)
-        host.delivered_hist.append(st.delivered)
-        if host.queue_hist is not None:
-            host.queue_hist.append(Q.copy())
+        host.history.append(Q, st.injected, st.transmitted, st.lost, st.delivered)
         tr = host.trace
         if tr.enabled:
+            pot, total, mx = host.history.boundary()
+            out = host._out
             tr.emit(step_record(
                 st.t,
-                injected=st.injected,
-                transmitted=st.transmitted,
-                lost=st.lost,
-                delivered=st.delivered,
-                potential=host.pot_hist[-1],
-                total_queued=host.total_hist[-1],
-                max_queue=host.max_hist[-1],
-                # per-replica count of half-edges that actually carried a
-                # packet (== transmitted; distinct-edge refinement is a
-                # scalar-backend nicety)
-                active_edges=st.transmitted,
+                injected=out(st.injected),
+                transmitted=out(st.transmitted),
+                lost=out(st.lost),
+                delivered=out(st.delivered),
+                potential=out(pot),
+                total_queued=out(total),
+                max_queue=out(mx),
+                active_edges=out(self._distinct_edges(host, st)),
             ))
+
+    @staticmethod
+    def _distinct_edges(host, st: StepState) -> np.ndarray:
+        """Per replica, the number of distinct links that carried a packet."""
+        slots = host._half.num_edge_slots
+        carried = np.unique((host._row * slots + st.eids)[st.sel_mask])
+        return np.bincount(carried // max(slots, 1), minlength=host.R)
 
 
 # ----------------------------------------------------------------------
@@ -756,35 +586,20 @@ class StagePipeline:
 
     stages: tuple[Stage, ...]
 
-    def run(
-        self,
-        host,
-        st: StepState,
-        *,
-        backend: str,
-        timings: Optional[dict] = None,
-    ) -> StepState:
+    def run(self, host, st: StepState, timings: Optional[dict] = None) -> StepState:
         """Execute every stage on ``st`` in order.
 
-        ``backend`` selects the implementation (``"scalar"`` or
-        ``"batched"``); ``timings`` (name → :class:`StageTiming`) opts into
-        per-stage wall-clock accounting.
+        ``timings`` (name → :class:`StageTiming`) opts into per-stage
+        wall-clock accounting.
         """
         if timings is None:
-            if backend == "scalar":
-                for stage in self.stages:
-                    stage.scalar(host, st)
-            else:
-                for stage in self.stages:
-                    stage.batched(host, st)
+            for stage in self.stages:
+                stage.run(host, st)
             return st
         for stage in self.stages:
             tick = perf_counter()
             try:
-                if backend == "scalar":
-                    stage.scalar(host, st)
-                else:
-                    stage.batched(host, st)
+                stage.run(host, st)
             finally:
                 # book the (possibly partial) stage time even when the
                 # stage raises: profiles from failed runs stay truthful

@@ -31,7 +31,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.lgg import lgg_select_reference
-from repro.core.lgg_fast import HalfEdges, lgg_select_fast
+from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
 from repro.core.tiebreak import TieBreak
 from repro.network.spec import NetworkSpec
 
@@ -97,9 +97,12 @@ class LGGPolicy(_PolicyBase):
                 return _EMPTY, _EMPTY, _EMPTY
             arr = np.array(triples, dtype=np.int64)
             return arr[:, 0], arr[:, 1], arr[:, 2]
-        return lgg_select_fast(
-            ctx.half, ctx.queues, ctx.revealed, tiebreak=self.tiebreak, rng=ctx.rng
+        eids, snd, rcv, mask = lgg_select_fast_batched(
+            ctx.half, ctx.queues[None, :], ctx.revealed[None, :],
+            tiebreak=self.tiebreak, rngs=[ctx.rng],
         )
+        m = mask[0]
+        return eids[0, m], snd[0, m], rcv[0, m]
 
 
 class FlowRoutingPolicy(_PolicyBase):

@@ -16,7 +16,18 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["network_state", "network_state_rows", "StepStats", "Trajectory"]
+__all__ = [
+    "BIGINT_THRESHOLD",
+    "network_state",
+    "network_state_rows",
+    "StepStats",
+    "Trajectory",
+    "History",
+]
+
+#: Queue magnitude from which ``P_t`` is summed in Python ints: squares of
+#: larger queues would overflow int64 (divergence experiments get there).
+BIGINT_THRESHOLD = 3_000_000_000
 
 
 def network_state(queues: np.ndarray) -> int:
@@ -30,13 +41,13 @@ def network_state(queues: np.ndarray) -> int:
     if q.size == 0:
         return 0
     mx = int(np.abs(q).max())
-    if mx < 3_000_000_000:
+    if mx < BIGINT_THRESHOLD:
         return int(np.dot(q.astype(np.int64), q.astype(np.int64)))
     return sum(int(x) * int(x) for x in q)
 
 
 def network_state_rows(Q: np.ndarray) -> np.ndarray:
-    """Row-wise ``P_t`` for an ``(R, n)`` queue matrix (batched backend).
+    """Row-wise ``P_t`` for an ``(R, n)`` queue matrix.
 
     Values match :func:`network_state` of each row exactly; the big-int
     fallback kicks in at the same queue-magnitude threshold.
@@ -45,7 +56,7 @@ def network_state_rows(Q: np.ndarray) -> np.ndarray:
     if Q.size == 0:
         return np.zeros(Q.shape[0], dtype=np.int64)
     mx = int(np.abs(Q).max())
-    if mx < 3_000_000_000:
+    if mx < BIGINT_THRESHOLD:
         q64 = Q.astype(np.int64)
         return np.einsum("rn,rn->r", q64, q64)
     return np.array([network_state(row) for row in Q], dtype=object)
@@ -127,18 +138,18 @@ class Trajectory:
     ) -> "Trajectory":
         """Build a trajectory from pre-recorded per-step series.
 
-        Used by the batched backend to materialise one replica's column of
-        its ``(T, R)`` history matrices as a first-class trajectory (the
-        boundary series have length ``T+1``, the per-step ones ``T``).
+        Materialises one replica's column of a run's :class:`History` (or a
+        replayed trace) as a first-class trajectory (the boundary series
+        have length ``T+1``, the per-step ones ``T``).
         """
         traj = cls(n=n, initial_queued=int(total_queued[0]))
-        traj.potentials = [int(x) for x in potentials]
-        traj.total_queued = [int(x) for x in total_queued]
-        traj.max_queues = [int(x) for x in max_queues]
-        traj.injected = [int(x) for x in injected]
-        traj.transmitted = [int(x) for x in transmitted]
-        traj.lost = [int(x) for x in lost]
-        traj.delivered = [int(x) for x in delivered]
+        traj.potentials = _int_list(potentials)
+        traj.total_queued = _int_list(total_queued)
+        traj.max_queues = _int_list(max_queues)
+        traj.injected = _int_list(injected)
+        traj.transmitted = _int_list(transmitted)
+        traj.lost = _int_list(lost)
+        traj.delivered = _int_list(delivered)
         if queue_history is not None:
             traj.queue_history = [np.asarray(q).copy() for q in queue_history]
         return traj
@@ -182,3 +193,130 @@ class Trajectory:
             raise SimulationError(f"fraction must be in (0, 1], got {fraction}")
         k = max(1, int(len(self.potentials) * fraction))
         return float(np.mean(self.potentials[-k:]))
+
+
+def _int_list(values) -> list[int]:
+    if isinstance(values, np.ndarray):
+        return values.tolist()  # int64 and object (big-int) columns alike
+    return [int(x) for x in values]
+
+
+class History:
+    """The per-step series of an ``(R, n)`` run, in growable arrays.
+
+    Row ``0`` holds the boundary state before the first step; row ``t + 1``
+    the boundary after step ``t`` plus that step's counters.  Every series
+    is an int64 ``(capacity, R)`` array (56 bytes per step and replica for
+    the seven series) except that ``potentials`` switches to Python ints
+    once a step needs them, exactly like :func:`network_state_rows`.  The
+    optional queue snapshots are one ``(capacity, R, n)`` array.
+    """
+
+    BOUNDARY = ("potentials", "total_queued", "max_queues")
+    PER_STEP = ("injected", "transmitted", "lost", "delivered")
+
+    def __init__(self, Q: np.ndarray, *, record_queues: bool = False) -> None:
+        R, self.n = Q.shape
+        self.steps = 0
+        cap = 64
+        self._cols = {name: np.zeros((cap, R), dtype=np.int64)
+                      for name in self.BOUNDARY + self.PER_STEP}
+        self._queues = (np.zeros((cap, R, self.n), dtype=np.int64)
+                        if record_queues else None)
+        self._put(0, network_state_rows(Q), Q.sum(axis=1), _row_max(Q))
+        if self._queues is not None:
+            self._queues[0] = Q
+
+    @property
+    def records_queues(self) -> bool:
+        return self._queues is not None
+
+    def _reserve(self, rows: int) -> None:
+        cap = len(self._cols["potentials"])
+        if rows <= cap:
+            return
+        cap = max(rows, 2 * cap)
+        k = self.steps + 1
+        for name, col in self._cols.items():
+            grown = np.zeros((cap,) + col.shape[1:], dtype=col.dtype)
+            grown[:k] = col[:k]
+            self._cols[name] = grown
+        if self._queues is not None:
+            grown = np.zeros((cap,) + self._queues.shape[1:], dtype=np.int64)
+            grown[:k] = self._queues[:k]
+            self._queues = grown
+
+    def _put(self, rows, potentials, total, maxes) -> None:
+        cols = self._cols
+        if potentials.dtype == object and cols["potentials"].dtype != object:
+            cols["potentials"] = cols["potentials"].astype(object)
+        cols["potentials"][rows] = potentials
+        cols["total_queued"][rows] = total
+        cols["max_queues"][rows] = maxes
+
+    def append(self, Q: np.ndarray, injected, transmitted, lost, delivered) -> None:
+        """Book one step: the boundary ``Q`` after it and its counters."""
+        k = self.steps + 1
+        self._reserve(k + 1)
+        self._put(k, network_state_rows(Q), Q.sum(axis=1), _row_max(Q))
+        cols = self._cols
+        cols["injected"][k] = injected
+        cols["transmitted"][k] = transmitted
+        cols["lost"][k] = lost
+        cols["delivered"][k] = delivered
+        if self._queues is not None:
+            self._queues[k] = Q
+        self.steps = k
+
+    def extend(self, series: dict, queues=None) -> None:
+        """Book a whole block of steps shared by every replica.
+
+        ``series`` maps each of the seven names to a length-``k`` sequence;
+        ``potentials`` must already carry the dtype the block needs.
+        ``queues`` is the ``(k, n)`` block of snapshots when recording.
+        """
+        k = len(series["injected"])
+        lo, hi = self.steps + 1, self.steps + 1 + k
+        self._reserve(hi)
+        rows = slice(lo, hi)
+        self._put(rows, *(np.asarray(series[name])[:, None] for name in self.BOUNDARY))
+        for name in self.PER_STEP:
+            self._cols[name][rows] = np.asarray(series[name], dtype=np.int64)[:, None]
+        if self._queues is not None:
+            self._queues[rows] = np.asarray(queues, dtype=np.int64)[:, None, :]
+        self.steps = hi - 1
+
+    def boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(potentials, total_queued, max_queues)`` of the latest boundary."""
+        k = self.steps
+        return tuple(self._cols[name][k] for name in self.BOUNDARY)
+
+    def series(self, name: str) -> np.ndarray:
+        """One series as an owned array: ``(T+1, R)`` for the boundary
+        series, ``(T, R)`` for the per-step counters."""
+        lo = 1 if name in self.PER_STEP else 0
+        return self._cols[name][lo:self.steps + 1].copy()
+
+    def queue_history(self) -> Optional[np.ndarray]:
+        """The ``(T+1, R, n)`` queue snapshots, or ``None`` when off."""
+        if self._queues is None:
+            return None
+        return self._queues[:self.steps + 1].copy()
+
+    def trajectory(self, r: int) -> Trajectory:
+        """Replica ``r``'s column as a first-class trajectory."""
+        k = self.steps + 1
+        cols = {name: col[:k, r] for name, col in self._cols.items()}
+        return Trajectory.from_series(
+            self.n,
+            **{name: cols[name] for name in self.BOUNDARY},
+            **{name: cols[name][1:] for name in self.PER_STEP},
+            queue_history=(None if self._queues is None
+                           else self._queues[:k, r]),
+        )
+
+
+def _row_max(Q: np.ndarray) -> np.ndarray:
+    if Q.shape[1] == 0:
+        return np.zeros(Q.shape[0], dtype=np.int64)
+    return Q.max(axis=1)

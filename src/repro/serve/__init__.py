@@ -11,7 +11,7 @@ simulation stack:
   ``/v1/simulate`` requests with the same config fingerprint fold into
   one :class:`~repro.core.ensemble.EnsembleSimulator` batch, so server
   throughput inherits the vectorized pipeline's speedup while every
-  response stays bit-identical to a scalar :class:`~repro.core.engine.Simulator`
+  response stays bit-identical to a single :class:`~repro.core.engine.Simulator`
   run.
 * :mod:`repro.serve.workers` — the multi-process worker tier: spawn-
   context worker processes with warm imports behind a futures interface,

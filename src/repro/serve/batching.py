@@ -9,12 +9,13 @@ fingerprint* — the canonical network hash
 ensemble run whose per-replica seeds are the requests' seeds; replica
 ``r``'s slice is returned to request ``r``.
 
-Correctness rests on the pipeline's differential guarantee (PR 1, asserted
-in ``tests/core/test_pipeline.py``): a batched run with ``seeds=[s_0, …]``
-is bit-identical, per replica, to scalar runs seeded ``s_r``.  So batching
-changes *when* work happens, never *what* any caller gets back —
-:func:`direct_simulate` is the scalar oracle the server's responses must
-(and do) match exactly.
+Correctness rests on the engine's replica guarantee (asserted in
+``tests/core/test_pipeline.py``): an ensemble run with ``seeds=[s_0, …]``
+is bit-identical, per replica, to single ``Simulator`` runs seeded
+``s_r`` — both are one stage pipeline, at ``R`` replicas and at
+``R = 1``.  So batching changes *when* work happens, never *what* any
+caller gets back — :func:`direct_simulate`, one unbatched run, is what the
+server's responses must (and do) match exactly.
 
 The batch executes off the event loop — on a worker thread by default,
 or on a :class:`~repro.serve.workers.WorkerPool` *process* when the
@@ -59,7 +60,7 @@ def _simulation_config(horizon: int, loss_p: float, seed=None) -> SimulationConf
 
 def direct_simulate(spec: NetworkSpec, horizon: int, seed: int,
                     loss_p: float = 0.0) -> dict:
-    """The scalar oracle: one :class:`Simulator` run, rendered as the
+    """One unbatched :class:`Simulator` run, rendered as the
     ``/v1/simulate`` response body (sans batch metadata)."""
     sim = Simulator(spec, config=_simulation_config(horizon, loss_p, seed=seed))
     return simulation_response(sim.run(horizon))

@@ -55,6 +55,54 @@ class TestValidation:
         with pytest.raises(SimulationError, match="seeds"):
             EnsembleSimulator(gadget_spec(), 3, seeds=[0, 1])
 
+    def test_single_replica_takes_single_run_features(self):
+        """At R = 1 the ensemble is the Simulator's engine: interference and
+        event records are only rejected for more than one replica."""
+        spec = gadget_spec()
+        cfg = SimulationConfig(seed=3, record_events=True,
+                               interference=DistanceTwoInterference(spec.graph))
+        ens = EnsembleSimulator(spec, 1, seeds=[3], config=cfg)
+        res = ens.run(80)
+        single = Simulator(spec, config=cfg)
+        assert res.total_queued[:, 0].tolist() == single.run(80).trajectory.total_queued
+        assert len(ens.events) == len(single.events) == 80
+
+
+class TestConflictingInputs:
+    """``loss_p`` / ``uniform_arrivals`` never silently lose to an explicit
+    loss model or arrival process: the pair raises and names both."""
+
+    def pseudo_spec(self):
+        from dataclasses import replace
+
+        return replace(gadget_spec(), exact_injection=False)
+
+    @pytest.mark.parametrize("where", ["argument", "config"])
+    def test_loss_p_with_loss_model(self, where):
+        from repro.loss import BernoulliLoss
+
+        model = BernoulliLoss(0.0)
+        kwargs = ({"losses": model} if where == "argument"
+                  else {"config": SimulationConfig(losses=model)})
+        with pytest.raises(SimulationError, match=r"loss_p=0\.9.*losses"):
+            EnsembleSimulator(gadget_spec(), 2, seeds=[1, 2], loss_p=0.9, **kwargs)
+
+    @pytest.mark.parametrize("where", ["argument", "config"])
+    def test_uniform_arrivals_with_arrival_process(self, where):
+        from repro.arrivals import BernoulliArrivals
+
+        spec = self.pseudo_spec()
+        proc = BernoulliArrivals(spec, 0.5)
+        kwargs = ({"arrivals": proc} if where == "argument"
+                  else {"config": SimulationConfig(arrivals=proc)})
+        with pytest.raises(SimulationError, match="uniform_arrivals.*arrivals"):
+            EnsembleSimulator(spec, 2, seeds=[1, 2], uniform_arrivals=True, **kwargs)
+
+    def test_conveniences_alone_still_work(self):
+        res = EnsembleSimulator(self.pseudo_spec(), 2, seeds=[1, 2], loss_p=0.5,
+                                uniform_arrivals=True).run(50)
+        assert (res.lost > 0).all()
+
 
 class TestDeterministicEquivalence:
     """No randomness in the dynamics -> every replica must match the scalar

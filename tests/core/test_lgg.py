@@ -1,11 +1,17 @@
-"""Algorithm 1 semantics: reference implementation, vectorized agreement."""
+"""Algorithm 1 semantics: reference implementation, vectorized agreement.
+
+The vectorized kernel (:func:`lgg_select_fast_batched`) is checked row by
+row against the per-node reference: row 0 of an ``R = 1`` call compacted by
+its mask, and ``R = 3`` calls whose rows differ.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HalfEdges, TieBreak, lgg_select_fast, lgg_select_reference
+from repro.core import HalfEdges, TieBreak, lgg_select_reference
+from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.graphs import MultiGraph
 from repro.graphs import generators as gen
 
@@ -16,12 +22,18 @@ def select_ref(graph, queues, revealed=None, **kw):
     return lgg_select_reference(graph, q, r, **kw)
 
 
-def select_fast(graph, queues, revealed=None, **kw):
+def compact(eids, snd, rcv, mask, r):
+    """Row ``r`` of a kernel answer as the reference's triple list."""
+    m = mask[r]
+    return list(zip(eids[r, m].tolist(), snd[r, m].tolist(), rcv[r, m].tolist()))
+
+
+def select_fast(graph, queues, revealed=None, *, rng=None, **kw):
     q = np.asarray(queues, dtype=np.int64)
     r = q if revealed is None else np.asarray(revealed, dtype=np.int64)
     half = HalfEdges.from_graph(graph)
-    eids, snd, rcv = lgg_select_fast(half, q, r, **kw)
-    return list(zip(eids.tolist(), snd.tolist(), rcv.tolist()))
+    out = lgg_select_fast_batched(half, q[None, :], r[None, :], rngs=[rng], **kw)
+    return compact(*out, 0)
 
 
 class TestAlgorithmSemantics:
@@ -158,6 +170,60 @@ class TestFastMatchesReference:
         g = MultiGraph(3)
         assert select_fast(g, [1, 2, 3]) == []
         assert select_ref(g, [1, 2, 3]) == []
+
+    @pytest.mark.parametrize("tb", list(TieBreak))
+    def test_same_order_as_reference(self, tb):
+        """Row order, not just the set: stochastic stages walk it."""
+        g = gen.random_multigraph(7, 18, seed=3)
+        q = np.random.default_rng(3).integers(0, 6, size=g.n)
+        ref = select_ref(g, q, tiebreak=tb, rng=np.random.default_rng(9))
+        fast = select_fast(g, q, tiebreak=tb, rng=np.random.default_rng(9))
+        assert ref == fast
+
+
+class TestBatchedRowsMatchReference:
+    """``R = 3`` calls with differing rows: each row is the reference's
+    answer for that replica, fed the same generator state."""
+
+    R = 3
+
+    def rows(self, g, seed, *, lie):
+        rng = np.random.default_rng(seed)
+        Q = rng.integers(0, 9, size=(self.R, g.n)).astype(np.int64)
+        if not lie:
+            return Q, Q
+        return Q, np.minimum(Q, rng.integers(0, 9, size=(self.R, g.n)))
+
+    @pytest.mark.parametrize("lie", [False, True], ids=["truthful", "lying"])
+    @pytest.mark.parametrize("tb", list(TieBreak))
+    @pytest.mark.parametrize("gi", range(len(TestFastMatchesReference.TOPOLOGIES)))
+    def test_rows_match(self, gi, tb, lie):
+        g = TestFastMatchesReference.TOPOLOGIES[gi]
+        Q, rev = self.rows(g, 10 + gi, lie=lie)
+        seeds = [31, 32, 33]
+        out = lgg_select_fast_batched(
+            HalfEdges.from_graph(g), Q, rev, tiebreak=tb,
+            rngs=[np.random.default_rng(s) for s in seeds],
+        )
+        for r, s in enumerate(seeds):
+            ref = select_ref(g, Q[r], rev[r], tiebreak=tb,
+                             rng=np.random.default_rng(s))
+            assert compact(*out, r) == ref
+
+    def test_random_tiebreak_consumes_one_draw_per_row(self):
+        g = gen.complete(6)
+        Q, rev = self.rows(g, 5, lie=False)
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        twins = [np.random.default_rng(s) for s in (1, 2, 3)]
+        for _ in range(4):  # successive steps keep the generators in step
+            out = lgg_select_fast_batched(
+                HalfEdges.from_graph(g), Q, rev,
+                tiebreak=TieBreak.QUEUE_THEN_RANDOM, rngs=rngs,
+            )
+            for r in range(self.R):
+                ref = select_ref(g, Q[r], rev[r], tiebreak=TieBreak.QUEUE_THEN_RANDOM,
+                                 rng=twins[r])
+                assert compact(*out, r) == ref
 
 
 class TestSelectionInvariants:

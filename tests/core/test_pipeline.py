@@ -1,12 +1,15 @@
-"""Differential tests: the batched pipeline backend must reproduce the
-scalar ``Simulator`` trajectory *bit-exactly*, per replica, on shared seeds.
+"""Differential tests: the stage pipeline against a per-node reference.
 
-This is the contract that makes ``EnsembleSimulator`` trustworthy: both
-backends run the same ``DEFAULT_PIPELINE`` stages and consume the same RNG
-draw sequence, so any divergence is an engine bug, not sampling noise.
+One engine runs every simulation — :class:`Simulator` is its ``R = 1``
+case, :class:`EnsembleSimulator` the ``R``-replica one — so the oracle is
+not a second backend but the per-node reference stepper of
+``tests/core/reference_step.py``.  Single runs seeded ``s_r`` and replica
+``r`` of an ensemble seeded ``[s_0, …]`` must both reproduce it
+*bit-exactly*: any divergence is an engine bug, not sampling noise.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,14 +22,23 @@ from repro.core import (
     Simulator,
     TieBreak,
 )
+from repro.core.engine import LinkCapacityMode
 from repro.core.ensemble import EnsembleSimulator
 from repro.graphs import generators as gen
 from repro.loss import AdversarialEdgeLoss, BernoulliLoss, GilbertElliottLoss
 from repro.network import NetworkSpec, RevelationPolicy
+from tests.core.reference_step import SERIES, reference_run
 
 HORIZON = 60
 REPLICAS = 3
 SEEDS = [11, 23, 47]
+
+ENSEMBLE_SERIES = {
+    "potentials": "potentials", "total_queued": "total_queued",
+    "max_queues": "max_queues", "injected": "injected_series",
+    "transmitted": "transmitted_series", "lost": "lost_series",
+    "delivered": "delivered_series",
+}
 
 
 def make_spec(revelation):
@@ -40,35 +52,32 @@ def make_spec(revelation):
     )
 
 
-def assert_replicas_match_scalar(spec, config, *, arrivals=None, losses=None,
-                                 scalar_loss=None, horizon=HORIZON):
-    """Run the ensemble on SEEDS and a scalar sim per seed; trajectories,
-    event series, and final queues must agree exactly for every replica."""
+def assert_matches_reference(spec, config, *, arrivals=None, losses=None,
+                             replica_loss=None, horizon=HORIZON):
+    """Run one ``R = 3`` ensemble on SEEDS (``losses`` as given) and one
+    ``Simulator`` per seed; every series and the final queues of both must
+    equal the reference stepper's.  ``replica_loss(r)`` builds replica
+    ``r``'s own loss model (a fresh one for each run that needs it)."""
     ens = EnsembleSimulator(
         spec, REPLICAS, seeds=list(SEEDS), config=config,
         arrivals=arrivals, losses=losses,
-    )
-    res = ens.run(horizon)
+    ).run(horizon)
+
+    def model(r):
+        return replica_loss(r) if replica_loss is not None else None
+
     for r, seed in enumerate(SEEDS):
-        cfg = SimulationConfig(
-            seed=seed,
-            extraction=config.extraction,
-            activation_prob=config.activation_prob,
-            tiebreak=config.tiebreak,
-            losses=scalar_loss() if callable(scalar_loss) else scalar_loss,
-            arrivals=arrivals,
-        )
-        sr = Simulator(spec, config=cfg).run(horizon)
-        traj = sr.trajectory
-        assert res.total_queued[:, r].tolist() == traj.total_queued
-        assert res.potentials[:, r].tolist() == traj.potentials
-        assert res.max_queues[:, r].tolist() == traj.max_queues
-        assert res.injected_series[:, r].tolist() == traj.injected
-        assert res.transmitted_series[:, r].tolist() == traj.transmitted
-        assert res.lost_series[:, r].tolist() == traj.lost
-        assert res.delivered_series[:, r].tolist() == traj.delivered
-        assert (res.final_queues[r] == sr.final_queues).all()
-    return res
+        cfg = replace(config, seed=seed)
+        ref = reference_run(spec, cfg, horizon, arrivals=arrivals, losses=model(r))
+        single = Simulator(
+            spec, config=replace(cfg, arrivals=arrivals, losses=model(r)),
+        ).run(horizon)
+        for name in SERIES:
+            assert getattr(single.trajectory, name) == ref[name], name
+            assert getattr(ens, ENSEMBLE_SERIES[name])[:, r].tolist() == ref[name], name
+        assert single.final_queues.tolist() == ref["final_queues"]
+        assert ens.final_queues[r].tolist() == ref["final_queues"]
+    return ens
 
 
 LOSS_CASES = {
@@ -95,10 +104,10 @@ class TestDifferentialMatrix:
         spec = make_spec(revelation)
         loss_factory = LOSS_CASES[loss_key]
         config = SimulationConfig(extraction=extraction, activation_prob=p_act)
-        assert_replicas_match_scalar(
+        assert_matches_reference(
             spec, config,
             losses=loss_factory() if loss_factory else None,
-            scalar_loss=loss_factory,
+            replica_loss=(lambda r: loss_factory()) if loss_factory else None,
         )
 
 
@@ -106,39 +115,32 @@ class TestStochasticKnobs:
     def test_random_tiebreak_matches(self):
         spec = make_spec(RevelationPolicy.TRUTHFUL)
         config = SimulationConfig(tiebreak=TieBreak.QUEUE_THEN_RANDOM)
-        assert_replicas_match_scalar(spec, config)
+        assert_matches_reference(spec, config)
 
     def test_uniform_arrivals_match(self):
         from repro.arrivals import UniformArrivals
 
         spec = make_spec(RevelationPolicy.TRUTHFUL)
         config = SimulationConfig()
-        assert_replicas_match_scalar(
-            spec, config, arrivals=UniformArrivals(spec))
+        assert_matches_reference(spec, config, arrivals=UniformArrivals(spec))
 
     def test_stateful_loss_via_factory(self):
         """Stateful models can't share one instance across replicas: the
         ensemble accepts a factory and instantiates one per replica."""
         spec = make_spec(RevelationPolicy.TRUTHFUL)
         make_loss = lambda: GilbertElliottLoss(0.3, 0.4, p_loss_bad=0.9)  # noqa: E731
-        ens = EnsembleSimulator(
-            spec, REPLICAS, seeds=list(SEEDS), losses=lambda spec: make_loss())
-        res = ens.run(HORIZON)
-        for r, seed in enumerate(SEEDS):
-            cfg = SimulationConfig(seed=seed, losses=make_loss())
-            sr = Simulator(spec, config=cfg).run(HORIZON)
-            assert res.total_queued[:, r].tolist() == sr.trajectory.total_queued
-            assert res.lost_series[:, r].tolist() == sr.trajectory.lost
+        assert_matches_reference(
+            spec, SimulationConfig(),
+            losses=lambda spec: make_loss(), replica_loss=lambda r: make_loss(),
+        )
 
     def test_per_replica_loss_instances(self):
         spec = make_spec(RevelationPolicy.TRUTHFUL)
-        models = [BernoulliLoss(0.1 * (r + 1)) for r in range(REPLICAS)]
-        ens = EnsembleSimulator(spec, REPLICAS, seeds=list(SEEDS), losses=models)
-        res = ens.run(HORIZON)
-        for r, seed in enumerate(SEEDS):
-            cfg = SimulationConfig(seed=seed, losses=BernoulliLoss(0.1 * (r + 1)))
-            sr = Simulator(spec, config=cfg).run(HORIZON)
-            assert res.total_queued[:, r].tolist() == sr.trajectory.total_queued
+        assert_matches_reference(
+            spec, SimulationConfig(),
+            losses=[BernoulliLoss(0.1 * (r + 1)) for r in range(REPLICAS)],
+            replica_loss=lambda r: BernoulliLoss(0.1 * (r + 1)),
+        )
 
     def test_everything_at_once(self):
         """All stochastic knobs on simultaneously."""
@@ -148,15 +150,33 @@ class TestStochasticKnobs:
             activation_prob=0.7,
             tiebreak=TieBreak.QUEUE_THEN_RANDOM,
         )
-        res = assert_replicas_match_scalar(
+        res = assert_matches_reference(
             spec, config,
             losses=BernoulliLoss(0.2),
-            scalar_loss=lambda: BernoulliLoss(0.2),
+            replica_loss=lambda r: BernoulliLoss(0.2),
             horizon=120,
         )
         # sanity: the run actually exercised loss + delivery
         assert res.lost.sum() > 0
         assert res.delivered.sum() > 0
+
+
+class TestLinkCapacityModes:
+    """Lying terminals on a dense graph contest links in both modes."""
+
+    @pytest.mark.parametrize("mode", list(LinkCapacityMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("revelation", [RevelationPolicy.ZERO, RevelationPolicy.RANDOM],
+                             ids=lambda p: p.value)
+    def test_modes_match_reference(self, mode, revelation):
+        spec = NetworkSpec.generalized(
+            gen.complete(5), {0: 2, 1: 2}, {3: 1, 4: 1},
+            retention=2, revelation=revelation,
+        )
+        config = SimulationConfig(link_capacity=mode, activation_prob=0.8)
+        assert_matches_reference(
+            spec, config,
+            losses=BernoulliLoss(0.1), replica_loss=lambda r: BernoulliLoss(0.1),
+        )
 
 
 class TestPipelineStructure:

@@ -2,15 +2,16 @@
 
 Two fast paths share the ``repro.numeric`` contract "bit-identical or
 decline": the integer LGG kernel (:mod:`repro.core.fastpath`, auto-engaged
-by the scalar and batched engines) and the scaled-integer feasibility
-classifier (:func:`repro.flow.classify_network`).  Both keep their slow
-twin alive as the oracle — the stage pipeline (``numeric_fastpath=False``)
-and the pure-``Fraction`` :func:`classify_network_cold` — and this module
-asserts exact equality across randomized instances:
+through its one front end ``maybe_run`` by ``Simulator`` and
+``EnsembleSimulator`` alike) and the scaled-integer feasibility classifier
+(:func:`repro.flow.classify_network`).  Both keep their slow twin alive as
+the oracle — the stage pipeline (``numeric_fastpath=False``) and the
+pure-``Fraction`` :func:`classify_network_cold` — and this module asserts
+exact equality across randomized instances:
 
 * LGG: random connected graphs x integer rates x both deterministic
-  tie-breaks x optional initial queues x optional queue recording, scalar
-  and batched backends, full trajectory equality;
+  tie-breaks x optional initial queues x optional queue recording, single
+  runs (``R = 1``) and ensembles, full trajectory equality;
 * flow: all-integral and mixed-denominator capacity specs x every
   registered algorithm, full report equality, with the engagement
   counters asserting *zero* Fraction fallbacks on scalable specs and a

@@ -80,6 +80,48 @@ class TestDeterminism:
         assert _canonical_lines(a.records)[0] != _canonical_lines(b.records)[0]
 
 
+class TestActiveEdges:
+    """``active_edges`` counts distinct links per replica, single runs and
+    ensembles alike — two packets crossing one link count it once."""
+
+    def _spec(self):
+        from repro.network import RevelationPolicy
+
+        return NetworkSpec.generalized(
+            generators.complete(4), {0: 2, 1: 2}, {2: 1, 3: 1},
+            retention=2, revelation=RevelationPolicy.ZERO,
+        )
+
+    def _steps(self, records):
+        return [r["active_edges"] for r in records if r["type"] == "step"]
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_ensemble_counts_distinct_edges(self, replicas):
+        from repro.core.engine import LinkCapacityMode
+        from repro.core.ensemble import EnsembleSimulator
+
+        seeds = [5, 6, 7][:replicas]
+        ring = RingBufferSink()
+        EnsembleSimulator(
+            self._spec(), replicas, seeds=seeds,
+            config=SimulationConfig(link_capacity=LinkCapacityMode.PER_DIRECTION,
+                                    trace=ring),
+        ).run(12)
+        batched = self._steps(ring.records)
+        for r, seed in enumerate(seeds):
+            cfg = SimulationConfig(seed=seed, record_events=True,
+                                   link_capacity=LinkCapacityMode.PER_DIRECTION,
+                                   trace=RingBufferSink())
+            sim = Simulator(self._spec(), config=cfg)
+            sim.run(12)
+            distinct = [len(set(ev.edge_ids.tolist())) for ev in sim.events]
+            assert self._steps(cfg.trace.records) == distinct
+            assert [row[r] for row in batched] == distinct
+        # the case is one where transmissions outnumber links
+        transmitted = [x for x in sim.result().trajectory.transmitted]
+        assert any(t > d for t, d in zip(transmitted, distinct))
+
+
 class TestJsonlSink:
     def test_emit_after_close_raises(self, tmp_path):
         sink = JsonlSink(tmp_path / "t.jsonl")
