@@ -1,11 +1,12 @@
 """Observability overhead guard: instrumented engine vs an untraced twin.
 
-The zero-cost-when-off contract of :mod:`repro.obs`: with the global sink
-disabled and no metrics enabled, the instrumented hot path (one
-``trace.enabled`` attribute check per step, inside the recording stage)
-must stay within **3%** of a pipeline with the trace seam physically
-removed.  The twin is built here — a ``RecordingStage`` subclass with the
-pre-obs step body — so the diff under test is exactly the seam.
+The zero-cost-when-off contract of :mod:`repro.obs`: with no trace sink
+and no metrics enabled, the instrumented hot path (one attribute check
+per step for the run's event span, inside the recording stage) must stay
+within **3%** of a pipeline with the trace seam physically removed.  The
+twin is built here — a ``RecordingStage`` subclass with the pre-obs step
+body — and both sides run the stage pipeline (``numeric_fastpath=False``),
+so the diff under test is exactly the seam.
 
 Also asserts the ISSUE's replay acceptance oracle at benchmark scale:
 a traced ensemble run's JSONL reconstructs the exact P_t series and
@@ -23,12 +24,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import SimulationConfig
 from repro.core.ensemble import EnsembleSimulator
 from repro.core.pipeline import DEFAULT_PIPELINE, RecordingStage, StagePipeline
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
-from repro.obs import RingBufferSink, get_tracer, replay_trace
+from repro.obs import RingBufferSink, replay_trace
 from repro.obs.spans import get_span_sink
 
 REPLICAS = 32
@@ -64,32 +66,33 @@ class BaselineEnsemble(EnsembleSimulator):
     pipeline = BASELINE_PIPELINE
 
 
-def _run(cls, spec):
-    return cls(spec, REPLICAS, seeds=list(range(REPLICAS))).run(HORIZON)
+def _run(cls, spec, config=None):
+    return cls(spec, REPLICAS, seeds=list(range(REPLICAS)),
+               config=config).run(HORIZON)
 
 
 class TestDisabledOverhead:
     def test_instrumented_within_3pct_of_twin(self, perf_asserts):
         """min-of-N, runs interleaved so drift hits both twins equally."""
-        assert get_tracer().enabled is False, (
-            "overhead benchmark needs the global sink disabled"
-        )
+        # both sides on the stage pipeline, untraced
+        config = SimulationConfig(numeric_fastpath=False)
+        assert config.trace is None, "overhead benchmark needs tracing off"
         spec = gadget_spec()
         # warm-up: first-call caches on both variants, outside timing
-        _run(BaselineEnsemble, spec)
-        _run(EnsembleSimulator, spec)
+        _run(BaselineEnsemble, spec, config)
+        _run(EnsembleSimulator, spec, config)
 
         base_times, inst_times = [], []
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
-            _run(BaselineEnsemble, spec)
+            _run(BaselineEnsemble, spec, config)
             base_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            res = _run(EnsembleSimulator, spec)
+            res = _run(EnsembleSimulator, spec, config)
             inst_times.append(time.perf_counter() - t0)
 
         # instrumentation must not change the dynamics either
-        twin = _run(BaselineEnsemble, spec)
+        twin = _run(BaselineEnsemble, spec, config)
         np.testing.assert_array_equal(res.total_queued, twin.total_queued)
 
         ratio = min(inst_times) / min(base_times)

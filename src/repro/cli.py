@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip points already in --checkpoint")
     p_swp.add_argument("--seed", type=int, default=0)
     p_swp.add_argument("--trace", default=None, metavar="PATH",
-                       help="write sweep_start/point_done/chunk_failed/"
-                            "sweep_end events to a JSONL trace")
+                       help="write the sweep's spans and its sweep_start/"
+                            "point_done/chunk_failed events to a JSONL trace")
     p_swp.add_argument("--progress", action="store_true",
                        help="live points/rate/ETA/cache-hit line on stderr")
     p_swp.add_argument("--metrics-out", default=None, dest="metrics_out",
@@ -414,21 +414,11 @@ def _run_sweep_command(args) -> int:
 
 
 def _run_obs_command(args) -> int:
-    import json
-
+    from repro.obs import read_trace
     from repro.obs.spans import render_waterfall, span_records
 
-    records: list[dict] = []
     try:
-        with open(args.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    continue  # tolerate a torn tail line from a live writer
+        records = read_trace(args.path)
     except OSError as exc:
         raise ReproError(f"cannot read trace file {args.path}: {exc}") from exc
     spans = span_records(records, args.trace_id)
@@ -448,15 +438,6 @@ def _run_obs_command(args) -> int:
         return 0
     print(render_waterfall(spans, args.trace_id))
     return 0
-
-
-def _run_sink(path):
-    """An owned JsonlSink for ``--trace PATH``, or None."""
-    if path is None:
-        return None
-    from repro.obs import JsonlSink
-
-    return JsonlSink(path)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -538,15 +519,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "simulate":
             from repro.core import SimulationConfig, Simulator
-            from repro.obs.spans import get_span_sink, set_span_sink, span
+            from repro.obs.spans import span
+            from repro.obs.trace import resolve_sink
 
             spec = _spec_from_args(args)
-            sink = _run_sink(args.trace)
-            # --trace also collects spans into the same file (unless a
-            # span sink is already configured process-wide)
-            prev_sink = (set_span_sink(sink)
-                         if sink is not None and not get_span_sink().enabled
-                         else None)
+            # --trace writes the run's events and its spans to one file
+            sink = resolve_sink(args.trace, "--trace")
             try:
                 cfg = SimulationConfig(
                     horizon=args.horizon,
@@ -555,12 +533,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     trace=sink,
                 )
                 sim = Simulator(spec, config=cfg)
-                with span("cli.simulate", topology=args.topology,
+                with span("cli.simulate", sink=sink, topology=args.topology,
                           horizon=args.horizon, seed=args.seed):
                     res = sim.run()
             finally:
-                if prev_sink is not None:
-                    set_span_sink(prev_sink)
                 if sink is not None:
                     sink.close()
             m = summarize(res)
@@ -579,13 +555,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "ensemble":
             from repro.core import SimulationConfig
             from repro.core.ensemble import EnsembleSimulator
-            from repro.obs.spans import get_span_sink, set_span_sink, span
+            from repro.obs.spans import span
+            from repro.obs.trace import resolve_sink
 
             spec = _spec_from_args(args)
-            sink = _run_sink(args.trace)
-            prev_sink = (set_span_sink(sink)
-                         if sink is not None and not get_span_sink().enabled
-                         else None)
+            sink = resolve_sink(args.trace, "--trace")
             try:
                 config = SimulationConfig(
                     extraction=ExtractionMode(args.extraction),
@@ -601,13 +575,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     loss_p=args.loss_p,
                     uniform_arrivals=args.uniform_arrivals,
                 )
-                with span("cli.ensemble", topology=args.topology,
+                with span("cli.ensemble", sink=sink, topology=args.topology,
                           horizon=args.horizon, seed=args.seed,
                           replicas=args.replicas):
                     res = ens.run(args.horizon)
             finally:
-                if prev_sink is not None:
-                    set_span_sink(prev_sink)
                 if sink is not None:
                     sink.close()
             final_totals = res.final_queues.sum(axis=1)

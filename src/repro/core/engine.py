@@ -32,7 +32,6 @@ boundary snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -54,12 +53,7 @@ from repro.core.stability import StabilityVerdict, assess_stability
 from repro.core.tiebreak import TieBreak
 from repro.errors import ObservabilityError, SimulationError
 from repro.obs.spans import span
-from repro.obs.trace import (
-    config_fingerprint,
-    get_tracer,
-    run_end_record,
-    run_start_record,
-)
+from repro.obs.trace import _fingerprint_value, config_fingerprint, resolve_sink
 from repro.network.spec import NetworkSpec
 from repro.network.state import History, StepStats, Trajectory
 
@@ -95,8 +89,10 @@ class SimulationConfig:
     activation_prob: float = 1.0            # P(node participates as sender per step);
                                             # < 1 models asynchronous / duty-cycled nodes
     profile_stages: bool = False            # accumulate per-stage wall-clock timings
-    trace: Optional[object] = None          # TraceSink for this run (None → the
-                                            # process-global sink from repro.obs)
+    trace: Optional[object] = None          # TraceSink for this run's sim.run span
+                                            # and its run_start/step/run_end events
+                                            # (None → the inherited span sink, no
+                                            # events)
     numeric_fastpath: Optional[bool] = None  # integer LGG kernel: None = auto
                                              # (use when eligible), False = always
                                              # run the stage pipeline, True =
@@ -182,12 +178,18 @@ class Engine:
         self.history = History(Q, record_queues=config.record_queues)
         self.events: list[StepEvents] = []
         self.stage_timings: dict[str, StageTiming] = {}
-        # resolved once: this run's trace sink (the global one unless the
-        # config pins its own) — configure repro.obs *before* construction
-        self.trace = config.trace if config.trace is not None else get_tracer()
+        # the run's own trace sink, or None: sim.run then opens on the
+        # inherited span sink and no events are written
+        self.trace = resolve_sink(config.trace, "SimulationConfig.trace",
+                                  paths=False)
+        # the sim.run span while a traced run() is stepping; the recording
+        # stage emits each step's event on it
+        self._event_span = None
 
     def _out(self, values):
-        """A per-replica value as a single run reports it."""
+        """A per-replica array as an event reports it: a single run's
+        value, or the per-replica list of an ensemble."""
+        values = values.tolist()
         return values[0] if self.backend == "scalar" else values
 
     # ------------------------------------------------------------------
@@ -203,44 +205,51 @@ class Engine:
     def run(self, horizon: Optional[int] = None):
         """Advance ``horizon`` steps (default from config) and assess.
 
-        With tracing active the run is bracketed by ``run_start`` /
-        ``run_end`` records (config fingerprint, seed, wall time, outcome).
+        With ``config.trace`` enabled the ``sim.run`` span carries a
+        ``run_start`` event (config fingerprint, seed, boundary state at
+        t = 0), one ``step`` event per step and a ``run_end`` event
+        (outcome).
         """
         steps = self.config.horizon if horizon is None else horizon
         single = self.backend == "scalar"
         attrs = {"backend": self.backend, "steps": steps, "n": self.spec.n}
         if not single:
             attrs["replicas"] = self.R
-        tr = self.trace
-        fingerprint = None
-        with span("sim.run", **attrs):
-            if tr.enabled:
+        traced = self.trace is not None and self.trace.enabled
+        with span("sim.run", sink=self.trace, **attrs) as sp:
+            if traced:
                 fingerprint = config_fingerprint(self.config)
                 pot, total, mx = self.history.boundary()
-                tr.emit(run_start_record(
+                sp.event(
+                    "run_start",
                     backend=self.backend,
                     fingerprint=fingerprint,
                     # a batched run's identity lives in its per-replica seeds
-                    seed=self.config.seed if single else None,
+                    seed=_fingerprint_value(self.config.seed) if single else None,
                     n=self.spec.n,
-                    replicas=None if single else self.R,
+                    replicas=self.R,
                     potential0=self._out(pot),
                     total_queued0=self._out(total),
                     max_queue0=self._out(mx),
-                ))
-            tick = perf_counter()
-            if not fastpath.maybe_run(self, steps):
-                for _ in range(steps):
-                    self._step()
+                )
+                self._event_span = sp
+            try:
+                if not fastpath.maybe_run(self, steps):
+                    for _ in range(steps):
+                        self._step()
+            finally:
+                self._event_span = None
             result = self.result()
-            if tr.enabled:
-                tr.emit(run_end_record(
+            if traced:
+                verdicts = [result.verdict] if single else result.verdicts
+                bounded = np.array([v.bounded for v in verdicts], dtype=bool)
+                sp.event(
+                    "run_end",
                     fingerprint=fingerprint,
                     steps=steps,
-                    bounded=(result.verdict.bounded if single
-                             else [v.bounded for v in result.verdicts]),
-                    wall_time=perf_counter() - tick,
-                ))
+                    bounded=self._out(bounded),
+                    outcome=self._out(np.where(bounded, "bounded", "divergent")),
+                )
         return result
 
     def profile_report(self) -> str:

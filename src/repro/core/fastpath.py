@@ -104,7 +104,7 @@ def ineligibility_reasons(engine) -> list[str]:
         reasons.append("stage profiling")
     if cfg.validate_every_step:
         reasons.append("per-step validation")
-    if engine.trace.enabled:
+    if engine.trace is not None and engine.trace.enabled:
         reasons.append("tracing enabled")
     if type(engine) not in (Simulator, EnsembleSimulator):
         # subclasses (e.g. PacketSimulator) hang extra state off the

@@ -45,7 +45,6 @@ import numpy as np
 from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
 from repro.core.policies import StepContext
 from repro.errors import SimulationError, SpecError
-from repro.obs.trace import step_record
 from repro.network.spec import RevelationPolicy
 
 __all__ = [
@@ -529,7 +528,8 @@ class ExtractionStage(Stage):
 
 
 class RecordingStage(Stage):
-    """Book the step: invariants, event records, history rows, trace."""
+    """Book the step: invariants, event records, history rows, and the
+    ``step`` event of a traced run."""
 
     name = "recording"
 
@@ -553,12 +553,13 @@ class RecordingStage(Stage):
             )
         host.t += 1
         host.history.append(Q, st.injected, st.transmitted, st.lost, st.delivered)
-        tr = host.trace
-        if tr.enabled:
+        sp = host._event_span
+        if sp is not None:
             pot, total, mx = host.history.boundary()
             out = host._out
-            tr.emit(step_record(
-                st.t,
+            sp.event(
+                "step",
+                t=st.t,
                 injected=out(st.injected),
                 transmitted=out(st.transmitted),
                 lost=out(st.lost),
@@ -567,7 +568,7 @@ class RecordingStage(Stage):
                 total_queued=out(total),
                 max_queue=out(mx),
                 active_edges=out(self._distinct_edges(host, st)),
-            ))
+            )
 
     @staticmethod
     def _distinct_edges(host, st: StepState) -> np.ndarray:

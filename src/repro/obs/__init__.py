@@ -2,40 +2,46 @@
 
 Four pieces, one package:
 
-* **Structured tracing** (:mod:`repro.obs.trace`) — a :class:`TraceSink`
-  protocol with JSONL-file, in-memory ring-buffer, and null
-  implementations; the engine emits typed per-step records and run-level
-  spans, the sweep executor emits sweep-level events.
+* **Spans and events** (:mod:`repro.obs.spans`) — the one event model.
+  Timed, parent-linked spans (``sim.run``, ``flow.solve``, ``sweep``,
+  the serve tier's ``ingress`` ... ``worker``), and events that happened
+  inside them (a run's ``run_start`` / ``step`` / ``run_end``, a sweep's
+  ``sweep_start`` / ``point_done`` / ``chunk_failed``), written to a
+  :class:`TraceSink` (:mod:`repro.obs.trace`: JSONL file, in-memory ring
+  buffer, or null).
 * **Metrics** (:mod:`repro.obs.metrics`) — a process-local registry of
   counters, gauges, and fixed-bucket histograms with labeled children,
   exportable as a dict snapshot or Prometheus text.
 * **Profiling** (:mod:`repro.obs.profile`) — the stage pipeline's timing
   seam rendered as ``profile_report()`` tables (surfaced as ``--profile``
   on the CLI).
-* **Replay** (:mod:`repro.obs.replay`) — a traced run's JSONL
-  reconstructs the exact ``P_t`` series and stability verdict.
+* **Replay** (:mod:`repro.obs.replay`) — a traced run's events
+  reconstruct the exact ``P_t`` series and stability verdict.
 
 Zero cost when off
 ------------------
-Everything starts disabled: the global tracer is :data:`NULL_SINK`
+Everything starts disabled: the global span sink is :data:`NULL_SINK`
 (``enabled = False``), the global registry is disabled, and profiling is
 opt-in per config.  The instrumented hot paths pay one attribute check
 per step; ``benchmarks/test_perf_obs.py`` guards the total at < 3%
 against an uninstrumented twin pipeline.
 
-``configure()`` is the single entry point::
+``configure()`` sets the process-global state — the one span sink and
+the registry — and round-trips::
 
     import repro.obs as obs
 
-    prev = obs.configure(trace="run.jsonl", metrics=True)
-    ...                       # everything is now traced + measured
+    prev = obs.configure(spans="spans.jsonl", metrics=True)
+    ...                       # every span is now recorded + measured
     obs.configure(**prev)     # restore the previous state
+
+Events go only to a sink a caller passes explicitly
+(``SimulationConfig(trace=sink)``, ``run_sweep(trace=...)``, ``--trace``
+on the CLI); the spans opened on that sink, and their children, land
+there too.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
-from typing import Union
 
 from repro.errors import ObservabilityError
 from repro.obs.merge import (
@@ -79,9 +85,8 @@ from repro.obs.trace import (
     RingBufferSink,
     TraceSink,
     config_fingerprint,
-    get_tracer,
     read_trace,
-    set_tracer,
+    resolve_sink,
 )
 
 __all__ = [
@@ -93,8 +98,7 @@ __all__ = [
     "NULL_SINK",
     "JsonlSink",
     "RingBufferSink",
-    "get_tracer",
-    "set_tracer",
+    "resolve_sink",
     "config_fingerprint",
     "read_trace",
     "WALL_CLOCK_FIELDS",
@@ -137,48 +141,27 @@ __all__ = [
 _UNSET = object()
 
 
-def _resolve_sink(value, what: str) -> TraceSink:
-    if value is None or value is False:
-        return NULL_SINK
-    if isinstance(value, (str, Path)):
-        return JsonlSink(value)
-    if callable(getattr(value, "emit", None)):
-        return value
-    raise ObservabilityError(
-        f"{what} must be None, a path, or a TraceSink; "
-        f"got {type(value).__name__}"
-    )
-
-
-def configure(*, trace=_UNSET, metrics=_UNSET, spans=_UNSET) -> dict:
+def configure(*, metrics=_UNSET, spans=_UNSET) -> dict:
     """Configure process-global observability; returns the previous state.
 
     Parameters
     ----------
-    trace:
-        ``None``/``False`` — disable tracing (install :data:`NULL_SINK`);
-        a ``str``/``Path`` — trace to that JSONL file;
-        a :class:`TraceSink` — install it as the global sink.
-        Simulators resolve the global sink at *construction*, so configure
-        before building them.
     metrics:
         ``True``/``False`` — enable or disable the global registry.
     spans:
-        Same forms as ``trace``, but for the dedicated *span* sink
-        (:mod:`repro.obs.spans`) — kept separate so request tracing does
-        not drag per-step engine records along with it.
+        ``None``/``False`` — disable (install :data:`NULL_SINK`); a
+        ``str``/``Path`` — record spans to that JSONL file; a
+        :class:`TraceSink` — install it as the global span sink.
 
     The returned dict maps each argument you passed to its previous value
-    and round-trips: ``prev = configure(trace=..., metrics=...)`` followed
+    and round-trips: ``prev = configure(spans=..., metrics=...)`` followed
     by ``configure(**prev)`` restores the state exactly.
     """
     previous: dict = {}
-    if trace is not _UNSET:
-        previous["trace"] = set_tracer(_resolve_sink(trace, "trace"))
     if metrics is not _UNSET:
         registry = get_registry()
         previous["metrics"] = registry.enabled
         registry.enabled = bool(metrics)
     if spans is not _UNSET:
-        previous["spans"] = set_span_sink(_resolve_sink(spans, "spans"))
+        previous["spans"] = set_span_sink(resolve_sink(spans, "spans"))
     return previous

@@ -1,12 +1,16 @@
 """Replay a trace into trajectories and stability verdicts.
 
-The acceptance contract of the trace layer: a traced run's JSONL holds
-*everything* the stability analysis needs, so replaying it reconstructs
-the exact ``P_t`` series and the exact verdict of the live run — without
-re-simulating.  ``replay_trace`` does that for scalar and batched traces,
-re-validating packet conservation along the way (a corrupted or
-hand-edited trace fails loudly instead of yielding a quietly wrong
-verdict).
+The acceptance contract of the trace layer: a traced run's events hold
+*everything* the stability analysis needs, so replaying them
+reconstructs the exact ``P_t`` series and the exact verdict of the live
+run — without re-simulating.  ``replay_trace`` does that for scalar and
+batched traces, re-validating packet conservation along the way (a
+corrupted or hand-edited trace fails loudly instead of yielding a
+quietly wrong verdict).
+
+A run is the ``run_start`` and ``step`` events of one ``sim.run`` span:
+they share its ``(trace_id, span_id)``, so a file or ring holding
+several runs replays the first of them, untouched by the others.
 
 Imports from :mod:`repro.core` happen inside the functions: the engine
 imports :mod:`repro.obs` at module load, and this is the one obs module
@@ -56,6 +60,11 @@ class ReplayResult:
         return list(self.trajectory.potentials)
 
 
+def _events(records: list[dict], name: str) -> list[dict]:
+    return [r for r in records
+            if r.get("type") == "event" and r.get("name") == name]
+
+
 def _columns(steps: list[dict], field: str, replicas: int) -> list[list[int]]:
     cols: list[list[int]] = [[] for _ in range(replicas)]
     for rec in steps:
@@ -73,21 +82,25 @@ def _columns(steps: list[dict], field: str, replicas: int) -> list[list[int]]:
 def replay_trace(source: Union[str, Path, Iterable[dict]]) -> ReplayResult:
     """Reconstruct trajectories + verdicts from a trace (path or records).
 
-    Uses the first ``run_start`` record for the initial boundary state and
-    every ``step`` record after it; re-runs the engine's conservation
-    check and :func:`repro.core.stability.assess_stability` on the result.
+    Replays the run of the first ``run_start`` event: its initial
+    boundary state, then the ``step`` events of the same span; re-runs
+    the engine's conservation check and
+    :func:`repro.core.stability.assess_stability` on the result.
     """
     from repro.core.stability import assess_stability
     from repro.network.state import Trajectory
 
     records = read_trace(source)
-    start = next((r for r in records if r.get("type") == "run_start"), None)
-    if start is None:
-        raise ObservabilityError("trace has no run_start record — nothing to replay")
-    steps = [r for r in records if r.get("type") == "step"]
+    starts = _events(records, "run_start")
+    if not starts:
+        raise ObservabilityError("trace has no run_start event — nothing to replay")
+    run = (starts[0].get("trace_id"), starts[0].get("span_id"))
+    steps = [r["attrs"] for r in _events(records, "step")
+             if (r.get("trace_id"), r.get("span_id")) == run]
     if not steps:
-        raise ObservabilityError("trace has no step records — nothing to replay")
+        raise ObservabilityError("trace has no step events — nothing to replay")
     steps.sort(key=lambda r: r["t"])
+    start = starts[0]["attrs"]
 
     n = int(start["n"])
     backend = start.get("backend", "scalar")

@@ -1,4 +1,4 @@
-"""Parent-linked spans: one request's path through threads and processes.
+"""Parent-linked spans and the events inside them: the one event model.
 
 A *span* is a named, timed section of work.  Spans form a tree under a
 ``trace_id`` minted at the edge (HTTP ingress, a CLI entry, a sweep), and
@@ -19,21 +19,36 @@ every span record carries enough to rebuild that tree after the fact:
     remote children can number themselves without coordinating with the
     parent process.
 
+An *event* is something that happened inside a span, emitted at once by
+:meth:`Span.event` as ``{"type": "event", "name", "trace_id", "span_id",
+"attrs", "ts"}``: the engine's ``run_start`` / ``step`` / ``run_end``
+on ``sim.run``, the sweep's ``sweep_start`` / ``point_done`` /
+``chunk_failed`` on ``sweep``.  ``(trace_id, span_id)`` names the span,
+so the events of two runs in one file never mix.  Event attrs are plain
+JSON values, so a ring buffer and a JSONL file hold the same records.
+
 Propagation is a :mod:`contextvars` variable inside one thread/task, and
 an explicit ``parent=(trace_id, parent_span_id)`` tuple across executor
 threads and :class:`~repro.serve.workers.WorkerPool` pipes (workers
 collect their span records locally and ship them back in the task reply).
 
+Sinks
+-----
+There is one process-global sink (``NULL_SINK`` by default; install one
+with ``repro.obs.configure(spans=...)``).  A span opened with ``sink=``
+writes there *and takes its children along*: a span with no ``sink=``
+writes to its parent span's sink, and only a root (or a child of a tuple
+parent) falls back to the global sink.  Events are written only where a
+caller asked for them — ``SimulationConfig.trace``, ``run_sweep(trace=)``
+or ``--trace`` — so a server's global span ring never fills with
+per-step records.
+
 Zero cost when off
 ------------------
-Spans emit to a dedicated process-global sink (``NULL_SINK`` by default;
-install one with ``repro.obs.configure(spans=...)``) — *separate* from
-the engine's step tracer, so a server can trace requests without paying
-per-step engine records.  :func:`span` is active when the span sink is
-enabled **or** the metrics registry is (every finished span feeds the
-per-stage latency histogram ``repro_obs_span_seconds{name=...}`` with the
-trace id as exemplar); with both off it yields a shared null span and
-touches nothing.
+:func:`span` is active when its sink is enabled **or** the metrics
+registry is (every finished span feeds the per-stage latency histogram
+``repro_obs_span_seconds{name=...}`` with the trace id as exemplar);
+with both off it yields a shared null span and touches nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ from contextvars import ContextVar
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
-from repro.obs.trace import NULL_SINK, TraceSink
+from repro.obs.trace import NULL_SINK, TraceSink, resolve_sink
 
 __all__ = [
     "SPAN_SECONDS_METRIC",
@@ -87,32 +102,28 @@ def set_span_sink(sink: Optional[TraceSink]) -> TraceSink:
 
     Prefer ``repro.obs.configure(spans=...)``, which also accepts a path.
     """
-    from repro.errors import ObservabilityError
-
     global _SPAN_SINK
-    if sink is None:
-        sink = NULL_SINK
-    if not callable(getattr(sink, "emit", None)):
-        raise ObservabilityError(
-            f"span sink must provide emit(record); got {type(sink).__name__}"
-        )
-    previous, _SPAN_SINK = _SPAN_SINK, sink
+    sink = resolve_sink(sink, "span sink", paths=False)
+    previous, _SPAN_SINK = _SPAN_SINK, NULL_SINK if sink is None else sink
     return previous
 
 
 class Span:
-    """One live span: identity, mutable attrs, and a child-id counter."""
+    """One live span: identity, mutable attrs, its sink, and a child-id
+    counter."""
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "attrs",
-                 "_children")
+                 "sink", "_children")
 
     def __init__(self, name: str, trace_id: str, span_id: str,
-                 parent_id: Optional[str], attrs: dict) -> None:
+                 parent_id: Optional[str], attrs: dict,
+                 sink: TraceSink) -> None:
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.attrs = attrs
+        self.sink = sink
         self._children = 0
 
     def child_id(self) -> str:
@@ -127,6 +138,22 @@ class Span:
         """``(trace_id, span_id)`` — the tuple to hand across a process
         or thread boundary as an explicit ``parent=``."""
         return (self.trace_id, self.span_id)
+
+    def event(self, name: str, **attrs) -> None:
+        """Emit one ``event`` record, now, naming this span.
+
+        ``attrs`` must be plain JSON values (ints, floats, strings,
+        lists), never numpy ones.
+        """
+        if self.sink.enabled:
+            self.sink.emit({
+                "type": "event",
+                "name": name,
+                "trace_id": self.trace_id,
+                "span_id": self.span_id,
+                "attrs": attrs,
+                "ts": time.monotonic(),
+            })
 
 
 class _NullSpan:
@@ -144,6 +171,9 @@ class _NullSpan:
 
     def context(self) -> None:
         return None
+
+    def event(self, name: str, **attrs) -> None:
+        pass
 
 
 _NULL_SPAN = _NullSpan()
@@ -178,8 +208,10 @@ def span(
         namespace (``"w0"``, ``"local"``); defaults to ``"r"``.  Keeps
         remote children collision-free without coordinating counters.
     sink:
-        Emit to this sink instead of the process-global span sink (the
-        sweep executor pins its own trace file).
+        Emit to this sink, and let every child span inherit it.  Without
+        it the span writes to its parent span's sink, or to the
+        process-global span sink when it has no parent :class:`Span`
+        (a root, or a tuple ``parent``).
     attrs:
         Initial attributes; deterministic values only, so span trees stay
         comparable across runs (wall-clock belongs to the timing fields).
@@ -188,14 +220,15 @@ def span(
     propagates.  When both the span sink and the metrics registry are off
     the shared null span is yielded and nothing is recorded.
     """
-    out = _SPAN_SINK if sink is None else sink
+    if parent is None:
+        parent = _CURRENT.get()
+    if sink is None:
+        sink = parent.sink if isinstance(parent, Span) else _SPAN_SINK
     reg = get_registry()
-    if not out.enabled and not reg.enabled:
+    if not sink.enabled and not reg.enabled:
         yield _NULL_SPAN
         return
 
-    if parent is None:
-        parent = _CURRENT.get()
     if isinstance(parent, Span):
         tid = parent.trace_id
         sid = parent.child_id()
@@ -208,7 +241,7 @@ def span(
         sid = "1"
         pid = None
 
-    sp = Span(name, tid, sid, pid, dict(attrs))
+    sp = Span(name, tid, sid, pid, dict(attrs), sink)
     token = _CURRENT.set(sp)
     t0 = time.perf_counter()
     try:
@@ -219,8 +252,8 @@ def span(
     finally:
         duration = time.perf_counter() - t0
         _CURRENT.reset(token)
-        if out.enabled:
-            out.emit({
+        if sink.enabled:
+            sink.emit({
                 "type": "span",
                 "name": name,
                 "trace_id": sp.trace_id,

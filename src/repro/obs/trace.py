@@ -1,12 +1,19 @@
-"""Structured event tracing: sinks and typed record builders.
+"""Trace sinks: where span and event records go, and how they come back.
 
-A *trace* is a flat stream of JSON-able dict records, each carrying a
-``type`` tag — per-step engine events (``step``), run-level spans
-(``run_start`` / ``run_end``), and sweep-level events (``sweep_start``,
-``point_done``, ``chunk_failed``, ``sweep_end``).  The engine and the
-sweep executor build records with the helpers below and hand them to
-whatever :class:`TraceSink` is active; a sink only ever sees dicts, so
-implementations stay trivial.
+Every record the observability layer writes is one of two dicts, both
+built in :mod:`repro.obs.spans`:
+
+``{"type": "span", "name", "trace_id", "span_id", "parent_id", "attrs", "duration_s", "ts"}``
+    a finished span;
+``{"type": "event", "name", "trace_id", "span_id", "attrs", "ts"}``
+    something that happened *in* span ``span_id`` — a run's ``run_start``
+    / ``step`` / ``run_end``, a sweep's ``sweep_start`` / ``point_done`` /
+    ``chunk_failed``.
+
+This module holds the sinks those records go to, the one resolver that
+turns a ``trace=`` argument into a sink, the config fingerprint the
+engine stamps on a run, and :func:`read_trace`.  A sink only ever sees
+dicts, so implementations stay trivial.
 
 Sinks
 -----
@@ -14,25 +21,25 @@ Sinks
   immediately (the same crash-survivability contract as the sweep
   checkpoint: a kill loses at most the torn final line);
 * :class:`RingBufferSink` — the last ``capacity`` records in memory, for
-  tests and interactive inspection;
+  tests, the serve tier and interactive inspection;
 * :class:`NullSink` — ``enabled = False`` and drops everything; the
-  process-global default, so an untraced run pays exactly one attribute
-  check per step.
+  default of the process-global span sink.
 
 Determinism
 -----------
-Every record is stamped with a monotonic ``ts`` at build time; *all other
-fields* are pure functions of ``(spec, config, seed)``.  The fields named
-in :data:`WALL_CLOCK_FIELDS` are the only nondeterministic ones — strip
-them and two runs of the same seeded simulation produce byte-identical
-JSONL traces (``tests/obs/test_trace.py`` asserts exactly that).
+Every record is stamped with a monotonic ``ts``; spans add a measured
+``duration_s`` and carry a randomly minted ``trace_id``.  The fields
+named in :data:`WALL_CLOCK_FIELDS` are the only nondeterministic ones —
+strip them and two runs of the same seeded simulation produce
+byte-identical JSONL traces (``tests/obs/test_trace.py`` asserts exactly
+that).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
-import time
 from collections import deque
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass
@@ -52,22 +59,15 @@ __all__ = [
     "NULL_SINK",
     "JsonlSink",
     "RingBufferSink",
-    "get_tracer",
-    "set_tracer",
+    "resolve_sink",
     "config_fingerprint",
-    "step_record",
-    "run_start_record",
-    "run_end_record",
-    "sweep_event",
     "read_trace",
 ]
 
 #: Record fields that carry wall-clock time or run-identity randomness.
-#: Everything else in a trace is deterministic given ``(spec, config,
-#: seed)`` — span records (:mod:`repro.obs.spans`) add per-span durations
-#: and a randomly minted ``trace_id``, but their names, ids, parent links,
-#: and attrs stay reproducible.
-WALL_CLOCK_FIELDS = frozenset({"ts", "wall_time", "duration_s", "trace_id"})
+#: Everything else in a trace — span names, ids, parent links, attrs and
+#: event attrs — is deterministic given ``(spec, config, seed)``.
+WALL_CLOCK_FIELDS = frozenset({"ts", "duration_s", "trace_id"})
 
 
 class TraceSink:
@@ -189,44 +189,37 @@ class RingBufferSink(TraceSink):
 
 
 # ----------------------------------------------------------------------
-# the process-global tracer
+# the one sink resolver
 # ----------------------------------------------------------------------
-_TRACER: TraceSink = NULL_SINK
+def resolve_sink(value, what: str, *, paths: bool = True) -> Optional[TraceSink]:
+    """Turn a ``trace=``-style argument into a sink.
 
-
-def get_tracer() -> TraceSink:
-    """The process-global sink (``NULL_SINK`` unless configured)."""
-    return _TRACER
-
-
-def set_tracer(sink: Optional[TraceSink]) -> TraceSink:
-    """Install ``sink`` (``None`` → :data:`NULL_SINK`); returns the old one.
-
-    Prefer :func:`repro.obs.configure`, which also accepts a path.
+    ``None``/``False`` resolve to ``None`` (the caller's default); a
+    ``str``/``os.PathLike`` opens a new :class:`JsonlSink`, which the
+    caller owns and closes, unless ``paths=False``; a sink passes
+    through.  Anything else raises a one-line
+    :class:`~repro.errors.ObservabilityError` naming ``what``.
     """
-    global _TRACER
-    if sink is None:
-        sink = NULL_SINK
-    if not callable(getattr(sink, "emit", None)):
-        raise ObservabilityError(
-            f"trace sink must provide emit(record); got {type(sink).__name__}"
-        )
-    previous, _TRACER = _TRACER, sink
-    return previous
+    if value is None or value is False:
+        return None
+    if isinstance(value, (str, os.PathLike)):
+        if not paths:
+            raise ObservabilityError(
+                f"{what} must be None or a TraceSink, not a path: "
+                f"nothing would close the file"
+            )
+        return JsonlSink(value)
+    if callable(getattr(value, "emit", None)) and hasattr(value, "enabled"):
+        return value
+    raise ObservabilityError(
+        f"{what} must be None, {'a path, ' if paths else ''}or a TraceSink "
+        f"(enabled, emit(record)); got {type(value).__name__}"
+    )
 
 
 # ----------------------------------------------------------------------
-# record builders
+# run identity
 # ----------------------------------------------------------------------
-def _scalarize(value):
-    """Coerce counters to JSON-able scalars/lists (numpy → python)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    return value
-
-
 def _fingerprint_value(value):
     if isinstance(value, Enum):
         return value.value
@@ -255,90 +248,6 @@ def config_fingerprint(config) -> str:
         payload = {"repr": repr(config)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return sha256(blob.encode("utf-8")).hexdigest()
-
-
-def step_record(
-    t: int,
-    *,
-    injected,
-    transmitted,
-    lost,
-    delivered,
-    potential,
-    total_queued,
-    max_queue,
-    active_edges,
-) -> dict:
-    """Typed per-step event record (scalar counters or per-replica lists)."""
-    return {
-        "type": "step",
-        "t": int(t),
-        "injected": _scalarize(injected),
-        "transmitted": _scalarize(transmitted),
-        "lost": _scalarize(lost),
-        "delivered": _scalarize(delivered),
-        "potential": _scalarize(potential),
-        "total_queued": _scalarize(total_queued),
-        "max_queue": _scalarize(max_queue),
-        "active_edges": _scalarize(active_edges),
-        "ts": time.monotonic(),
-    }
-
-
-def run_start_record(
-    *,
-    backend: str,
-    fingerprint: str,
-    seed,
-    n: int,
-    potential0,
-    total_queued0,
-    max_queue0,
-    replicas: Optional[int] = None,
-) -> dict:
-    """Run-level opening span: identity plus the boundary state at t=0."""
-    rec = {
-        "type": "run_start",
-        "backend": backend,
-        "fingerprint": fingerprint,
-        "seed": _fingerprint_value(seed),
-        "n": int(n),
-        "potential0": _scalarize(potential0),
-        "total_queued0": _scalarize(total_queued0),
-        "max_queue0": _scalarize(max_queue0),
-        "ts": time.monotonic(),
-    }
-    if replicas is not None:
-        rec["replicas"] = int(replicas)
-    return rec
-
-
-def run_end_record(*, fingerprint: str, steps: int, bounded, wall_time: float) -> dict:
-    """Run-level closing span: outcome and wall time."""
-    return {
-        "type": "run_end",
-        "fingerprint": fingerprint,
-        "steps": int(steps),
-        "bounded": _scalarize(bounded),
-        "outcome": _outcome(bounded),
-        "wall_time": float(wall_time),
-        "ts": time.monotonic(),
-    }
-
-
-def _outcome(bounded) -> Union[str, list]:
-    if isinstance(bounded, (list, tuple, np.ndarray)):
-        return ["bounded" if b else "divergent" for b in bounded]
-    return "bounded" if bounded else "divergent"
-
-
-def sweep_event(event: str, **fields) -> dict:
-    """A sweep-level trace record (``sweep_start``, ``chunk_failed``, ...)."""
-    rec = {"type": event}
-    for key, value in fields.items():
-        rec[key] = _scalarize(value)
-    rec["ts"] = time.monotonic()
-    return rec
 
 
 # ----------------------------------------------------------------------

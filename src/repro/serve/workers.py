@@ -65,7 +65,7 @@ from typing import Any, Optional
 from repro.errors import ServeError
 from repro.obs.merge import add_snapshots
 from repro.obs.metrics import get_registry
-from repro.obs.spans import get_span_sink, set_span_sink, span
+from repro.obs.spans import get_span_sink, span
 from repro.obs.trace import RingBufferSink
 from repro.sweep.cache import FeasibilityCache, shard_index
 
@@ -178,11 +178,11 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 raise ServeError(f"worker got unknown task kind {kind!r}",
                                  status=500, error="internal")
             if trace_ctx is not None:
-                # collect this task's spans locally; the reply ships them
-                # back so the parent's ring sees one coherent trace
+                # collect this task's spans locally (the worker span's
+                # children inherit its sink); the reply ships them back
+                # so the parent's ring sees one coherent trace
                 collector = RingBufferSink(capacity=1024)
-                set_span_sink(collector)
-                with span("worker", parent=tuple(trace_ctx),
+                with span("worker", parent=tuple(trace_ctx), sink=collector,
                           remote_suffix=f"w{index}", worker=index, kind=kind):
                     result = handler(cache, *args)
             else:
@@ -192,7 +192,6 @@ def _worker_main(conn: multiprocessing.connection.Connection,
             ok, payload = False, _picklable_error(exc)
         finally:
             if collector is not None:
-                set_span_sink(None)
                 spans = collector.records
         snapshot = registry.snapshot() if registry.enabled else None
         try:

@@ -34,8 +34,8 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import SweepError
 from repro.obs.metrics import get_registry
-from repro.obs.spans import get_span_sink, set_span_sink, span
-from repro.obs.trace import JsonlSink, get_tracer, sweep_event
+from repro.obs.spans import span
+from repro.obs.trace import resolve_sink
 from repro.sweep.checkpoint import PathLike, SweepCheckpoint
 from repro.sweep.checkpoint import resume as load_resume
 from repro.sweep.grid import GridPoint, GridSpec
@@ -221,14 +221,16 @@ def run_sweep(
         the rest.  Without ``resume=True`` an existing non-empty
         checkpoint is an error (never silently mix two runs).
     trace:
-        ``None`` — use the process-global :mod:`repro.obs` sink; a path —
-        trace this sweep to that JSONL file; a ``TraceSink`` — use it.
-        The sweep emits ``sweep_start`` / ``point_done`` / ``chunk_failed``
-        / ``sweep_end`` events (a failing chunk is announced *before* the
-        exception unwinds the pool, so a dead sweep's trace names the
-        culprit chunk).  A path sink also collects ``span`` records — a
-        root ``sweep`` span plus one ``sweep.point`` per serial point —
-        unless a process-global span sink is already active.
+        ``None`` — the ``sweep`` span (and one ``sweep.point`` child per
+        serial point) goes to the inherited span sink, and no events are
+        written; a path — trace this sweep to that JSONL file; a
+        ``TraceSink`` — use it.  A traced sweep's spans, with everything
+        nested in them, go to that sink, and the ``sweep`` span carries
+        ``sweep_start`` / ``point_done`` / ``chunk_failed`` events (a
+        failing chunk is announced *before* the exception unwinds the
+        pool, so a dead sweep's trace names the culprit chunk; the
+        ``sweep`` span record closes the stream, stamped ``error=`` on
+        failure).
     progress:
         Print a live ``points done/total, rate, ETA, cache hit-rate``
         telemetry line to stderr, read from the metrics registry.
@@ -237,13 +239,6 @@ def run_sweep(
         raise SweepError(f"workers must be >= 0, got {workers}")
     if chunk_size is not None and chunk_size < 1:
         raise SweepError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    if trace is None:
-        sink, own_sink = get_tracer(), False
-    elif isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
-        sink, own_sink = JsonlSink(trace), True
-    else:
-        sink, own_sink = trace, False
 
     t0 = time.perf_counter()
     done: dict[int, PointRecord] = {}
@@ -271,53 +266,37 @@ def run_sweep(
     fingerprint = grid.fingerprint()
     telemetry = _Telemetry(grid, len(grid), resumed, progress)
 
-    if sink.enabled:
-        sink.emit(sweep_event(
-            "sweep_start",
-            fingerprint=fingerprint,
-            points=len(grid),
-            pending=len(pending),
-            resumed=resumed,
-            workers=workers,
-        ))
-
+    sink = resolve_sink(trace, "trace")
     writer = None
-    if checkpoint is not None:
-        writer = SweepCheckpoint(checkpoint, grid).open()
+    traced_span = None  # the sweep span, when this sweep writes events
 
     def _commit(records: list[PointRecord]) -> None:
         for rec in records:
             done[rec.index] = rec
             if writer is not None:
                 writer.append(rec.index, rec.params, rec.seed, rec.record)
-            if sink.enabled:
-                sink.emit(sweep_event(
-                    "point_done",
-                    fingerprint=fingerprint,
-                    index=rec.index,
-                    seed=rec.seed,
-                ))
+            if traced_span is not None:
+                traced_span.event("point_done", fingerprint=fingerprint,
+                                  index=rec.index, seed=rec.seed)
 
     def _chunk_failed(chunk_index: int, exc: BaseException) -> None:
         # Announce the culprit before the exception unwinds the sweep:
         # a crashed run's trace ends with the chunk that killed it.
         telemetry.chunk_failed()
-        if sink.enabled:
-            sink.emit(sweep_event(
-                "chunk_failed",
-                fingerprint=fingerprint,
-                chunk=chunk_index,
-                error=repr(exc),
-            ))
+        if traced_span is not None:
+            traced_span.event("chunk_failed", fingerprint=fingerprint,
+                              chunk=chunk_index, error=repr(exc))
 
-    # A sweep traced to its own JSONL carries its spans in the same file —
-    # but never steal an already-configured process-global span sink
-    # (e.g. a server's ring buffer).
-    span_override = own_sink and sink.enabled and not get_span_sink().enabled
-    prev_span_sink = set_span_sink(sink) if span_override else None
     try:
-        with span("sweep", workers=workers, points=len(grid),
-                  pending=len(pending), resumed=resumed):
+        if checkpoint is not None:
+            writer = SweepCheckpoint(checkpoint, grid).open()
+        with span("sweep", sink=sink, workers=workers, points=len(grid),
+                  pending=len(pending), resumed=resumed) as sp:
+            if sink is not None and sink.enabled:
+                traced_span = sp
+                sp.event("sweep_start", fingerprint=fingerprint,
+                         points=len(grid), pending=len(pending),
+                         resumed=resumed, workers=workers)
             if workers == 0 or not pending:
                 for k, pt in enumerate(pending):
                     tick = time.perf_counter()
@@ -359,21 +338,11 @@ def run_sweep(
                             fut.cancel()
                         raise
         telemetry.maybe_print(final=True)
-        if sink.enabled:
-            sink.emit(sweep_event(
-                "sweep_end",
-                fingerprint=fingerprint,
-                points=len(done),
-                resumed=resumed,
-                wall_time=time.perf_counter() - t0,
-            ))
     finally:
-        if span_override:
-            set_span_sink(prev_span_sink)
         if writer is not None:
             writer.close()
-        if own_sink:
-            sink.close()
+        if sink is not None and sink is not trace:
+            sink.close()  # a JsonlSink opened here for a path
 
     missing = len(grid) - len(done)
     if missing:

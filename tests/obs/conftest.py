@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_SINK, get_registry, set_span_sink, set_tracer
+from repro.obs import get_registry, set_span_sink
 
 
 @pytest.fixture(autouse=True)
@@ -10,7 +10,6 @@ def _clean_obs():
     registry = get_registry()
     prev_enabled = registry.enabled
     yield
-    set_tracer(NULL_SINK)
     set_span_sink(None)
     registry.enabled = prev_enabled
     registry.reset()

@@ -1,8 +1,8 @@
-"""Trace replay: a traced run's JSONL reconstructs P_t and the verdict.
+"""Trace replay: a traced run's events reconstruct P_t and the verdict.
 
-This is the ISSUE's acceptance oracle: replaying a trace yields the
+The acceptance oracle of the trace layer: replaying a trace yields the
 *exact* potential series and stability verdict of the live run, without
-re-simulating.
+re-simulating — also when the trace holds more runs than one.
 """
 
 import numpy as np
@@ -69,11 +69,48 @@ class TestBatchedReplay:
             assert rr.verdicts[i].bounded == res.verdicts[i].bounded
 
 
+class TestSeveralRuns:
+    """Two runs in one trace: replay rebuilds the first one exactly."""
+
+    def _runs(self, sink):
+        first = Simulator(_spec(), config=SimulationConfig(
+            horizon=60, seed=3, trace=sink)).run()
+        spec = NetworkSpec.classical(generators.path(3), {0: 3}, {2: 1})
+        Simulator(spec, config=SimulationConfig(
+            horizon=60, seed=3, trace=sink)).run()
+        return first
+
+    def test_ring_with_two_specs(self):
+        ring = RingBufferSink()
+        first = self._runs(ring)
+        rr = replay_trace(ring.records)
+        np.testing.assert_array_equal(rr.trajectory.potentials,
+                                      first.trajectory.potentials)
+        np.testing.assert_array_equal(rr.trajectory.total_queued,
+                                      first.trajectory.total_queued)
+        assert rr.verdict.bounded == first.verdict.bounded
+
+    def test_appended_jsonl_file(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        with JsonlSink(path) as sink:
+            first = Simulator(_spec(), config=SimulationConfig(
+                horizon=60, seed=3, trace=sink)).run()
+        with JsonlSink(path, append=True) as sink:
+            Simulator(_spec(), config=SimulationConfig(
+                horizon=60, seed=4, trace=sink)).run()
+        rr = replay_trace(path)
+        np.testing.assert_array_equal(rr.trajectory.potentials,
+                                      first.trajectory.potentials)
+        assert rr.verdict.bounded == first.verdict.bounded
+
+
 class TestReplayErrors:
     def test_empty_trace_raises(self):
         with pytest.raises(ObservabilityError):
             replay_trace([])
 
     def test_trace_without_steps_raises(self):
-        with pytest.raises(ObservabilityError):
-            replay_trace([{"type": "sweep_start", "points": 3}])
+        start = {"type": "event", "name": "run_start", "trace_id": "t",
+                 "span_id": "1", "attrs": {"n": 3}}
+        with pytest.raises(ObservabilityError, match="no step events"):
+            replay_trace([start])

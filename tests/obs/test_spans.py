@@ -123,6 +123,44 @@ class TestEmission:
         assert not global_sink.records
         assert [r["name"] for r in local_sink.records] == ["pinned"]
 
+    def test_child_inherits_an_explicit_sink(self):
+        global_sink, local_sink = ListSink(), ListSink()
+        set_span_sink(global_sink)
+        with span("pinned", sink=local_sink) as root:
+            with span("child"):
+                with span("grandchild"):
+                    pass
+            with span("direct", parent=root):
+                pass
+        assert not global_sink.records
+        assert [r["name"] for r in local_sink.records] == [
+            "grandchild", "child", "direct", "pinned"]
+
+    def test_tuple_parent_lands_in_the_global_sink(self):
+        global_sink, local_sink = ListSink(), ListSink()
+        set_span_sink(global_sink)
+        with span("pinned", sink=local_sink) as root:
+            with span("remote", parent=root.context(), remote_suffix="w0"):
+                with span("inner"):
+                    pass
+        assert [r["name"] for r in local_sink.records] == ["pinned"]
+        assert [r["name"] for r in global_sink.records] == ["inner", "remote"]
+        assert global_sink.records[1]["parent_id"] == root.span_id
+
+    def test_event_names_its_span(self):
+        sink = ListSink()
+        with span("work", sink=sink, trace_id="t") as sp:
+            with span("inner"):
+                sp.event("tick", n=1)
+        (ev,) = [r for r in sink.records if r["type"] == "event"]
+        assert ev == {"type": "event", "name": "tick", "trace_id": "t",
+                      "span_id": "1", "attrs": {"n": 1}, "ts": ev["ts"]}
+
+    def test_null_span_event_is_a_no_op(self):
+        with span("off") as sp:
+            sp.event("ignored", n=1)
+        assert sp.span_id is None
+
     def test_metrics_only_activation_records_histogram(self):
         reg = get_registry()
         reg.enabled = True

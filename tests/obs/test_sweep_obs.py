@@ -1,15 +1,16 @@
 """Sweep-layer observability: events, chunk_failed, metrics, telemetry.
 
-ISSUE satellite: a failing chunk emits a structured ``chunk_failed``
-trace event (grid fingerprint, chunk index, exception repr) *before* the
-exception propagates — on both the serial and pooled paths.
+A traced sweep is one ``sweep`` span carrying ``sweep_start`` /
+``point_done`` / ``chunk_failed`` events.  A failing chunk emits its
+``chunk_failed`` event (grid fingerprint, chunk index, exception repr)
+*before* the exception propagates — on both the serial and pooled paths.
 """
 
 import pytest
 
 from repro import obs
 from repro.flow.residual import FlowProblem
-from repro.obs import RingBufferSink, get_registry
+from repro.obs import RingBufferSink, get_registry, read_trace
 from repro.sweep import GridSpec, run_sweep
 from repro.sweep.cache import FeasibilityCache, shared_cache
 from repro.sweep.points import random_instance_spec
@@ -26,7 +27,14 @@ def boom_point(params, seed):
 
 
 def _events(ring):
-    return [r["type"] for r in ring.records]
+    """Event names, with the closing ``sweep`` span as ``"sweep"``."""
+    return [r["name"] for r in ring.records
+            if r["type"] == "event" or r["name"] == "sweep"]
+
+
+def _event(ring, name):
+    return [r["attrs"] for r in ring.records
+            if r["type"] == "event" and r["name"] == name]
 
 
 class TestSweepEvents:
@@ -36,17 +44,24 @@ class TestSweepEvents:
         run_sweep(grid, ok_point, workers=0, trace=ring)
         evs = _events(ring)
         assert evs[0] == "sweep_start"
-        assert evs[-1] == "sweep_end"
+        assert evs[-1] == "sweep"
         assert evs.count("point_done") == 3
-        start = ring.records[0]
+        (start,) = _event(ring, "sweep_start")
         assert start["fingerprint"] == grid.fingerprint()
         assert start["points"] == 3 and start["pending"] == 3
+        # every event names the sweep span; the point spans nest under it
+        sweep = ring.records[-1]
+        assert sweep["type"] == "span" and "error" not in sweep["attrs"]
+        assert {(r["trace_id"], r["span_id"]) for r in ring.records
+                if r["type"] == "event"} == {(sweep["trace_id"], sweep["span_id"])}
+        points = [r for r in ring.records if r.get("name") == "sweep.point"]
+        assert [p["parent_id"] for p in points] == [sweep["span_id"]] * 3
 
     def test_point_done_carries_index_and_seed(self):
         grid = GridSpec(seed=3).cartesian(a=[1, 2])
         ring = RingBufferSink()
         run_sweep(grid, ok_point, workers=0, trace=ring)
-        dones = [r for r in ring.records if r["type"] == "point_done"]
+        dones = _event(ring, "point_done")
         assert sorted(r["index"] for r in dones) == [0, 1]
         assert all(r["seed"] == grid.point(r["index"]).seed for r in dones)
 
@@ -57,7 +72,7 @@ class TestSweepEvents:
         ring = RingBufferSink()
         run_sweep(grid, ok_point, workers=0, checkpoint=ckpt, resume=True,
                   trace=ring)
-        start = ring.records[0]
+        (start,) = _event(ring, "sweep_start")
         assert start["resumed"] == 3 and start["pending"] == 0
         assert _events(ring).count("point_done") == 0
 
@@ -67,6 +82,28 @@ class TestSweepEvents:
         run_sweep(grid, ok_point, workers=0)  # global sink is NULL_SINK
         assert ring.records == []
 
+    def test_untraced_sweep_sends_spans_to_global_sink_without_events(self):
+        ring = RingBufferSink()
+        prev = obs.configure(spans=ring)
+        try:
+            run_sweep(GridSpec(seed=3).cartesian(a=[1, 2]), ok_point)
+        finally:
+            obs.configure(**prev)
+        assert [r["name"] for r in ring.records] == [
+            "sweep.point", "sweep.point", "sweep"]
+        assert {r["type"] for r in ring.records} == {"span"}
+
+    def test_path_trace_collects_spans_beside_a_global_sink(self, tmp_path):
+        ring, path = RingBufferSink(), tmp_path / "sweep.jsonl"
+        prev = obs.configure(spans=ring)
+        try:
+            run_sweep(GridSpec(seed=3).cartesian(a=[1]), ok_point, trace=path)
+        finally:
+            obs.configure(**prev)
+        assert ring.records == []
+        names = [r["name"] for r in read_trace(path)]
+        assert names == ["sweep_start", "sweep.point", "point_done", "sweep"]
+
 
 class TestChunkFailed:
     def test_serial_failure_emits_before_raising(self):
@@ -75,8 +112,9 @@ class TestChunkFailed:
         with pytest.raises(ValueError, match="unlucky"):
             run_sweep(grid, boom_point, workers=0, trace=ring)
         evs = _events(ring)
-        assert "chunk_failed" in evs and "sweep_end" not in evs
-        rec = next(r for r in ring.records if r["type"] == "chunk_failed")
+        assert evs[-2:] == ["chunk_failed", "sweep"]
+        assert ring.records[-1]["attrs"]["error"] == "ValueError"
+        (rec,) = _event(ring, "chunk_failed")
         assert rec["fingerprint"] == grid.fingerprint()
         assert rec["chunk"] == 1
         assert "ValueError" in rec["error"] and "unlucky" in rec["error"]
@@ -86,7 +124,7 @@ class TestChunkFailed:
         ring = RingBufferSink()
         with pytest.raises(ValueError, match="unlucky"):
             run_sweep(grid, boom_point, workers=2, chunk_size=1, trace=ring)
-        rec = next(r for r in ring.records if r["type"] == "chunk_failed")
+        (rec,) = _event(ring, "chunk_failed")
         assert rec["fingerprint"] == grid.fingerprint()
         assert "unlucky" in rec["error"]
 

@@ -1,8 +1,9 @@
-"""Trace layer: sinks, determinism, and the wall-clock field contract.
+"""Trace layer: sinks, the sink resolver, determinism, and the
+wall-clock field contract.
 
-The load-bearing property (ISSUE satellite): two runs of the same
-``(spec, seed)`` produce byte-identical JSONL traces once the fields in
-``WALL_CLOCK_FIELDS`` are stripped — and those fields are monotone.
+The load-bearing property: two runs of the same ``(spec, seed)`` produce
+byte-identical JSONL traces once the fields in ``WALL_CLOCK_FIELDS`` are
+stripped — and those fields are monotone.
 """
 
 import json
@@ -15,15 +16,14 @@ from repro.errors import ObservabilityError
 from repro.graphs import generators
 from repro.network import NetworkSpec
 from repro.obs import (
-    NULL_SINK,
     WALL_CLOCK_FIELDS,
     JsonlSink,
     RingBufferSink,
     config_fingerprint,
-    get_tracer,
     read_trace,
-    set_tracer,
+    resolve_sink,
 )
+from repro.sweep import GridSpec, run_sweep
 
 
 def _spec():
@@ -54,7 +54,7 @@ class TestDeterminism:
         a, b = (read_trace(p) for p in paths)
         assert _canonical_lines(a) == _canonical_lines(b)
         # and the stripped fields really were the only difference
-        assert len(a) == len(b) == 50 + 2  # steps + run_start + run_end
+        assert len(a) == len(b) == 50 + 3  # steps, run_start, run_end, sim.run
 
     def test_wall_clock_fields_are_monotone(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -93,7 +93,8 @@ class TestActiveEdges:
         )
 
     def _steps(self, records):
-        return [r["active_edges"] for r in records if r["type"] == "step"]
+        return [r["attrs"]["active_edges"] for r in records
+                if r["type"] == "event" and r["name"] == "step"]
 
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_ensemble_counts_distinct_edges(self, replicas):
@@ -166,33 +167,109 @@ class TestRingBufferSink:
             RingBufferSink(capacity=0)
 
 
-class TestGlobalSink:
-    def test_default_is_disabled_null_sink(self):
-        assert get_tracer() is NULL_SINK
-        assert get_tracer().enabled is False
+class TestEventEnvelope:
+    """A traced run is one ``sim.run`` span plus events naming it."""
 
-    def test_configure_installs_and_round_trips(self, tmp_path):
+    def test_events_name_the_sim_run_span(self):
         ring = RingBufferSink()
-        prev = obs.configure(trace=ring)
+        _traced_run(ring, horizon=10)
+        *events, run = ring.records
+        assert run["type"] == "span" and run["name"] == "sim.run"
+        assert [e["name"] for e in events] == (
+            ["run_start"] + ["step"] * 10 + ["run_end"])
+        for ev in events:
+            assert set(ev) == {"type", "name", "trace_id", "span_id",
+                               "attrs", "ts"}
+            assert ev["type"] == "event"
+            assert (ev["trace_id"], ev["span_id"]) == (
+                run["trace_id"], run["span_id"])
+        start, end = events[0]["attrs"], events[-1]["attrs"]
+        assert start["seed"] == 7 and start["n"] == 9
+        assert start["fingerprint"] == end["fingerprint"]
+        assert end["outcome"] in ("bounded", "divergent")
+        assert "wall_time" not in end
+
+    def test_attrs_are_plain_python_values(self):
+        ring = RingBufferSink()
+        _traced_run(ring, horizon=10)
+
+        def plain(value):
+            if isinstance(value, list):
+                return all(plain(v) for v in value)
+            return value is None or type(value) in (bool, int, float, str)
+
+        for ev in ring.records[:-1]:
+            assert all(plain(v) for v in ev["attrs"].values()), ev
+
+    def test_untraced_run_writes_no_events_to_the_global_sink(self):
+        ring = RingBufferSink()
+        prev = obs.configure(spans=ring)
         try:
-            assert get_tracer() is ring
-            _traced_run(None)  # config.trace None -> the global sink
-            assert any(r["type"] == "run_start" for r in ring.records)
+            _traced_run(None)
         finally:
             obs.configure(**prev)
-        assert get_tracer() is NULL_SINK
+        assert [r["type"] for r in ring.records] == ["span"]
 
-    def test_set_tracer_rejects_non_sinks(self):
-        with pytest.raises(ObservabilityError, match="emit"):
-            set_tracer(42)
-
-    def test_configure_path_makes_jsonl_sink(self, tmp_path):
-        prev = obs.configure(trace=str(tmp_path / "g.jsonl"))
+    def test_traced_run_leaves_the_global_sink_alone(self):
+        ring, own = RingBufferSink(), RingBufferSink()
+        prev = obs.configure(spans=ring)
         try:
-            assert isinstance(get_tracer(), JsonlSink)
+            _traced_run(own, horizon=10)
         finally:
-            get_tracer().close()
             obs.configure(**prev)
+        assert ring.records == []
+        assert own.records[-1]["name"] == "sim.run"
+
+    def test_steps_outside_run_write_no_events(self):
+        ring = RingBufferSink()
+        sim = Simulator(_spec(), config=SimulationConfig(trace=ring))
+        for _ in range(3):
+            sim.step()
+        assert ring.records == []  # no sim.run span to carry them
+
+    def test_configure_has_no_trace_sink(self):
+        with pytest.raises(TypeError):
+            obs.configure(trace=RingBufferSink())
+
+
+class TestResolveSink:
+    """One resolver turns every ``trace=`` value into a sink."""
+
+    def test_forms(self, tmp_path):
+        ring = RingBufferSink()
+        assert resolve_sink(None, "trace") is None
+        assert resolve_sink(ring, "trace") is ring
+        with resolve_sink(tmp_path / "t.jsonl", "trace") as sink:
+            assert isinstance(sink, JsonlSink)
+
+    def test_sweep_rejects_bytes_path(self):
+        grid = GridSpec(seed=1).cartesian(a=[1])
+        with pytest.raises(ObservabilityError, match="^trace must be .* got bytes$"):
+            run_sweep(grid, _point, trace=b"x.jsonl")
+
+    def test_sweep_rejects_non_sink(self):
+        grid = GridSpec(seed=1).cartesian(a=[1])
+        with pytest.raises(ObservabilityError, match="^trace must be .* got int$"):
+            run_sweep(grid, _point, trace=42)
+
+    def test_simulation_config_rejects_path(self, tmp_path):
+        cfg = SimulationConfig(horizon=5, trace=str(tmp_path / "x.jsonl"))
+        with pytest.raises(ObservabilityError,
+                           match="SimulationConfig.trace .* not a path"):
+            Simulator(_spec(), config=cfg)
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_simulation_config_rejects_non_sink(self):
+        with pytest.raises(ObservabilityError, match="SimulationConfig.trace"):
+            Simulator(_spec(), config=SimulationConfig(trace=object()))
+
+    def test_configure_spans_rejects_non_sink(self):
+        with pytest.raises(ObservabilityError, match="^spans must be"):
+            obs.configure(spans=42)
+
+
+def _point(params, seed):
+    return {"a": params["a"]}
 
 
 class TestConfigFingerprint:
