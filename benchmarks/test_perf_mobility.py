@@ -1,6 +1,13 @@
-"""Mobility feasibility timeline: incremental vs cold-oracle speedup.
+"""Mobility: trace generation, and the incremental timeline vs its oracle.
 
-The claim: tracking feasibility through a mobility trace with the
+Trace generation: ``MobilityTrace.generate`` at the sizes of the e2e
+``mobility_churn`` workload (n 32–48, 48 steps) applies the link rule once
+to each trace's ``(S, n, 2)`` positions stack and stores the links as
+flat pair keys.  Every snapshot's links are checked against
+:func:`radius_edges` on that snapshot's positions; generate seconds and
+link-storage bytes per trace are recorded, never gated.
+
+The timeline claim: tracking feasibility through a mobility trace with the
 warm-started block chain (:func:`feasibility_timeline` — one cold core
 solve per block, then ``fork()`` + parametric capacity raises per
 snapshot) beats the cold oracle (:func:`feasibility_timeline_cold`, a
@@ -15,10 +22,12 @@ Results append to ``benchmarks/results/BENCH_mobility.json`` (gitignored
 output, not an input).
 """
 
+import statistics
 import time
 from pathlib import Path
 
 from benchmarks.e2e.record import append_record
+from repro.graphs.generators import radius_edges
 from repro.mobility import (
     MobilityTrace,
     RandomWaypoint,
@@ -35,6 +44,41 @@ SPECS = [
 ]
 SPEEDUP_FLOOR = 1.5
 RESULTS = Path(__file__).parent / "results" / "BENCH_mobility.json"
+
+
+# (n, radius, speed) of mobility_churn-sized traces: slow and dense, then
+# fast and sparser; 48 steps each
+GENERATE_SPECS = [
+    (32, 0.40, 0.01), (36, 0.38, 0.015), (40, 0.36, 0.02),
+    (48, 0.30, 0.05), (48, 0.30, 0.075), (48, 0.30, 0.10),
+]
+GENERATE_STEPS = 48
+
+
+class TestTraceGeneration:
+    def test_generate_mobility_churn_sized_traces(self):
+        generate_s, link_bytes = [], []
+        for i, (n, radius, speed) in enumerate(GENERATE_SPECS):
+            t0 = time.perf_counter()
+            tr = MobilityTrace.generate(RandomWaypoint(speed=speed), n,
+                                        radius=radius, steps=GENERATE_STEPS,
+                                        seed=900 + i)
+            generate_s.append(time.perf_counter() - t0)
+            link_bytes.append(tr.keys.nbytes + tr.offsets.nbytes)
+            for snap in tr:
+                assert list(snap.links) == radius_edges(snap.positions, tr.radius)
+        append_record(RESULTS, {
+            "bench": "mobility_generate",
+            "traces": len(GENERATE_SPECS),
+            "steps": GENERATE_STEPS,
+            "generate_s": [round(s, 5) for s in generate_s],
+            "link_bytes": link_bytes,
+            "generate_s_median": round(statistics.median(generate_s), 5),
+            "link_bytes_median": statistics.median(link_bytes),
+        })
+        print(f"\n[mobility] generate {1e3 * statistics.median(generate_s):.2f} ms "
+              f"per trace (median of {len(generate_s)}), "
+              f"links {statistics.median(link_bytes):.0f} bytes per trace")
 
 
 def _traces():

@@ -309,7 +309,7 @@ def _run_mobility_command(args) -> int:
           f"steps={args.steps} seed={args.seed}")
     print(f"digest: {trace.digest()}")
     print(f"snapshots: {len(timeline)}  link universe: "
-          f"{len(trace.link_universe())} pairs  links/snapshot: "
+          f"{len(trace.universe_keys)} pairs  links/snapshot: "
           f"min {min(links)}  max {max(links)}")
     print(f"demand: in({args.source})={args.in_rate} -> out({sink})={args.out_rate} "
           f"(arrival {timeline.arrival})")

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+import numpy as np
+
 from repro.errors import SpecError
 from repro.flow.maxflow import max_flow
 from repro.flow.residual import FlowProblem
@@ -116,7 +118,9 @@ class _UniverseProblem:
 
     Arc layout mirrors :class:`~repro.graphs.extended.ExtendedGraph`: two
     opposite unit arcs per universe pair (``2k`` / ``2k + 1`` for pair
-    ``k``), then the ``(s*, v)`` arcs, then the ``(v, d*)`` arcs.
+    ``k``), then the ``(s*, v)`` arcs, then the ``(v, d*)`` arcs.  Link
+    sets are arrays of universe positions: ``links[offsets[s]:offsets[s +
+    1]]`` are snapshot ``s``'s pairs, ascending.
     """
 
     def __init__(self, trace: MobilityTrace,
@@ -126,14 +130,14 @@ class _UniverseProblem:
         self.in_rates = _coerce_rates(in_rates, n, "in")
         self.out_rates = _coerce_rates(out_rates, n, "out")
         self.arrival = sum(self.in_rates.values(), start=_ZERO)
-        self.pairs = trace.link_universe()
-        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
+        universe = trace.universe_keys
+        self.size = len(universe)
+        self.links = np.searchsorted(universe, trace.keys)
+        self.offsets = trace.offsets.tolist()
         self.s_star, self.d_star = n, n + 1
-        tails: list[int] = []
-        heads: list[int] = []
-        for u, v in self.pairs:
-            tails += (u, v)
-            heads += (v, u)
+        lo, hi = np.divmod(universe, n)
+        tails = np.column_stack((lo, hi)).ravel().tolist()
+        heads = np.column_stack((hi, lo)).ravel().tolist()
         for v in self.in_rates:
             tails.append(self.s_star)
             heads.append(v)
@@ -145,24 +149,29 @@ class _UniverseProblem:
         self.heads = heads
         self._rate_caps = list(self.in_rates.values()) + list(self.out_rates.values())
 
-    def problem(self, present: "set[tuple[int, int]]") -> FlowProblem:
-        """The instance whose edge arcs carry capacity 1 on ``present``
-        pairs and 0 elsewhere."""
-        caps: list[Fraction] = []
-        for p in self.pairs:
-            c = _ONE if p in present else _ZERO
-            caps += (c, c)
+    def snapshot(self, s: int) -> np.ndarray:
+        """Universe positions of snapshot ``s``'s links, ascending."""
+        return self.links[self.offsets[s]:self.offsets[s + 1]]
+
+    def problem(self, present: np.ndarray) -> FlowProblem:
+        """The instance whose edge arcs carry capacity 1 on the ``present``
+        pairs (universe positions, or a mask over the universe) and 0
+        elsewhere."""
+        mask = np.zeros(self.size, dtype=bool)
+        mask[present] = True
+        caps = [_ONE if c else _ZERO for c in np.repeat(mask, 2).tolist()]
         caps.extend(self._rate_caps)
         return FlowProblem(
             n=self.n_star, tails=self.tails, heads=self.heads,
             capacities=caps, source=self.s_star, sink=self.d_star,
         )
 
-    def raise_updates(self, pairs: "set[tuple[int, int]]") -> dict[int, Fraction]:
-        """Arc-capacity updates opening ``pairs`` (both directions) to 1."""
+    @staticmethod
+    def raise_updates(pairs: np.ndarray) -> dict[int, Fraction]:
+        """Arc-capacity updates opening universe ``pairs`` (both directions)
+        to 1."""
         updates: dict[int, Fraction] = {}
-        for p in pairs:
-            k = self.pair_index[p]
+        for k in pairs.tolist():
             updates[2 * k] = _ONE
             updates[2 * k + 1] = _ONE
         return updates
@@ -211,19 +220,22 @@ def feasibility_timeline(
     warm = cold = 0
     with span("mobility.timeline", snapshots=len(trace), block=block):
         for start in range(0, len(trace), block):
-            chunk = trace.snapshots[start : start + block]
-            link_sets = [set(s.links) for s in chunk]
-            core: set[tuple[int, int]] = set.intersection(*link_sets)
-            engine = ParametricMaxFlow(uni.problem(core), algorithm)
+            chunk = range(start, min(start + block, len(trace)))
+            # the core is the pairs every member links: the ones counted
+            # once per snapshot of the block
+            block_links = uni.links[uni.offsets[start]:uni.offsets[chunk.stop]]
+            in_core = np.bincount(block_links, minlength=uni.size) == len(chunk)
+            engine = ParametricMaxFlow(uni.problem(in_core), algorithm)
             cold += 1
             _note_solve("cold")
-            for snap, links in zip(chunk, link_sets):
-                extra = links - core
+            for s in chunk:
+                links = uni.snapshot(s)
+                extra = links[~in_core[links]]
                 if max_warm_delta is not None and len(extra) > max_warm_delta:
                     value = max_flow(uni.problem(links), algorithm).value
                     mode = "cold"
                     cold += 1
-                elif extra:
+                elif len(extra):
                     fork = engine.fork()
                     value = fork.raise_arc_capacities(
                         uni.raise_updates(extra), target_value=arrival
@@ -237,7 +249,7 @@ def feasibility_timeline(
                     warm += 1
                 _note_solve(mode)
                 entries.append(TimelineEntry(
-                    t=snap.t, links=len(links), delta=len(extra), mode=mode,
+                    t=trace.times[s], links=len(links), delta=len(extra), mode=mode,
                     max_flow_value=value, feasible=(value == arrival),
                 ))
     _note_steps(len(entries))
@@ -262,12 +274,12 @@ def feasibility_timeline_cold(
     uni = _UniverseProblem(trace, in_rates, out_rates)
     arrival = uni.arrival
     entries: list[TimelineEntry] = []
-    for snap in trace.snapshots:
-        links = set(snap.links)
+    for s, t in enumerate(trace.times):
+        links = uni.snapshot(s)
         value = max_flow(uni.problem(links), algorithm).value
         _note_solve("cold")
         entries.append(TimelineEntry(
-            t=snap.t, links=len(links), delta=len(links), mode="cold",
+            t=t, links=len(links), delta=len(links), mode="cold",
             max_flow_value=value, feasible=(value == arrival),
         ))
     _note_steps(len(entries))

@@ -9,6 +9,12 @@ same ``(model, n, radius, steps, seed)`` tuple always regenerates it
 bit-for-bit (:meth:`MobilityTrace.digest` is the proof the CI smoke step
 asserts).
 
+Storage is flat: one read-only ``(S, n, 2)`` stack of positions, and the
+links of every snapshot as one ascending run of integer pair keys
+``u * n + v`` in a single array indexed by per-snapshot offsets — so a
+trace costs 8 bytes per link, and the link rule runs once over the whole
+stack.  A snapshot's ``links`` tuple is a view built on demand.
+
 Two consumers:
 
 * :class:`MobilitySchedule` adapts a trace to the
@@ -26,43 +32,74 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
 from repro.errors import SpecError
-from repro.graphs.generators import radius_edges
+from repro.graphs.generators import radius_keys
 from repro.graphs.multigraph import MultiGraph
 from repro.mobility.models import MobilityModel
 
 __all__ = ["MobilitySnapshot", "MobilityTrace", "MobilitySchedule"]
 
-Pair = "tuple[int, int]"
+
+def _pairs(keys: np.ndarray, n: int) -> tuple[tuple[int, int], ...]:
+    """Pair keys ``u * n + v`` as ``(u, v)`` tuples, in key order."""
+    u, v = np.divmod(keys, n)
+    return tuple(zip(u.tolist(), v.tolist()))
 
 
 @dataclass(frozen=True)
 class MobilitySnapshot:
-    """One sampled instant: step index, positions, induced link set."""
+    """One sampled instant: step index, positions, induced link set.
+
+    Both arrays are read-only views into the trace's flat storage.
+    """
 
     t: int
-    positions: np.ndarray                 # (n, 2) float64, read-only
-    links: tuple[tuple[int, int], ...]    # sorted (u, v) pairs, u < v
+    positions: np.ndarray   # (n, 2) float64
+    keys: np.ndarray        # ascending pair keys u * n + v, u < v
+
+    @property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        """The link set as sorted ``(u, v)`` pairs, ``u < v`` (built on
+        each access from :attr:`keys`)."""
+        return _pairs(self.keys, len(self.positions))
 
 
 class MobilityTrace:
-    """An immutable sequence of :class:`MobilitySnapshot`.
+    """An immutable sequence of :class:`MobilitySnapshot` over flat arrays.
 
-    Build with :meth:`generate`; index / iterate like a sequence.
+    ``positions`` is one read-only ``(S, n, 2)`` stack, one point set per
+    snapshot, sampled at steps ``times``.  The links of snapshot ``s`` are
+    ``keys[offsets[s]:offsets[s + 1]]``: ascending pair keys ``u * n + v``
+    (``u < v``), 8 bytes per link, computed by one pass of the link rule
+    over the whole stack.  Build with :meth:`generate`; index / iterate
+    like a sequence.
     """
 
-    def __init__(self, n: int, radius: float,
-                 snapshots: Sequence[MobilitySnapshot]) -> None:
-        if not snapshots:
+    def __init__(self, radius: float, times: Sequence[int],
+                 positions: np.ndarray) -> None:
+        stack = np.array(positions, dtype=np.float64)
+        if not len(stack):
             raise SpecError("a mobility trace needs at least one snapshot")
-        self.n = int(n)
+        if stack.ndim != 3 or stack.shape[2] != 2 or len(times) != len(stack):
+            raise SpecError(
+                f"positions of shape {stack.shape} do not fit {len(times)} "
+                f"snapshot times (want ({len(times)}, n, 2))"
+            )
+        keys, offsets = radius_keys(stack, radius)
+        for arr in (stack, keys, offsets):
+            arr.setflags(write=False)
+        self.n = stack.shape[1]
         self.radius = float(radius)
-        self.snapshots: tuple[MobilitySnapshot, ...] = tuple(snapshots)
+        self.times = tuple(int(t) for t in times)
+        self.positions = stack
+        self.keys = keys
+        self.offsets = offsets
 
     @classmethod
     def generate(
@@ -96,39 +133,41 @@ class MobilityTrace:
             raise SpecError(
                 f"model produced positions of shape {pos.shape}, want ({n}, 2)"
             )
-        snaps = [cls._snap(0, pos, radius)]
+        times = range(0, steps + 1, snapshot_every)
+        stack = np.empty((len(times), n, 2))
+        stack[0] = pos
         for t in range(1, steps + 1):
             pos = model.step()
             if t % snapshot_every == 0:
-                snaps.append(cls._snap(t, pos, radius))
-        return cls(n, radius, snaps)
-
-    @staticmethod
-    def _snap(t: int, pos: np.ndarray, radius: float) -> MobilitySnapshot:
-        frozen = np.array(pos, dtype=np.float64)
-        frozen.setflags(write=False)
-        return MobilitySnapshot(
-            t=t, positions=frozen, links=tuple(radius_edges(frozen, radius))
-        )
+                stack[t // snapshot_every] = pos
+        return cls(radius, times, stack)
 
     # -- sequence protocol ---------------------------------------------
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.times)
 
     def __getitem__(self, i: int) -> MobilitySnapshot:
-        return self.snapshots[i]
+        i = range(len(self))[i]
+        return MobilitySnapshot(
+            t=self.times[i], positions=self.positions[i],
+            keys=self.keys[self.offsets[i]:self.offsets[i + 1]],
+        )
 
     def __iter__(self) -> Iterator[MobilitySnapshot]:
-        return iter(self.snapshots)
+        return (self[i] for i in range(len(self)))
 
     # -- derived views --------------------------------------------------
+    @cached_property
+    def universe_keys(self) -> np.ndarray:
+        """Every pair key that is ever a link, ascending (read-only)."""
+        universe = np.unique(self.keys)
+        universe.setflags(write=False)
+        return universe
+
     def link_universe(self) -> tuple[tuple[int, int], ...]:
         """Every pair that is ever a link, sorted — the arc universe the
         incremental feasibility tracker allocates once up front."""
-        universe: set[tuple[int, int]] = set()
-        for snap in self.snapshots:
-            universe.update(snap.links)
-        return tuple(sorted(universe))
+        return _pairs(self.universe_keys, self.n)
 
     def build_graph(self) -> MultiGraph:
         """A fresh :class:`MultiGraph` holding the *initial* link set.
@@ -136,7 +175,7 @@ class MobilityTrace:
         Pair it with :meth:`as_schedule` (or a :class:`MobilitySchedule`)
         to drive a simulation whose topology follows the trace.
         """
-        return MultiGraph.from_edges(self.n, self.snapshots[0].links)
+        return MultiGraph.from_edges(self.n, self[0].links)
 
     def as_schedule(self) -> "tuple[MultiGraph, MobilitySchedule]":
         """Convenience: ``(build_graph(), MobilitySchedule(self))``."""
@@ -151,7 +190,7 @@ class MobilityTrace:
         """
         h = hashlib.sha256()
         h.update(f"n={self.n};r={self.radius!r};k={len(self)}".encode())
-        for snap in self.snapshots:
+        for snap in self:
             h.update(f"t={snap.t};links={snap.links!r}".encode())
             h.update(snap.positions.tobytes())
         return h.hexdigest()
@@ -177,21 +216,23 @@ class MobilitySchedule:
 
     def __init__(self, trace: MobilityTrace) -> None:
         self._trace = trace
-        self._by_time = {snap.t: i for i, snap in enumerate(trace.snapshots)}
-        self._eids: dict[tuple[int, int], int] | None = None
+        self._by_time = {t: i for i, t in enumerate(trace.times)}
+        self._eids: dict[int, int] | None = None  # radio pair key -> edge id
         self._applied = -1  # index of the snapshot currently materialised
 
-    def _bind(self, graph: MultiGraph) -> dict[tuple[int, int], int]:
-        if graph.n < self._trace.n:
+    def _bind(self, graph: MultiGraph) -> dict[int, int]:
+        n = self._trace.n
+        if graph.n < n:
             raise SpecError(
-                f"graph has {graph.n} nodes but the trace moves {self._trace.n}"
+                f"graph has {graph.n} nodes but the trace moves {n}"
             )
-        universe = set(self._trace.link_universe())
-        eids: dict[tuple[int, int], int] = {}
+        universe = set(self._trace.universe_keys.tolist())
+        eids: dict[int, int] = {}
         for eid, u, v in graph.edges():
-            key = (u, v) if u < v else (v, u)
-            if key in universe:  # non-radio (backbone) edges stay unmanaged
-                eids.setdefault(key, eid)
+            u, v = min(u, v), max(u, v)
+            # non-radio (backbone) edges stay unmanaged
+            if v < n and u * n + v in universe:
+                eids.setdefault(u * n + v, eid)
         return eids
 
     def apply(self, graph: MultiGraph, t: int) -> bool:
@@ -202,18 +243,20 @@ class MobilitySchedule:
             self._eids = self._bind(graph)
         if idx == self._applied:
             return False
-        want = set(self._trace.snapshots[idx].links)
+        n = self._trace.n
+        keys = self._trace[idx].keys.tolist()
+        want = set(keys)
         changed = False
         # drop radio links that moved out of range
-        for pair, eid in self._eids.items():
-            if pair not in want and graph.has_edge_id(eid):
+        for key, eid in self._eids.items():
+            if key not in want and graph.has_edge_id(eid):
                 graph.remove_edge(eid)
                 changed = True
         # (re-)establish links now in range: restore a known id, else mint one
-        for pair in self._trace.snapshots[idx].links:
-            eid = self._eids.get(pair)
+        for key in keys:
+            eid = self._eids.get(key)
             if eid is None:
-                self._eids[pair] = graph.add_edge(*pair)
+                self._eids[key] = graph.add_edge(*divmod(key, n))
                 changed = True
             elif not graph.has_edge_id(eid):
                 graph.restore_edge(eid)

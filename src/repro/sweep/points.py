@@ -266,7 +266,7 @@ def mobility_point(params: dict, seed: int) -> dict:
         "speed": float(speed),
         "steps": int(steps),
         "snapshots": len(tl),
-        "universe_links": len(trace.link_universe()),
+        "universe_links": len(trace.universe_keys),
         "arrival_rate": str(tl.arrival),
         "always_feasible": tl.always_feasible,
         "feasible_fraction": tl.feasible_fraction,

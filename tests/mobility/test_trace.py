@@ -1,5 +1,7 @@
 """MobilityTrace and MobilitySchedule tests: digests, link rule, replay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,34 @@ class TestGenerate:
         tr = _trace()
         with pytest.raises(ValueError):
             tr[0].positions[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            tr.keys[0] = 0
+
+    def test_flat_storage(self):
+        tr = _trace(steps=10, snapshot_every=3)
+        assert tr.positions.shape == (4, tr.n, 2)
+        assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.keys)
+        for s, snap in enumerate(tr):
+            assert np.shares_memory(snap.positions, tr.positions)
+            assert (snap.positions == tr.positions[s]).all()
+            assert snap.links == tuple(divmod(int(k), tr.n) for k in snap.keys)
+        assert tr[-1].t == tr[3].t == 9
+
+    def test_storage_bounded_by_link_count(self):
+        # an unblocked all-pairs pass over this (21, 1000, 2) stack would
+        # allocate over 0.5 GB of temporaries; the blocked pass peaks near
+        # 5 MB, and the links cost at most 16 bytes each
+        tracemalloc.start()
+        try:
+            tr = MobilityTrace.generate(RandomWaypoint(speed=0.02), 1000,
+                                        radius=0.03, steps=20, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        links = len(tr.keys)
+        assert links > 20_000
+        assert tr.keys.nbytes + tr.offsets.nbytes <= 16 * links
 
     def test_validation(self):
         with pytest.raises(SpecError):
@@ -53,6 +83,25 @@ class TestGenerate:
 class TestDigest:
     def test_bit_identical_across_runs(self):
         assert _trace().digest() == _trace().digest()
+
+    # Digests printed by the tuple-per-link implementation the flat
+    # storage replaced: positions, link order and the digest format are
+    # pinned across storage changes.  RandomWaypoint only — its arithmetic
+    # is IEEE-exact, while the orbit's cos/sin may differ in the last ulp
+    # across CPUs.
+    @pytest.mark.parametrize("kw, digest", [
+        (dict(model=RandomWaypoint(speed=0.08), n=12, radius=0.4, steps=60,
+              seed=2010),  # the CI mobility smoke's trace
+         "40fbac5618d8a66e16700373c868fe71a7d5422b77f32ba78d91a4090ef8a842"),
+        (dict(model=RandomWaypoint(speed=0.1, pause=3), n=10, radius=0.35,
+              steps=40, seed=77),
+         "3716ecd1f554cd1576c86aa923c6bddca30362621ae388eac89ccacddecee208"),
+        (dict(model=RandomWaypoint(speed=0.06), n=14, radius=0.3, steps=50,
+              seed=31, snapshot_every=5),
+         "642051bb30baa8d4c0c4bfb3df75736df0598ecd38c6b0a232afd8b7159561cf"),
+    ], ids=["ci_smoke", "pause", "snapshot_every"])
+    def test_golden(self, kw, digest):
+        assert _trace(**kw).digest() == digest
 
     def test_seed_sensitivity(self):
         assert _trace(seed=5).digest() != _trace(seed=6).digest()
@@ -127,6 +176,19 @@ class TestSchedule:
             for eid in backbone:
                 assert g.has_edge_id(eid)
 
+    def test_backbone_edges_past_the_trace_nodes_never_adopted(self):
+        # (0, n + 2) has the pair key of (1, 2); only pairs of trace nodes
+        # may be adopted as radio edges
+        tr = _trace(n=6, radius=0.9, steps=6)
+        assert (1, 2) in tr.link_universe()
+        g = MultiGraph(10)
+        backbone = g.add_edge(0, 8)
+        sched = MobilitySchedule(tr)
+        for snap in tr:
+            sched.apply(g, snap.t)
+            assert g.has_edge_id(backbone)
+            assert self._live_pairs(g) - {(0, 8)} == set(snap.links)
+
     def test_graph_too_small_rejected(self):
         tr = _trace(n=9)
         with pytest.raises(SpecError):
@@ -144,15 +206,3 @@ class TestSchedule:
             spec, config=SimulationConfig(horizon=120, seed=0, topology=sched)
         ).run()
         assert res.delivered > 0
-
-
-class TestRadiusEdges:
-    def test_inclusive_threshold(self):
-        pts = np.array([[0.0, 0.0], [0.3, 0.0], [1.0, 1.0]])
-        assert radius_edges(pts, 0.3) == [(0, 1)]
-
-    def test_pairs_sorted(self):
-        pts = np.random.default_rng(0).random((12, 2))
-        edges = radius_edges(pts, 0.5)
-        assert edges == sorted(edges)
-        assert all(u < v for u, v in edges)
