@@ -205,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mob.add_argument("--sink", type=int, default=None)
     p_mob.add_argument("--in-rate", type=int, default=1, dest="in_rate")
     p_mob.add_argument("--out-rate", type=int, default=2, dest="out_rate")
-    p_mob.add_argument("--block", type=int, default=8,
-                       help="snapshots sharing one cold core solve")
-    p_mob.add_argument("--max-warm-delta", type=int, default=256,
-                       dest="max_warm_delta",
-                       help="largest link delta answered warm; bigger "
-                            "deltas fall back to a cold solve")
     p_mob.add_argument("--seed", type=int, default=0)
 
     p_obs = sub.add_parser(
@@ -302,7 +296,6 @@ def _run_mobility_command(args) -> int:
     sink = args.sink if args.sink is not None else trace.n - 1
     timeline = feasibility_timeline(
         trace, {args.source: args.in_rate}, {sink: args.out_rate},
-        block=args.block, max_warm_delta=args.max_warm_delta,
     )
     links = [e.links for e in timeline.entries]
     print(f"trace: model={args.model} n={trace.n} radius={args.radius} "

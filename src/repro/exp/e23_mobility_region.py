@@ -12,9 +12,9 @@ checkable:
   feasible fraction of the timeline — is monotone non-decreasing in the
   radius.  This is the mobility analogue of "the stability region grows
   with capacity".
-* **Warm = cold.**  The incremental block/fork feasibility timeline is
-  *identical* to the cold-solve-per-snapshot oracle (exact arithmetic),
-  while doing most snapshots as warm re-augmentations.
+* **Warm = cold.**  The incremental feasibility timeline — one cold
+  solve, then one warm repair per snapshot — is *identical* to the
+  cold-solve-per-snapshot oracle (exact arithmetic).
 * **Determinism.**  Regenerating a trace from the same seed is
   bit-identical (equal digests) — the property the sweep layer and the
   CI smoke step rely on.
@@ -75,7 +75,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     trace = MobilityTrace.generate(
         RandomWaypoint(speed=0.1), 8, radius=0.45, steps=steps, seed=seed + 1,
     )
-    warm = feasibility_timeline(trace, {0: 1}, {7: 2}, block=6)
+    warm = feasibility_timeline(trace, {0: 1}, {7: 2})
     cold = feasibility_timeline_cold(trace, {0: 1}, {7: 2})
     differential = all(
         (a.t, a.feasible, a.max_flow_value) == (b.t, b.feasible, b.max_flow_value)

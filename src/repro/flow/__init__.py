@@ -14,8 +14,10 @@ implements, from scratch:
 * :mod:`~repro.flow.mincut` — cut extraction and the cut taxonomy of
   Section V (trivial source cut / sink cut / interior S-D-cut),
 * :mod:`~repro.flow.warmstart` — the parametric warm-start engine: one
-  cold solve, then monotone capacity increases answered by in-place
-  residual re-augmentation (Dinic-on-residual or warm push-relabel),
+  cold solve, then capacity changes in either direction answered in
+  place: lowered arcs have their flow repaired (rerouted, or cancelled
+  back to the terminals), then the residual is re-augmented
+  (Dinic-on-residual or warm push-relabel),
 * :mod:`~repro.flow.parametric` — the Gallo–Grigoriadis–Tarjan breakpoint
   envelope: the exact critical scalar λ* and the full piecewise-linear
   min-cut envelope along a ray in rate space, one cold solve per ray,

@@ -21,7 +21,8 @@ from repro.obs.metrics import get_registry
 __all__ = ["dinic", "augment_residual"]
 
 
-def augment_residual(res: Residual, *, target_gain=None) -> tuple:
+def augment_residual(res: Residual, *, source=None, sink=None,
+                     target_gain=None) -> tuple:
     """Run Dinic phases on ``res`` until no augmenting path remains.
 
     Returns ``(gained, phases, augmentations, arc_pushes)`` where ``gained``
@@ -30,15 +31,20 @@ def augment_residual(res: Residual, *, target_gain=None) -> tuple:
     mirrored into ``repro_flow_warm_augment_arcs_total`` by the warm-start
     engine).
 
-    ``target_gain`` stops the phase loop as soon as ``gained`` reaches it,
-    skipping the final no-path BFS.  Callers pass it only when reaching the
-    target *certifies* maximality (e.g. the feasibility probes, whose
-    target equals the total source-arc capacity — an upper bound no flow
-    can exceed); the flow cannot overshoot a capacity bound, so stopping
-    there is exact.
+    ``source`` / ``sink`` (default: the problem's) name the endpoints of
+    the pushed paths; the warm-start engine reroutes and cancels flow
+    between interior nodes with them.
+
+    ``target_gain`` is a hard cap on ``gained``: the last path is trimmed
+    to fit, and the phase loop stops there, skipping the final no-path
+    BFS.  The feasibility probes pass the total source-arc capacity, an
+    upper bound no flow can exceed, so for them the cap never trims and
+    reaching it *certifies* maximality.
     """
     problem = res.problem
-    n, s, t = problem.n, problem.source, problem.sink
+    n = problem.n
+    s = problem.source if source is None else source
+    t = problem.sink if sink is None else sink
     topo = res.topology
     indptr, arcs = topo.indptr, topo.arcs
     to, residual = res.to, res.residual
@@ -66,8 +72,17 @@ def augment_residual(res: Residual, *, target_gain=None) -> tuple:
                     v = to[a]
                     if level[v] == -1:
                         level[v] = level[u] + 1
+                        if v == t:
+                            # every node one level below t is labelled by
+                            # now, and no other node at t's level can lie
+                            # on a shortest path: unlabel them (the queued
+                            # tail) so the blocking flow never enters them
+                            for w in queue:
+                                if level[w] == level[t]:
+                                    level[w] = -1
+                            return True
                         queue.append(v)
-        return level[t] != -1
+        return False
 
     def blocking_flow():
         """Saturate the current level graph; returns the amount pushed.
@@ -85,11 +100,17 @@ def augment_residual(res: Residual, *, target_gain=None) -> tuple:
         while True:
             if u == t:
                 bottleneck = min(residual[a] for a in path)
+                capped = (target_gain is not None
+                          and bottleneck >= target_gain - gained - total)
+                if capped:
+                    bottleneck = target_gain - gained - total
                 for a in path:
                     res.push(a, bottleneck)
                 total += bottleneck
                 augmentations += 1
                 arc_pushes += len(path)
+                if capped:
+                    return total
                 # retreat to just before the first saturated arc
                 for i, a in enumerate(path):
                     if not residual[a]:

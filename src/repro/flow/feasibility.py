@@ -198,15 +198,16 @@ def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
         else:
             # (1+ε)·arrival is the total source-arc capacity — a certificate
             # that lets the warm step stop the moment the probe saturates
-            scaled_value = engine.raise_arc_capacities(
+            scaled_value = engine.set_arc_capacities(
                 source_arc_updates(ext, probe_caps), target_value=target_d
             )
             network_class = (NetworkClass.UNSATURATED if scaled_value == target_d
                              else NetworkClass.SATURATED)
         # f*: every source arc up to `big`, keeping the larger cap where the
-        # probe already raised an arc past it (the engine only raises)
+        # probe already raised an arc past it: no flow reaches `big`, so
+        # both caps give the same f*, and lowering would only cost a repair
         current = engine.problem.capacities
-        fs = engine.raise_arc_capacities({
+        fs = engine.set_arc_capacities({
             j: c if c > current[j] else current[j]
             for j, c in source_arc_updates(ext, {v: big_d for v in src_nodes}).items()
         })

@@ -14,8 +14,8 @@ computes the *entire* envelope exactly, by Eisner–Severance divide and
 conquer over the existing :class:`~repro.flow.warmstart.ParametricMaxFlow`
 fork/re-augment machinery: one cold solve at ``λ = 0`` (trivial — every
 source arc is closed), then every probe is a warm re-augmentation forked
-from the nearest smaller ``λ`` already solved, so capacity schedules
-stay monotone along every fork chain.
+from the nearest smaller ``λ`` already solved, so every step along a fork
+chain only raises capacities.
 
 The payoff is the exact critical scalar
 
@@ -163,9 +163,10 @@ class _Ladder:
     """Warm-engine bank: solved λ values with their engines, sorted.
 
     ``probe(λ)`` forks the engine at the largest solved ``λ' ≤ λ`` and
-    re-augments the parametric arcs up to ``λ · d`` — monotone by
-    construction, so :meth:`ParametricMaxFlow.raise_arc_capacities` never
-    sees a decrease.  Exactly one cold solve happens in ``__init__``
+    re-augments the parametric arcs up to ``λ · d``.  The engine could
+    also lower them from a rung above, but forking from below makes every
+    :meth:`ParametricMaxFlow.set_arc_capacities` step a pure raise, with
+    no flow to repair.  Exactly one cold solve happens in ``__init__``
     (the trivial λ = 0 instance).
     """
 
@@ -196,7 +197,7 @@ class _Ladder:
         else:
             engine = self._engines[i].fork()
             updates = {j: lam * d for j, d in self._param_arcs.items()}
-            engine.raise_arc_capacities(updates)
+            engine.set_arc_capacities(updates)
             self.warm_steps += 1
             self._lams.insert(i + 1, lam)
             self._engines.insert(i + 1, engine)

@@ -67,7 +67,7 @@ class FlowProblem:
 
         Internal fast path for the parametric warm-start engine, which
         rebuilds the problem every step with capacities it has already
-        checked (same topology, monotone increases of validated values).
+        checked (same topology, validated non-negative capacities).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)

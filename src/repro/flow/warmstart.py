@@ -1,39 +1,54 @@
-"""Warm-started parametric max-flow over monotone capacity increases.
+"""Warm-started parametric max-flow over capacity changes in both directions.
 
-The feasibility stack (Definitions 3–4) keeps solving the *same* extended
-graph ``G*`` while only the virtual ``(s*, v)`` arc capacities grow: the
-base problem, the ε-scaled certification probe, the ``f*`` relaxation, and
-every probe of the margin search.  Solving each from scratch repeats all
-the flow work; this module solves the base problem once (the only *cold*
-solve) and answers each subsequent capacity increase *incrementally*:
+The flow stack keeps solving the *same* network while only some arc
+capacities move: the feasibility stack (Definitions 3–4) raises the
+virtual ``(s*, v)`` arcs of ``G*`` for the ε-scaled certification probe,
+the ``f*`` relaxation and every envelope probe, and the mobility timeline
+opens and closes link arcs from one snapshot to the next.  Solving each
+from scratch repeats all the flow work; this module solves the first
+problem once (the only *cold* solve) and repairs the flow in place for
+every later capacity vector:
 
-* raise the forward residual slots of the changed arcs in place — the
-  existing flow stays feasible because capacities only went up;
-* re-augment from that flow:
+* a **raised** arc only gains forward residual — the carried flow stays
+  feasible;
+* a **lowered** arc whose flow fits the new capacity only loses forward
+  residual.  One that carries more flow ``f`` than its new capacity ``c``
+  is cut down to ``c``, which leaves excess ``f − c`` at its tail ``u``
+  and the same deficit at its head ``v``.  The excess is rerouted
+  ``u → v`` through the residual graph as far as it fits; the part ``r``
+  that does not fit is cancelled along residual paths ``u → s`` and
+  ``t → v`` and the value drops by ``r``.  Lowered arcs are repaired one
+  at a time: with a single excess/deficit pair and a maximal reroute,
+  flow decomposition guarantees that both cancel paths carry ``r``, so a
+  shortfall raises :class:`~repro.errors.FlowError` as a broken
+  invariant.  All three pushes are Dinic phases
+  (:func:`repro.flow.dinic.augment_residual` with ``source``/``sink`` and
+  a hard ``target_gain`` cap);
+* then re-augment once from the repaired flow:
 
   - **Dinic-on-residual** (``dinic`` / ``edmonds_karp`` engines): Dinic's
     phase loop never assumes a zero initial flow, so
-    :func:`repro.flow.dinic.augment_residual` continues exactly where the
-    previous parameter value stopped;
+    :func:`~repro.flow.dinic.augment_residual` continues from the carried
+    flow;
   - **warm push-relabel** (``push_relabel`` / ``push_relabel_fifo``
     engines, Gallo–Grigoriadis–Tarjan style): saturate the residual arcs
     out of the source (re-creating a preflow), keep the height function
-    from the previous step when it is still a valid labeling — raising
-    capacities can only invalidate it on the re-created arcs, which is
-    checked — and otherwise repair it with one exact global relabeling
-    (BFS distance labels, O(m)); then discharge the new excess.  The
-    expensive part — the flow itself — always carries over.
+    from the previous step when it is still a valid labeling — checked
+    on every step, since raised and rerouted arcs can invalidate it — and
+    otherwise repair it with one exact global relabeling (BFS distance
+    labels, O(m)); then discharge the new excess.  The expensive part —
+    the flow itself — always carries over.
 
 Everything is exact: capacities stay whatever number type the problem
-uses (the feasibility stack uses :class:`fractions.Fraction` throughout),
-and each step's :class:`~repro.flow.residual.FlowResult` supports
-``min_cut`` / ``is_unique_min_cut`` unchanged because warm-started
-residuals are indistinguishable from cold ones.
+uses (scaled integers or :class:`fractions.Fraction`), and each step's
+:class:`~repro.flow.residual.FlowResult` supports ``min_cut`` /
+``is_unique_min_cut`` unchanged because warm-started residuals are
+indistinguishable from cold ones.
 
 :meth:`ParametricMaxFlow.fork` checkpoints the engine in O(m) (the
 residual shares its immutable topology arrays), which is what lets the
-margin search restart every probe from the *last feasible* state even
-though its bisection is not itself monotone.
+breakpoint envelope restart every probe from the nearest solved
+parameter value.
 """
 
 from __future__ import annotations
@@ -239,19 +254,18 @@ def _pr_reaugment(res: Residual, height: list[int] | None) -> tuple:
 
 
 class ParametricMaxFlow:
-    """One cold solve, then incremental answers to capacity increases.
+    """One cold solve, then incremental answers to capacity changes.
 
     >>> engine = ParametricMaxFlow(problem)          # cold solve (Dinic)
-    >>> value = engine.raise_arc_capacities({3: 7})  # warm: re-augment
+    >>> value = engine.set_arc_capacities({3: 7})    # warm: repair + re-augment
     >>> checkpoint = engine.fork()                   # O(m) state snapshot
 
-    :meth:`raise_arc_capacities` returns the new max-flow value; the full
+    :meth:`set_arc_capacities` returns the new max-flow value; the full
     :class:`FlowResult` (for ``min_cut`` / ``is_unique_min_cut`` / flow
     recovery) is materialised lazily by :attr:`result`, so value-only
-    probes — the margin search's bisection — skip the O(m) snapshot cost.
-    Successive results *share* the engine's live residual, so extract cuts
-    from a step's result before advancing to the next step — or
-    :meth:`fork` first.
+    steps skip the O(m) snapshot cost.  Successive results *share* the
+    engine's live residual, so extract cuts from a step's result before
+    advancing to the next step — or :meth:`fork` first.
     """
 
     __slots__ = ("algorithm", "_res", "_value", "_result", "_height",
@@ -302,8 +316,8 @@ class ParametricMaxFlow:
         """An independent engine sharing nothing mutable with this one.
 
         O(m): the residual array and height function are copied, the
-        topology arrays are aliased.  Used by the margin search to probe a
-        capacity increase without committing to it.
+        topology arrays are aliased.  Used by the breakpoint envelope to
+        probe a capacity change without committing to it.
         """
         clone = object.__new__(ParametricMaxFlow)
         clone.algorithm = self.algorithm
@@ -316,63 +330,80 @@ class ParametricMaxFlow:
         return clone
 
     # -- the parametric step -------------------------------------------
-    def raise_arc_capacities(
+    def set_arc_capacities(
         self, new_caps: Mapping[int, Number], *, target_value: Number | None = None,
     ) -> Number:
         """Advance to ``new_caps`` (``{arc index: capacity}``) and re-solve warm.
 
-        Returns the new max-flow value.  Capacities may only *increase* —
-        a decrease would invalidate the carried flow and raises
-        :class:`FlowError`.  Arcs not mentioned keep their capacity.
+        Returns the new max-flow value.  Capacities may rise or fall (see
+        the module docstring for how a lowered arc's flow is repaired);
+        a negative capacity raises :class:`FlowError`.  Arcs not
+        mentioned keep their capacity.
 
         ``target_value`` is an optional early-stop certificate: a value the
-        caller has *proved* no flow can exceed (the feasibility probes use
-        the total source-arc capacity).  Augmentation stops as soon as the
-        flow reaches it, skipping the final no-path search; a flow can
-        never overshoot a capacity bound, so the result stays exact.  Only
-        the Dinic-based engines use it — a push-relabel discharge cannot
-        stop mid-flight without leaving preflow excess behind.
+        caller has *proved* no flow can exceed (the feasibility probes and
+        the mobility timeline use the total source-arc capacity).
+        Augmentation stops as soon as the flow reaches it, skipping the
+        final no-path search; a flow can never overshoot a capacity
+        bound, so the result stays exact.  Only the Dinic-based engines
+        use it — a push-relabel discharge cannot stop mid-flight without
+        leaving preflow excess behind.
         """
         with span("flow.solve", algorithm=self.algorithm, kind="warm"):
-            return self._raise_arc_capacities(new_caps, target_value=target_value)
+            return self._set_arc_capacities(new_caps, target_value=target_value)
 
-    def _raise_arc_capacities(
+    def _set_arc_capacities(
         self, new_caps: Mapping[int, Number], *, target_value: Number | None = None,
     ) -> Number:
-        p = self._res.problem
+        res = self._res
+        p = res.problem
         caps = list(p.capacities)
+        residual = res.residual
+        m = len(caps)
+        # validate everything before touching the residual, so a rejected
+        # step leaves the engine as it was
+        for j, c in new_caps.items():
+            if not 0 <= j < m:
+                raise FlowError(f"arc index {j} out of range (m={m})")
+            if c < 0:
+                raise FlowError(f"arc {j} has negative capacity {c}")
+        overflowing: list[int] = []  # lowered below their flow: repaired below
         changed = False
         for j, c in new_caps.items():
-            if not (0 <= j < len(caps)):
-                raise FlowError(f"arc index {j} out of range (m={len(caps)})")
-            delta = c - caps[j]
-            if delta < 0:
-                raise FlowError(
-                    f"parametric step must not decrease capacities: "
-                    f"arc {j} {caps[j]} -> {c}"
-                )
-            if delta > 0:
-                self._res.residual[2 * j] += delta
-                caps[j] = c
-                changed = True
+            old = caps[j]
+            if c > old:
+                residual[2 * j] += c - old
+            elif c < old:
+                flow = residual[2 * j + 1]
+                if flow <= c:
+                    residual[2 * j] = c - flow
+                else:
+                    overflowing.append(j)
+            else:
+                continue
+            caps[j] = c
+            changed = True
         # topology and endpoints are unchanged and the new capacities were
-        # validated monotone above, so skip __post_init__'s O(m) re-check
-        problem = FlowProblem._trusted(
+        # validated above, so skip __post_init__'s O(m) re-check
+        res.problem = FlowProblem._trusted(
             n=p.n, tails=p.tails, heads=p.heads,
             capacities=caps, source=p.source, sink=p.sink,
         )
-        self._res.problem = problem
+
+        arc_pushes = 0
+        for j in overflowing:
+            arc_pushes += self._lower_arc(j, caps[j])
 
         gained: Number = 0
-        arc_pushes = 0
         if changed:
             if self.algorithm in _PUSH_RELABEL_ENGINES:
-                gained, arc_pushes, self._height = _pr_reaugment(self._res, self._height)
+                gained, pushes, self._height = _pr_reaugment(res, self._height)
+                arc_pushes += pushes
                 # Belt and braces for exactness: a single no-op BFS when the
                 # discharge already reached the max flow, a completion
                 # otherwise.  Keeps every step certified independently of
                 # push-relabel's termination subtleties.
-                extra, _, _, extra_pushes = augment_residual(self._res)
+                extra, _, _, extra_pushes = augment_residual(res)
                 if extra:
                     gained += extra
                     arc_pushes += extra_pushes
@@ -381,9 +412,8 @@ class ParametricMaxFlow:
                 target_gain = None
                 if target_value is not None:
                     target_gain = target_value - self._value
-                gained, _, _, arc_pushes = augment_residual(
-                    self._res, target_gain=target_gain
-                )
+                gained, _, _, pushes = augment_residual(res, target_gain=target_gain)
+                arc_pushes += pushes
 
         self._value = self._value + gained
         self.warm_steps += 1
@@ -396,8 +426,47 @@ class ParametricMaxFlow:
                         "Warm-started parametric max-flow steps.",
                         ("algorithm",)).labels(**lbl).inc()
             reg.counter("repro_flow_warm_augment_arcs_total",
-                        "Residual arcs pushed while re-augmenting warm steps.",
+                        "Residual arcs pushed while repairing and re-augmenting "
+                        "warm steps.",
                         ("algorithm",)).labels(**lbl).inc(arc_pushes)
 
         self._result = None  # rebuilt on demand by .result
         return self._value
+
+    def _lower_arc(self, j: int, cap: Number) -> int:
+        """Cut arc ``j``'s flow down to ``cap``, keeping a valid flow.
+
+        The arc still has its old capacity in the residual graph; the
+        repairs of earlier arcs may have moved its flow since.  Returns
+        the residual-arc pushes spent and lowers :attr:`value` by whatever
+        excess could not be rerouted around the arc.
+        """
+        res = self._res
+        residual = res.residual
+        flow = residual[2 * j + 1]
+        if flow <= cap:
+            residual[2 * j] = cap - flow
+            return 0
+        residual[2 * j] = 0
+        residual[2 * j + 1] = cap
+        p = res.problem
+        u, v = p.tails[j], p.heads[j]
+        if u == v:  # a self-loop's flow never crosses a node boundary
+            return 0
+        excess = flow - cap
+        moved, _, _, pushes = augment_residual(res, source=u, sink=v,
+                                               target_gain=excess)
+        r = excess - moved
+        if r:
+            for a, b in ((u, p.source), (p.sink, v)):
+                if a == b:
+                    continue
+                got, _, _, k = augment_residual(res, source=a, sink=b, target_gain=r)
+                pushes += k
+                if got != r:
+                    raise FlowError(
+                        f"lowering arc {j}: cancel path {a} -> {b} carried "
+                        f"{got} of {r}; the carried flow was not valid"
+                    )
+            self._value = self._value - r
+        return pushes

@@ -3,16 +3,20 @@
 The library's own :class:`~repro.graphs.multigraph.MultiGraph` is the source
 of truth everywhere; these converters exist for cross-checking our flow
 solvers against networkx and for users who already hold networkx objects.
+networkx is imported on first use: loading it adds about 18 MB of resident
+memory and 0.2 s to a process, and importing :mod:`repro` should not pay
+that for converters the flow, mobility and sweep paths never call.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.errors import GraphError
 from repro.graphs.multigraph import MultiGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["from_networkx", "to_networkx"]
 
@@ -41,6 +45,8 @@ def from_networkx(g: "nx.Graph | nx.MultiGraph") -> tuple[MultiGraph, dict[Hasha
 
 def to_networkx(g: MultiGraph) -> nx.MultiGraph:
     """Convert to an ``nx.MultiGraph``; edge ids become the `eid` attribute."""
+    import networkx as nx
+
     out = nx.MultiGraph()
     out.add_nodes_from(range(g.n))
     # read the flat edge arrays off the shared CSR snapshot rather than

@@ -15,8 +15,8 @@ Layers (bottom up):
   adapting it to the :class:`repro.dynamic.topology.TopologySchedule`
   protocol so the simulator and E10 consume mobility like scripted churn;
 * :mod:`repro.mobility.feasibility` — :func:`feasibility_timeline`,
-  tracking Definition-3 feasibility *through* the trace on warm-started
-  parametric max-flow chains (cold-solve-per-snapshot oracle kept as the
+  tracking Definition-3 feasibility *through* the trace on one warm
+  parametric max-flow chain (cold-solve-per-snapshot oracle kept as the
   differential twin).
 
 Everything is deterministic given a seed: one generator per trace, fixed

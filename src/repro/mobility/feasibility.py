@@ -2,35 +2,38 @@
 
 Per snapshot the question is the paper's Definition 3 on that instant's
 radio graph: does a flow exist in ``G*`` routing the full arrival rate
-``Σ in(v)``?  Solving each snapshot from scratch repeats almost all the
+``Σ in(v)``?  This is the hypothesis of the paper's Conjecture 4 (LGG on
+a dynamic network that always admits a feasible flow), checked snapshot
+by snapshot.  Solving each snapshot from scratch repeats almost all the
 flow work — consecutive snapshots share most of their links — so
-:func:`feasibility_timeline` reuses :class:`repro.flow.warmstart.\
-ParametricMaxFlow` chains instead:
+:func:`feasibility_timeline` runs one warm
+:class:`repro.flow.warmstart.ParametricMaxFlow` chain per trace:
 
 * **One arc universe.**  All snapshots are posed on a single
   :class:`~repro.flow.residual.FlowProblem` whose edge arcs cover every
   pair that is *ever* a link in the trace (two opposite unit arcs per
   pair), plus the usual ``(s*, v)`` / ``(v, d*)`` rate arcs.  A link
-  absent from a snapshot is an arc of capacity 0 — so "this link
-  appeared" is a monotone capacity increase, the only move the warm
-  engine supports.
-* **Block fork chains.**  Snapshots are grouped in blocks of ``block``;
-  each block cold-solves its link-set *intersection* (the core every
-  member shares) once, then answers each snapshot from an O(m)
-  :meth:`~repro.flow.warmstart.ParametricMaxFlow.fork` of that core
-  state by warm-raising only the snapshot's additions.  Link *removals*
-  never need a (forbidden) capacity decrease — a removed link is simply
-  not raised above the core.
-* **Cold fallback.**  A snapshot whose delta from the core exceeds
-  ``max_warm_delta`` pairs is solved cold — warm-starting from a nearly
-  empty residual saves nothing.
+  absent from a snapshot is an arc of capacity 0.
+* **Exact integers.**  The unit link capacity, the rate capacities and
+  the arrival are scaled once to a common denominator ``D``
+  (:func:`repro.numeric.try_scale`), so the chain runs on plain ints —
+  ``D = 1`` for integer rates.  When the magnitude guard declines, the
+  same chain runs on :class:`fractions.Fraction` with ``D = 1``, counted
+  in ``repro_core_fraction_fallbacks_total``.  Entries report values
+  unscaled, as exact Fractions.
+* **One chain.**  Snapshot 0 is the only cold solve.  Every later
+  snapshot repairs the one before it: the pairs that left close (both
+  arcs to 0), the pairs that joined open (both arcs to ``D``), all in one
+  :meth:`~repro.flow.warmstart.ParametricMaxFlow.set_arc_capacities`
+  step, which reroutes or cancels the flow of closed links and then
+  re-augments.
 
-Everything is exact :class:`fractions.Fraction` arithmetic, so the warm
-timeline equals the cold-solve-per-snapshot oracle
-(:func:`feasibility_timeline_cold`) *identically* — asserted by the
-differential test in ``tests/mobility/test_feasibility.py``.  The
-warm/cold split is exported through :mod:`repro.obs`
-(``repro_mobility_steps_total``, ``repro_mobility_solves_total{mode}``).
+The cold-solve-per-snapshot oracle (:func:`feasibility_timeline_cold`)
+runs on exact ``Fraction`` capacities, so the differential test in
+``tests/mobility/test_feasibility.py`` checks the integer scaling as well
+as the warm chain.  The warm/cold split is exported through
+:mod:`repro.obs` (``repro_mobility_steps_total``,
+``repro_mobility_solves_total{mode}``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.flow.maxflow import max_flow
 from repro.flow.residual import FlowProblem
 from repro.flow.warmstart import ParametricMaxFlow
 from repro.mobility.trace import MobilityTrace
+from repro.numeric import note_fraction_fallback, try_scale, unscale
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 
@@ -66,8 +70,8 @@ class TimelineEntry:
 
     t: int
     links: int                 # |link set| of the snapshot
-    delta: int                 # pairs raised above the block core (warm work)
-    mode: str                  # "warm" (fork + re-augment) or "cold"
+    delta: int                 # pairs changed since the previous snapshot
+    mode: str                  # "warm" (repair + re-augment) or "cold"
     max_flow_value: Fraction   # == arrival iff feasible (value never exceeds it)
     feasible: bool
 
@@ -147,34 +151,25 @@ class _UniverseProblem:
         self.n_star = n + 2
         self.tails = tails
         self.heads = heads
-        self._rate_caps = list(self.in_rates.values()) + list(self.out_rates.values())
+        self.rate_caps = list(self.in_rates.values()) + list(self.out_rates.values())
 
     def snapshot(self, s: int) -> np.ndarray:
         """Universe positions of snapshot ``s``'s links, ascending."""
         return self.links[self.offsets[s]:self.offsets[s + 1]]
 
-    def problem(self, present: np.ndarray) -> FlowProblem:
-        """The instance whose edge arcs carry capacity 1 on the ``present``
-        pairs (universe positions, or a mask over the universe) and 0
+    def problem(self, present: np.ndarray, unit, rate_caps) -> FlowProblem:
+        """The instance whose edge arcs carry capacity ``unit`` on the
+        ``present`` pairs (universe positions) and 0 (of ``unit``'s type)
         elsewhere."""
         mask = np.zeros(self.size, dtype=bool)
         mask[present] = True
-        caps = [_ONE if c else _ZERO for c in np.repeat(mask, 2).tolist()]
-        caps.extend(self._rate_caps)
+        zero = unit - unit
+        caps = [unit if c else zero for c in np.repeat(mask, 2).tolist()]
+        caps.extend(rate_caps)
         return FlowProblem(
             n=self.n_star, tails=self.tails, heads=self.heads,
             capacities=caps, source=self.s_star, sink=self.d_star,
         )
-
-    @staticmethod
-    def raise_updates(pairs: np.ndarray) -> dict[int, Fraction]:
-        """Arc-capacity updates opening universe ``pairs`` (both directions)
-        to 1."""
-        updates: dict[int, Fraction] = {}
-        for k in pairs.tolist():
-            updates[2 * k] = _ONE
-            updates[2 * k + 1] = _ONE
-        return updates
 
 
 def _note_solve(mode: str) -> None:
@@ -196,66 +191,52 @@ def feasibility_timeline(
     trace: MobilityTrace,
     in_rates: Mapping[int, object],
     out_rates: Mapping[int, object],
-    *,
-    algorithm: str = "dinic",
-    block: int = 8,
-    max_warm_delta: Optional[int] = 256,
 ) -> FeasibilityTimeline:
     """Incremental per-snapshot Definition-3 feasibility of a trace.
 
-    ``block`` snapshots share one cold core solve (their link-set
-    intersection); each is then answered from a fork of the core by
-    warm-raising its additions.  A snapshot more than ``max_warm_delta``
-    pairs away from the core is solved cold instead (``None`` disables
-    the fallback).  Exact arithmetic throughout — the result is
+    Snapshot 0 is cold-solved; each later snapshot is one warm step from
+    the previous one, closing the pairs that left and opening the pairs
+    that joined.  Exact arithmetic throughout — the result is
     entry-for-entry identical to :func:`feasibility_timeline_cold`.
     """
-    if block < 1:
-        raise SpecError(f"block must be >= 1, got {block}")
-    if max_warm_delta is not None and max_warm_delta < 0:
-        raise SpecError(f"max_warm_delta must be >= 0, got {max_warm_delta}")
     uni = _UniverseProblem(trace, in_rates, out_rates)
-    arrival = uni.arrival
+    batch = [_ONE, *uni.rate_caps, uni.arrival]
+    scaled = try_scale(batch)
+    if scaled is None:
+        note_fraction_fallback()
+        values, den = batch, 1
+    else:
+        values, den = scaled
+    unit, rate_caps, arrival_d = values[0], values[1:-1], values[-1]
     entries: list[TimelineEntry] = []
-    warm = cold = 0
-    with span("mobility.timeline", snapshots=len(trace), block=block):
-        for start in range(0, len(trace), block):
-            chunk = range(start, min(start + block, len(trace)))
-            # the core is the pairs every member links: the ones counted
-            # once per snapshot of the block
-            block_links = uni.links[uni.offsets[start]:uni.offsets[chunk.stop]]
-            in_core = np.bincount(block_links, minlength=uni.size) == len(chunk)
-            engine = ParametricMaxFlow(uni.problem(in_core), algorithm)
-            cold += 1
-            _note_solve("cold")
-            for s in chunk:
+    with span("mobility.timeline", snapshots=len(trace)):
+        links = uni.snapshot(0)
+        engine = ParametricMaxFlow(uni.problem(links, unit, rate_caps))
+        value, delta, mode = engine.value, len(links), "cold"
+        present = np.zeros(uni.size, dtype=bool)
+        present[links] = True
+        for s, t in enumerate(trace.times):
+            if s:
                 links = uni.snapshot(s)
-                extra = links[~in_core[links]]
-                if max_warm_delta is not None and len(extra) > max_warm_delta:
-                    value = max_flow(uni.problem(links), algorithm).value
-                    mode = "cold"
-                    cold += 1
-                elif len(extra):
-                    fork = engine.fork()
-                    value = fork.raise_arc_capacities(
-                        uni.raise_updates(extra), target_value=arrival
-                    )
-                    mode = "warm"
-                    warm += 1
-                else:
-                    # the snapshot *is* the core — the block solve answers it
-                    value = engine.value
-                    mode = "warm"
-                    warm += 1
-                _note_solve(mode)
-                entries.append(TimelineEntry(
-                    t=trace.times[s], links=len(links), delta=len(extra), mode=mode,
-                    max_flow_value=value, feasible=(value == arrival),
-                ))
+                now = np.zeros(uni.size, dtype=bool)
+                now[links] = True
+                changed = np.flatnonzero(now != present)
+                # a pair that left closes both its arcs, one that joined
+                # opens them; the engine repairs the flow of closed links
+                updates = {}
+                for k, on in zip(changed.tolist(), now[changed].tolist()):
+                    updates[2 * k] = updates[2 * k + 1] = unit if on else 0
+                value = engine.set_arc_capacities(updates, target_value=arrival_d)
+                delta, mode, present = len(changed), "warm", now
+            _note_solve(mode)
+            entries.append(TimelineEntry(
+                t=t, links=len(links), delta=delta, mode=mode,
+                max_flow_value=unscale(value, den), feasible=(value == arrival_d),
+            ))
     _note_steps(len(entries))
     return FeasibilityTimeline(
-        arrival=arrival, entries=tuple(entries),
-        warm_solves=warm, cold_solves=cold,
+        arrival=uni.arrival, entries=tuple(entries),
+        warm_solves=len(entries) - 1, cold_solves=1,
     )
 
 
@@ -263,20 +244,19 @@ def feasibility_timeline_cold(
     trace: MobilityTrace,
     in_rates: Mapping[int, object],
     out_rates: Mapping[int, object],
-    *,
-    algorithm: str = "dinic",
 ) -> FeasibilityTimeline:
     """The differential oracle: one independent cold solve per snapshot.
 
-    Same universe problem, same exact arithmetic, no residual reuse —
-    :func:`feasibility_timeline` must match it entry for entry.
+    Same universe problem, no residual reuse, and exact ``Fraction``
+    capacities instead of scaled integers — :func:`feasibility_timeline`
+    must match it entry for entry.
     """
     uni = _UniverseProblem(trace, in_rates, out_rates)
     arrival = uni.arrival
     entries: list[TimelineEntry] = []
     for s, t in enumerate(trace.times):
         links = uni.snapshot(s)
-        value = max_flow(uni.problem(links), algorithm).value
+        value = max_flow(uni.problem(links, _ONE, uni.rate_caps)).value
         _note_solve("cold")
         entries.append(TimelineEntry(
             t=t, links=len(links), delta=len(links), mode="cold",

@@ -25,7 +25,7 @@ Two consumers:
   (a wired backbone) are left untouched, so mobile radio links and static
   infrastructure compose.
 * :func:`repro.mobility.feasibility.feasibility_timeline` tracks the
-  feasible-flow question *through* the trace on warm-started flow chains.
+  feasible-flow question *through* the trace on one warm flow chain.
 """
 
 from __future__ import annotations

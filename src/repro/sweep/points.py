@@ -222,8 +222,7 @@ def mobility_point(params: dict, seed: int) -> dict:
     / ``orbit``), ``n``, ``radius``, ``speed`` (the model's motion knob:
     waypoint speed, virtual-force gain, orbit angular velocity),
     ``pause`` (waypoint only), ``steps``, ``snapshot_every``, ``in_rate``
-    / ``out_rate`` (node 0 injects, node n-1 extracts), ``block`` and
-    ``max_warm_delta`` (incremental-solver tuning).
+    / ``out_rate`` (node 0 injects, node n-1 extracts).
 
     The record carries the trace digest, so any two runs of the same grid
     cell are provably bit-identical.
@@ -240,8 +239,6 @@ def mobility_point(params: dict, seed: int) -> dict:
     every = _param(params, "snapshot_every", int, lambda: 1)
     in_rate = _param(params, "in_rate", int, lambda: 1)
     out_rate = _param(params, "out_rate", int, lambda: 2)
-    block = _param(params, "block", int, lambda: 8)
-    max_warm_delta = _param(params, "max_warm_delta", int, lambda: 256)
 
     if model_name == "waypoint":
         model = model_by_name("waypoint", speed=speed, pause=pause)
@@ -254,10 +251,7 @@ def mobility_point(params: dict, seed: int) -> dict:
         model, n, radius=radius, steps=steps, snapshot_every=every,
         seed=derive_seed(seed, "trace"),
     )
-    tl = feasibility_timeline(
-        trace, {0: in_rate}, {trace.n - 1: out_rate},
-        block=block, max_warm_delta=max_warm_delta,
-    )
+    tl = feasibility_timeline(trace, {0: in_rate}, {trace.n - 1: out_rate})
     first_bad = tl.first_infeasible()
     return {
         "model": model_name,

@@ -1,11 +1,11 @@
 """Differential correctness of the parametric warm-start engine.
 
-The load-bearing property: after any monotone schedule of capacity
-increases, the warm engine must be *indistinguishable* from a cold solve
-of the final problem — same exact-Fraction flow value, same canonical min
-cut, same cut kind, same uniqueness verdict — for every registered
-algorithm.  Hypothesis drives random problems through random schedules
-and compares at every step, not just the last.
+The load-bearing property: after any schedule of capacity changes — up,
+down, or to 0 — the warm engine must be *indistinguishable* from a cold
+solve of the current problem — same exact-Fraction flow value, same
+canonical min cut, same cut kind, same uniqueness verdict — for every
+registered algorithm.  Hypothesis drives random problems through random
+schedules and compares at every step, not just the last.
 """
 
 from fractions import Fraction
@@ -21,70 +21,83 @@ from repro.flow import (
     ALGORITHMS,
     FlowProblem,
     ParametricMaxFlow,
+    classify_cut,
     classify_network,
     is_unique_min_cut,
     min_cut,
     source_arc_updates,
 )
+from repro.flow.dinic import augment_residual
 from repro.flow.feasibility import classify_network_cold
 from repro.flow.maxflow import max_flow
+from repro.flow.residual import Residual
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.obs.metrics import get_registry
 
 
+def _cap(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 4)))
+
+
 @st.composite
 def problems_with_schedules(draw):
-    """A Fraction-capacity FlowProblem plus a monotone capacity schedule."""
+    """A Fraction-capacity FlowProblem plus a mixed capacity schedule.
+
+    Besides random arcs, every problem has an arc out of the source, one
+    into the sink, one into the source, one out of the sink, a self-loop
+    and a parallel twin of the source arc.  Every step sets one of those
+    and a few random arcs to any capacity >= 0: up, down, or to 0.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(3, 9))
-    m = draw(st.integers(2, 16))
-    tails = [int(rng.integers(0, n)) for _ in range(m)]
-    heads = [int(rng.integers(0, n)) for _ in range(m)]
-    # keep at least one s->? and ?->t arc so flows are usually nonzero
-    tails[0], heads[-1] = 0, n - 1
-    caps = [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 4)))
-            for _ in range(m)]
-    problem = FlowProblem(n=n, tails=tails, heads=heads, capacities=caps,
-                          source=0, sink=n - 1)
+    s, t = 0, n - 1
+    k = draw(st.integers(0, 10))
+    tails = [int(rng.integers(0, n)) for _ in range(k)]
+    heads = [int(rng.integers(0, n)) for _ in range(k)]
+    w = int(rng.integers(0, n))
+    special = list(range(k, k + 6))
+    # s -> x, x -> t, y -> s, t -> z, w -> w, and a twin of s -> x
+    x, y, z = (int(v) for v in rng.integers(1, n, size=3))
+    tails += [s, x, y, t, w, s]
+    heads += [x, t, s, z, w, x]
+    m = len(tails)
+    problem = FlowProblem(n=n, tails=tails, heads=heads,
+                          capacities=[_cap(rng) for _ in range(m)],
+                          source=s, sink=t)
     steps = []
-    for _ in range(draw(st.integers(1, 4))):
-        arcs = rng.choice(m, size=int(rng.integers(1, min(m, 5) + 1)),
-                          replace=False)
-        steps.append({int(j): Fraction(int(rng.integers(1, 7)),
-                                       int(rng.integers(1, 4)))
-                      for j in arcs})
+    for _ in range(draw(st.integers(1, 5))):
+        arcs = {special[int(rng.integers(0, 6))]}
+        arcs.update(int(j) for j in rng.choice(m, size=int(rng.integers(0, 4)),
+                                               replace=False))
+        steps.append({j: _cap(rng) for j in sorted(arcs)})
     return problem, steps
 
 
-def _advance_caps(caps, increments):
-    out = list(caps)
-    for j, delta in increments.items():
-        out[j] = out[j] + delta
-    return out
+def _with_caps(problem, caps):
+    return FlowProblem(n=problem.n, tails=problem.tails, heads=problem.heads,
+                       capacities=list(caps), source=problem.source,
+                       sink=problem.sink)
 
 
 class TestDifferentialSchedules:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @given(case=problems_with_schedules())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_every_step_matches_cold_solve(self, algorithm, case):
         problem, steps = case
         engine = ParametricMaxFlow(problem, algorithm)
         caps = list(problem.capacities)
-        for increments in steps:
-            caps = _advance_caps(caps, increments)
-            engine.raise_arc_capacities(
-                {j: caps[j] for j in increments}
-            )
-            cold_problem = FlowProblem(
-                n=problem.n, tails=problem.tails, heads=problem.heads,
-                capacities=caps, source=problem.source, sink=problem.sink,
-            )
-            cold = max_flow(cold_problem, algorithm)
+        for updates in steps:
+            caps = [updates.get(j, c) for j, c in enumerate(caps)]
+            engine.set_arc_capacities(updates)
+            cold = max_flow(_with_caps(problem, caps), algorithm)
             warm = engine.result
             # exact Fraction equality, no tolerance
-            assert warm.value == cold.value
+            assert warm.value == cold.value == engine.value
+            assert list(warm.problem.capacities) == caps
             warm.check()  # capacity + conservation on the warm residual
             # the canonical (source-side-reachability) min cut is an
             # invariant of the problem, not of which max flow was found
@@ -92,6 +105,7 @@ class TestDifferentialSchedules:
             assert wc.capacity == cc.capacity
             assert list(wc.arcs) == list(cc.arcs)
             assert list(np.nonzero(wc.side)[0]) == list(np.nonzero(cc.side)[0])
+            assert classify_cut(wc, warm.problem) == classify_cut(cc, cold.problem)
             assert is_unique_min_cut(warm) == is_unique_min_cut(cold)
 
 
@@ -142,35 +156,90 @@ class TestEngineBasics:
         with pytest.raises(FlowError, match="unknown algorithm"):
             ParametricMaxFlow(self._problem(), "simplex")
 
-    def test_capacity_decrease_rejected(self):
-        engine = ParametricMaxFlow(self._problem())
-        with pytest.raises(FlowError, match="must not decrease"):
-            engine.raise_arc_capacities({0: Fraction(1)})
-
     def test_arc_index_out_of_range(self):
         engine = ParametricMaxFlow(self._problem())
         with pytest.raises(FlowError, match="out of range"):
-            engine.raise_arc_capacities({9: Fraction(5)})
+            engine.set_arc_capacities({9: Fraction(5)})
+
+    def test_negative_capacity_rejected(self):
+        engine = ParametricMaxFlow(self._problem())
+        with pytest.raises(FlowError, match="negative capacity"):
+            engine.set_arc_capacities({0: Fraction(5), 1: Fraction(-1)})
+        # validation runs before any update, so the engine is untouched
+        assert engine.value == Fraction(4)
+        assert list(engine.problem.capacities) == [Fraction(2)] * 4
+        engine.result.check()
 
     def test_noop_step_keeps_value(self):
         engine = ParametricMaxFlow(self._problem())
         before = engine.value
-        assert engine.raise_arc_capacities({0: Fraction(2)}) == before
+        assert engine.set_arc_capacities({0: Fraction(2)}) == before
+
+    def test_lowering_reroutes_excess(self):
+        # s=0 -> a=1 -> b=2 -> t=3 carries all 2 units; the detour
+        # a -> c=4 -> b takes the unit cut from a -> b, value unchanged
+        problem = FlowProblem(
+            n=5, tails=(0, 1, 2, 1, 4), heads=(1, 2, 3, 4, 2),
+            capacities=(2, 2, 2, 2, 2), source=0, sink=3,
+        )
+        engine = ParametricMaxFlow(problem)
+        assert engine.result.flows == (2, 2, 2, 0, 0)
+        assert engine.set_arc_capacities({1: 1}) == 2
+        assert engine.result.flows == (2, 1, 2, 1, 1)
+        engine.result.check()
+
+    def test_lowering_cancels_excess_on_a_single_path(self):
+        # one path s=0 -> a=1 -> b=2 -> t=3: nothing can reroute, so the
+        # 2 units cut from a -> b are cancelled back to s and from t
+        problem = FlowProblem(
+            n=4, tails=(0, 1, 2), heads=(1, 2, 3),
+            capacities=(3, 3, 3), source=0, sink=3,
+        )
+        engine = ParametricMaxFlow(problem)
+        assert engine.set_arc_capacities({1: 1}) == 1
+        assert engine.result.flows == (1, 1, 1)
+        engine.result.check()
+        # and back up: the raise re-augments to the full path again
+        assert engine.set_arc_capacities({1: 3}) == 3
 
     def test_fork_isolates_state(self):
         engine = ParametricMaxFlow(self._problem())
         fork = engine.fork()
         # 0->1 and 1->3 raised to 5: that path carries 5, 0->2->3 still 2
-        fork.raise_arc_capacities({0: Fraction(5), 2: Fraction(5)})
+        fork.set_arc_capacities({0: Fraction(5), 2: Fraction(5)})
         assert fork.value == Fraction(7)
         assert engine.value == Fraction(4)
         engine.result.check()
         fork.result.check()
 
+    def test_lowering_on_a_fork_leaves_parent_unchanged(self):
+        engine = ParametricMaxFlow(self._problem())
+        flows = engine.result.flows
+        fork = engine.fork()
+        # cut 0->1 below its flow and close 2->3: the fork cancels both paths
+        assert fork.set_arc_capacities({0: Fraction(1), 3: Fraction(0)}) == 1
+        fork.result.check()
+        assert engine.value == Fraction(4)
+        assert engine.result.flows == flows
+        assert list(engine.problem.capacities) == [Fraction(2)] * 4
+        engine.result.check()
+
     def test_problem_property_tracks_capacities(self):
         engine = ParametricMaxFlow(self._problem())
-        engine.raise_arc_capacities({0: Fraction(7)})
+        engine.set_arc_capacities({0: Fraction(7), 3: Fraction(1)})
         assert engine.problem.capacities[0] == Fraction(7)
+        assert engine.problem.capacities[3] == Fraction(1)
+
+    def test_augment_target_gain_is_a_hard_cap(self):
+        # 0 -> 1 -> 2 with capacity 5; between interior endpoints and
+        # capped at 2, exactly 2 units move
+        problem = FlowProblem(n=4, tails=(0, 1, 2), heads=(1, 2, 3),
+                              capacities=(5, 5, 5), source=0, sink=3)
+        res = Residual(problem)
+        gained, _, augmentations, pushes = augment_residual(
+            res, source=0, sink=2, target_gain=2)
+        assert (gained, augmentations, pushes) == (2, 1, 2)
+        assert res.flows() == [2, 2, 0]
 
     def test_source_arc_updates_maps_nodes_to_arcs(self):
         g = gen.random_gnp(6, 0.5, seed=3, ensure_connected=True)
