@@ -18,11 +18,11 @@ implements, from scratch:
   place: lowered arcs have their flow repaired (rerouted, or cancelled
   back to the terminals), then the residual is re-augmented
   (Dinic-on-residual or warm push-relabel),
-* :mod:`~repro.flow.parametric` — the Gallo–Grigoriadis–Tarjan breakpoint
-  envelope: the exact critical scalar λ* and the full piecewise-linear
-  min-cut envelope along a ray in rate space, one cold solve per ray,
-* :mod:`~repro.flow.feasibility` — Definitions 3–4: feasible, unsaturated,
-  saturated; the exact ε margin via the envelope; ``f*`` — all warm,
+* :mod:`~repro.flow.parametric` — the one parametric ladder (scaled
+  integers; one cold solve per ray, every other λ a warm fork) and the
+  Gallo–Grigoriadis–Tarjan breakpoint envelope on it, with the exact λ*,
+* :mod:`~repro.flow.feasibility` — Definitions 3–4 and ``f*`` as three
+  rungs of that ladder; the exact ε margin via the envelope,
 * :mod:`~repro.flow.decomposition` — flow → path decomposition, used by the
   maximum-flow routing baseline (the ``E_t^Φ`` of the proofs).
 """

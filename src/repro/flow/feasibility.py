@@ -19,7 +19,7 @@ Everything here consumes an :class:`~repro.graphs.extended.ExtendedGraph`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -29,10 +29,9 @@ import numpy as np
 from repro.errors import FlowError
 from repro.flow.maxflow import max_flow
 from repro.flow.mincut import CutKind, MinCut, classify_cut, is_unique_min_cut, min_cut
-from repro.flow.parametric import BreakpointEnvelope, breakpoint_envelope
+from repro.flow.parametric import BreakpointEnvelope, _Ladder, breakpoint_envelope
 from repro.flow.residual import FlowProblem, FlowResult
-from repro.flow.warmstart import ParametricMaxFlow, source_arc_updates
-from repro.numeric import common_denominator, note_fraction_fallback, try_scale, unscale
+from repro.numeric import common_denominator
 from repro.obs.spans import span
 
 __all__ = [
@@ -83,14 +82,7 @@ class FeasibilityReport:
 def _exact_problem(ext, *, source_cap_override=None) -> FlowProblem:
     """Build a FlowProblem with all capacities coerced to Fractions."""
     p = FlowProblem.from_extended(ext, source_cap_override=source_cap_override)
-    return FlowProblem(
-        n=p.n,
-        tails=p.tails,
-        heads=p.heads,
-        capacities=[Fraction(c) if not isinstance(c, Fraction) else c for c in p.capacities],
-        source=p.source,
-        sink=p.sink,
-    )
+    return replace(p, capacities=[Fraction(c) for c in p.capacities])
 
 
 def feasible_flow(ext, algorithm: str = "dinic") -> FlowResult:
@@ -138,85 +130,43 @@ def certification_epsilon(ext) -> Fraction:
 def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
     """Full Definitions 3–4 classification of an extended graph ``G*``.
 
-    One *cold* max-flow solve, then one shared warm-start chain
-    (:class:`~repro.flow.warmstart.ParametricMaxFlow`): the ε-scaled
-    certification probe and the ``f*`` relaxation only *raise* the virtual
-    ``(s*, v)`` capacities, so each is an incremental re-augmentation of
-    the base solve's residual rather than a solve from scratch.  The
-    verdicts are bit-identical to :func:`classify_network_cold` (asserted
-    by the differential matrix in ``tests/flow/test_warmstart.py``).
-
-    Every capacity of ``G*``, the ε-scaled source capacities, the ``f*``
-    relaxation bound and the verdict thresholds are scaled by one common
-    denominator ``D`` (:func:`repro.numeric.try_scale`).  Scaling by a
-    positive constant preserves order, sign and positivity, so the solver
-    chain takes *bit-identical* decisions — same residual structure, same
-    min-cut arcs, same uniqueness — while running gcd-free machine-int
-    arithmetic instead of ``Fraction``.  Report values are unscaled via
-    exact ``Fraction(x, D)`` at the end.  When the denominator or a scaled
-    magnitude outgrows the guard, the same chain runs on the ``Fraction``
-    values with ``D = 1`` (recorded in
-    ``repro_core_fraction_fallbacks_total``).
+    Three reads of one parametric ladder along the nominal injection ray
+    (:mod:`repro.flow.parametric`), after its one cold solve at λ = 0.
+    ``λ = 1`` gives the max-flow value and the min-cut facts: they depend
+    only on residual reachability, the same for every maximum flow, so
+    they equal :func:`classify_network_cold`'s.  ``λ = 1 + ε``
+    (:func:`certification_epsilon`) gives the Definition 4 verdict of a
+    feasible network, and the plateau ``λ`` gives ``f*``.  The rungs run
+    on scaled integers, or on exact ``Fraction`` past the magnitude guard
+    (recorded in ``repro_core_fraction_fallbacks_total``).
     """
     with span("flow.classify", algorithm=algorithm) as sp:
         arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
         eps = certification_epsilon(ext)
-        big = sum((Fraction(r) for r in ext.out_rates.values()), start=Fraction(0)) + 1
-        p = FlowProblem.from_extended(ext)
-        m = p.num_arcs
-        src_nodes = list(ext.in_rates)
+        ladder = _Ladder(ext, ext.in_rates, algorithm)
+        nominal = ladder.rung(Fraction(1))
+        result = nominal.engine.result
+        cut = min_cut(result)
+        kind = classify_cut(cut, result.problem)
+        unique = is_unique_min_cut(result)
+        # by duality the cut's capacity is v(1), which leaves the ladder exact
+        cut = MinCut(side=cut.side, arcs=cut.arcs, capacity=nominal.value)
 
-        batch: list = [Fraction(c) for c in p.capacities]
-        batch.extend((1 + eps) * Fraction(ext.in_rates[v]) for v in src_nodes)
-        batch.extend((big, arrival, (1 + eps) * arrival))
-        scaled = try_scale(batch)
-        sp.set("fastpath", scaled is not None)
-        if scaled is None:
-            note_fraction_fallback()
-            values, den = batch, 1
-        else:
-            values, den = scaled
-        probe_caps = dict(zip(src_nodes, values[m : m + len(src_nodes)]))
-        big_d, arrival_d, target_d = values[m + len(src_nodes) :]
-        engine = ParametricMaxFlow(
-            FlowProblem._trusted(
-                n=p.n, tails=p.tails, heads=p.heads,
-                capacities=values[:m], source=p.source, sink=p.sink,
-            ),
-            algorithm,
-        )
-        base = engine.result
-        base_value = base.value
-        # cut facts snapshot the base residual — extract before advancing
-        cut = min_cut(base)
-        kind = classify_cut(cut, base.problem)
-        unique = is_unique_min_cut(base)
-        cut = MinCut(side=cut.side, arcs=cut.arcs, capacity=unscale(cut.capacity, den))
-
-        if base_value < arrival_d:
+        if nominal.value < arrival:
             network_class = NetworkClass.INFEASIBLE
+        elif ladder.rung(1 + eps).value == (1 + eps) * arrival:
+            network_class = NetworkClass.UNSATURATED
         else:
-            # (1+ε)·arrival is the total source-arc capacity — a certificate
-            # that lets the warm step stop the moment the probe saturates
-            scaled_value = engine.set_arc_capacities(
-                source_arc_updates(ext, probe_caps), target_value=target_d
-            )
-            network_class = (NetworkClass.UNSATURATED if scaled_value == target_d
-                             else NetworkClass.SATURATED)
-        # f*: every source arc up to `big`, keeping the larger cap where the
-        # probe already raised an arc past it: no flow reaches `big`, so
-        # both caps give the same f*, and lowering would only cost a repair
-        current = engine.problem.capacities
-        fs = engine.set_arc_capacities({
-            j: c if c > current[j] else current[j]
-            for j, c in source_arc_updates(ext, {v: big_d for v in src_nodes}).items()
-        })
+            network_class = NetworkClass.SATURATED
+        plateau = ladder.rung(ladder.lam_end)
+        # every rung of this ladder is the base or one classify read
+        sp.set("fastpath", not ladder.fell_back)
 
         return FeasibilityReport(
             network_class=network_class,
             arrival_rate=arrival,
-            max_flow_value=unscale(base_value, den),
-            f_star=unscale(fs, den),
+            max_flow_value=nominal.value,
+            f_star=plateau.value,
             certified_epsilon=eps if network_class is NetworkClass.UNSATURATED else None,
             min_cut=cut,
             cut_kind=kind,
@@ -315,7 +265,7 @@ def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024), algo
         if hi > 2**20:  # pathological: essentially unbounded slack
             return lo
     while hi - lo > tol:
-        mid = (lo + hi) / 2
+        mid = Fraction(lo + hi, 2)
         if feasible_at(mid):
             lo = mid
         else:
@@ -368,10 +318,10 @@ def classify_region(ext, algorithm: str = "dinic", *,
     The verdict is a pure function of the exact critical scalar: λ* > 1
     means unsaturated (positive slack), λ* = 1 saturated (feasible at the
     nominal rates — the feasible set along a ray is closed — but with
-    zero slack), λ* < 1 infeasible.  This replaces the 2-cold-solve +
-    ε-probe pipeline of :func:`classify_network` with exactly one cold
-    solve (the trivial λ = 0 base) plus a handful of warm probes, and the
-    reported ``lambda_star``/``margin`` are exact Fractions.
+    zero slack), λ* < 1 infeasible.  The envelope runs on the same ladder
+    as :func:`classify_network` (one cold solve, the trivial λ = 0 base,
+    then warm probes) but resolves all of it, so ``lambda_star`` and
+    ``margin`` are exact Fractions.
 
     Pass a precomputed ``envelope`` (along the nominal injection ray) to
     skip the solve entirely, e.g. from the feasibility cache.

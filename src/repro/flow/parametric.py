@@ -1,4 +1,4 @@
-"""GGT-style breakpoint envelope of the parametric feasibility flow.
+"""The flow stack's one parametric chain, and the breakpoint envelope on it.
 
 The feasibility question behind every stability verdict is parametric:
 scale the source-arc capacities along a *ray* ``λ · d(v)`` (``d`` a
@@ -9,24 +9,21 @@ the full scaled injection.  Max-flow/min-cut duality makes the value
     v(λ) = min over cuts C of [ λ · inCross_d(C) + rest(C) ]
 
 a minimum of finitely many lines — concave, piecewise linear, with at
-most ``n − 2`` breakpoints (Gallo–Grigoriadis–Tarjan).  This module
-computes the *entire* envelope exactly, by Eisner–Severance divide and
-conquer over the existing :class:`~repro.flow.warmstart.ParametricMaxFlow`
-fork/re-augment machinery: one cold solve at ``λ = 0`` (trivial — every
-source arc is closed), then every probe is a warm re-augmentation forked
-from the nearest smaller ``λ`` already solved, so every step along a fork
-chain only raises capacities.
-
-The payoff is the exact critical scalar
+most ``n − 2`` breakpoints (Gallo–Grigoriadis–Tarjan).  Every reading of
+it comes from one ladder of warm
+:class:`~repro.flow.warmstart.ParametricMaxFlow` engines on scaled
+integers: one cold solve at ``λ = 0`` (trivial — every source arc is
+closed), then every new ``λ`` forks the nearest smaller one.
+:func:`~repro.flow.feasibility.classify_network` reads three rungs;
+:func:`breakpoint_envelope` resolves the entire envelope by
+Eisner–Severance divide and conquer, for the exact critical scalar
 
     λ* = sup { λ ≥ 0 : v(λ) = λ · Σd }
 
 as a :class:`~fractions.Fraction` — the feasibility frontier along the
 ray — instead of a bisection bracket.  ``max_unsaturation_margin`` and
-the region experiments ride on it; the PR 5 warm bracket/bisection
-twins survive as differential oracles.
-
-Every quantity here is a ``Fraction``; no floats enter.
+the region experiments ride on it; the cold bisection
+``max_unsaturation_margin_cold`` is its oracle.  No floats enter.
 """
 
 from __future__ import annotations
@@ -34,11 +31,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from math import lcm
+from typing import Mapping, NamedTuple, Optional
 
-from repro.flow.residual import FlowError, FlowProblem
-from repro.flow.warmstart import ParametricMaxFlow
-from repro.graphs.extended import ArcKind, ExtendedGraph
+import numpy as np
+
+from repro.flow.residual import FlowError, FlowProblem, Number
+from repro.flow.warmstart import ParametricMaxFlow, source_arc_updates
+from repro.graphs.extended import ExtendedGraph
+from repro.numeric import INT_SCALE_LIMIT, note_fraction_fallback, try_scale
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 
@@ -119,21 +120,6 @@ class BreakpointEnvelope:
         return 0 <= lam <= self.lambda_star
 
 
-def _exact_problem_at_zero(ext: ExtendedGraph) -> FlowProblem:
-    """The λ = 0 instance: every parametric source arc closed, exact caps."""
-    override = {v: Fraction(0) for v in ext.in_rates}
-    p = FlowProblem.from_extended(ext, source_cap_override=override)
-    return FlowProblem._trusted(
-        n=p.n,
-        tails=p.tails,
-        heads=p.heads,
-        capacities=[Fraction(c) if not isinstance(c, Fraction) else c
-                    for c in p.capacities],
-        source=p.source,
-        sink=p.sink,
-    )
-
-
 def _normalize_direction(ext: ExtendedGraph, direction) -> dict[int, Fraction]:
     """Validate a ray and coerce it to ``{node: Fraction d(v) > 0}``."""
     if direction is None:
@@ -159,54 +145,104 @@ def _normalize_direction(ext: ExtendedGraph, direction) -> dict[int, Fraction]:
     return out
 
 
-class _Ladder:
-    """Warm-engine bank: solved λ values with their engines, sorted.
+class _Rung(NamedTuple):
+    """A solved λ: its engine runs at ``scale`` × the true capacities
+    (``None``: the rung left the integer path and runs on ``Fraction``)."""
 
-    ``probe(λ)`` forks the engine at the largest solved ``λ' ≤ λ`` and
-    re-augments the parametric arcs up to ``λ · d``.  The engine could
-    also lower them from a rung above, but forking from below makes every
-    :meth:`ParametricMaxFlow.set_arc_capacities` step a pure raise, with
-    no flow to repair.  Exactly one cold solve happens in ``__init__``
-    (the trivial λ = 0 instance).
+    engine: ParametricMaxFlow
+    scale: Optional[int]
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.engine.value, self.scale or 1)
+
+
+class _Ladder:
+    """Solved λ values (rungs) along one ray, each with its warm engine.
+
+    The one cold solve is the λ = 0 base.  :meth:`rung` forks the engine of
+    the largest solved ``λ' ≤ λ`` and raises the parametric arcs to
+    ``λ · d``, a pure raise with no flow to repair.  With ``D`` the common
+    denominator of the fixed capacities and the ray, a rung at ``λ = p/q``
+    runs at a scale ``S``, a multiple of ``D·q``: the fork of a parent at
+    ``S'`` is first multiplied by ``lcm(S', D·q) / S'``.  A rung whose
+    scale or capacities would pass ``INT_SCALE_LIMIT`` leaves for exact
+    ``Fraction`` with its forks; the ladder counts one fallback in all.
     """
 
-    def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Fraction],
+    def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Number],
                  algorithm: str) -> None:
-        problem = _exact_problem_at_zero(ext)
-        base = ParametricMaxFlow(problem, algorithm)
-        self._param_arcs: dict[int, Fraction] = {}
-        for j, kind in enumerate(ext.kinds):
-            if kind is ArcKind.SOURCE:
-                d = direction.get(int(ext.refs[j]))
-                if d is not None:
-                    self._param_arcs[j] = d
-        # Fixed capacities come from the λ=0 instance, not the extended
-        # graph: injection nodes outside the direction support have their
-        # source arcs pinned to 0 there, and that 0 is what any cut pays.
-        self._fixed_caps = tuple(problem.capacities)
-        self._lams: list[Fraction] = [Fraction(0)]
-        self._engines: list[ParametricMaxFlow] = [base]
+        # λ = 0: injection nodes outside the ray keep their source arcs
+        # closed for every λ, so 0 is their fixed capacity
+        problem = FlowProblem.from_extended(
+            ext, source_cap_override=dict.fromkeys(ext.in_rates, 0))
+        self._tails, self._heads = problem.tails, problem.heads
+        ray = {j: Fraction(d) for j, d in
+               source_arc_updates(ext, direction).items() if d}
+        # beyond λ_end every parametric arc carries more than any flow can
+        # (total sink capacity + 1), so v(λ_end) is the plateau value f*
+        self.lam_end = (Fraction(sum(map(Fraction, ext.out_rates.values())) + 1,
+                                 min(ray.values())) if ray else Fraction(0))
         self.probes = 0
-        self.warm_steps = 0
+        batch = [*problem.capacities, *ray.values()]
+        scaled = try_scale(batch)
+        self.fell_back = scaled is None
+        if scaled is None:
+            note_fraction_fallback()
+            scaled = ([Fraction(c) for c in batch], None)
+        values, scale = scaled
+        # fixed capacities and ray rates, both times D (D = 1 on Fraction)
+        self._den = scale or 1
+        self._fixed, rates = values[:problem.num_arcs], values[problem.num_arcs:]
+        self._rates = dict(zip(ray, rates))
+        self._max_fixed = max(self._fixed, default=0)
+        self._max_rate = max(rates, default=0)
+        base = ParametricMaxFlow(FlowProblem._trusted(
+            n=problem.n, tails=problem.tails, heads=problem.heads,
+            capacities=self._fixed, source=problem.source, sink=problem.sink,
+        ), algorithm)
+        self._lams: list[Fraction] = [Fraction(0)]
+        self._rungs: list[_Rung] = [_Rung(base, scale)]
+
+    def rung(self, lam: Fraction) -> _Rung:
+        """The rung at ``lam``, solved by a warm fork if it is new."""
+        i = bisect_right(self._lams, lam) - 1
+        if self._lams[i] == lam or not self._rates:
+            return self._rungs[i]
+        parent = self._rungs[i]
+        engine = parent.engine.fork()
+        scale = parent.scale
+        if scale is not None:
+            dq = self._den * lam.denominator
+            scale = lcm(scale, dq)
+            unit = scale // dq * lam.numerator
+            if max(scale, self._max_fixed * (scale // self._den),
+                   unit * self._max_rate) > INT_SCALE_LIMIT:
+                # past the guard: this rung and its forks run on Fraction
+                engine.scale(Fraction(1, parent.scale))
+                if not self.fell_back:
+                    note_fraction_fallback()
+                self.fell_back, scale = True, None
+            elif scale != parent.scale:
+                engine.scale(scale // parent.scale)
+        if scale is None:
+            caps = {j: Fraction(lam * r, self._den) for j, r in self._rates.items()}
+        else:
+            caps = {j: unit * r for j, r in self._rates.items()}
+        engine.set_arc_capacities(caps)
+        self.probes += 1
+        rung = _Rung(engine, scale)
+        self._lams.insert(i + 1, lam)
+        self._rungs.insert(i + 1, rung)
+        return rung
 
     def probe(self, lam: Fraction) -> tuple[Fraction, tuple[int, ...]]:
         """Exact v(lam) plus the min-side cut mask (node tuple)."""
-        i = bisect_right(self._lams, lam) - 1
-        if self._lams[i] == lam:
-            engine = self._engines[i]
-        else:
-            engine = self._engines[i].fork()
-            updates = {j: lam * d for j, d in self._param_arcs.items()}
-            engine.set_arc_capacities(updates)
-            self.warm_steps += 1
-            self._lams.insert(i + 1, lam)
-            self._engines.insert(i + 1, engine)
-            self.probes += 1
-        mask = engine.result.source_side()
-        side = tuple(int(v) for v in range(engine.problem.n) if mask[v])
-        return engine.value, side
+        rung = self.rung(lam)
+        mask = rung.engine.result.source_side()
+        return rung.value, tuple(np.flatnonzero(mask).tolist())
 
-    def line_of(self, side: tuple[int, ...], ext: ExtendedGraph,
+    def line_of(self, side: tuple[int, ...],
                 ) -> tuple[Fraction, Fraction, tuple[int, ...]]:
         """(slope, intercept, crossing arcs) of the cut named by ``side``.
 
@@ -215,21 +251,13 @@ class _Ladder:
         zero-capacity arcs and so would lose every parametric arc at λ = 0.
         """
         in_side = set(side)
-        slope = Fraction(0)
-        intercept = Fraction(0)
-        crossing: list[int] = []
-        for j in range(len(ext.tails)):
-            if int(ext.tails[j]) in in_side and int(ext.heads[j]) not in in_side:
-                d = self._param_arcs.get(j)
-                if d is not None:
-                    slope += d
-                    crossing.append(j)
-                else:
-                    cap = self._fixed_caps[j]
-                    if cap > 0:
-                        intercept += cap
-                        crossing.append(j)
-        return slope, intercept, tuple(crossing)
+        rates, fixed = self._rates, self._fixed
+        crossing = tuple(j for j, (u, v) in enumerate(zip(self._tails, self._heads))
+                         if u in in_side and v not in in_side
+                         and (j in rates or fixed[j] > 0))
+        slope = sum(rates.get(j, 0) for j in crossing)
+        intercept = sum(fixed[j] for j in crossing if j not in rates)
+        return Fraction(slope, self._den), Fraction(intercept, self._den), crossing
 
 
 def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
@@ -254,19 +282,16 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         # line itself: v ≥ 0 = λ·Σd at the origin with slope Σd.
         v0, side0 = ladder.probe(Fraction(0))
         assert v0 == 0, "λ=0 instance must have zero max flow"
-        line0 = ladder.line_of(side0, ext)
+        line0 = ladder.line_of(side0)
         assert line0[0] == arrival_slope and line0[1] == 0, (
             "cut at λ=0 must be the demand line", line0)
 
         # Tangent on the plateau: beyond λ_end every parametric arc's
-        # capacity exceeds any possible flow (total fixed sink capacity
-        # + 1), so the binding cut excludes all of them — slope 0.
-        total_out = sum((Fraction(r) for r in ext.out_rates.values()),
-                        start=Fraction(0))
-        d_min = min(direction.values())
-        lam_end = (total_out + 1) / d_min
+        # capacity exceeds any possible flow, so the binding cut excludes
+        # all of them — slope 0.
+        lam_end = ladder.lam_end
         v_end, side_end = ladder.probe(lam_end)
-        line_end = ladder.line_of(side_end, ext)
+        line_end = ladder.line_of(side_end)
         if line_end[0] != 0:
             raise FlowError(
                 f"plateau cut still crosses parametric arcs at λ={lam_end}"
@@ -295,7 +320,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
                 # touching on one interval unless they coincide).
                 emit(lo, hi, line_lo, side_lo)
                 return
-            lam_x = (line_hi[1] - line_lo[1]) / (line_lo[0] - line_hi[0])
+            lam_x = Fraction(line_hi[1] - line_lo[1], line_lo[0] - line_hi[0])
             if lam_x == lo:
                 emit(lo, hi, line_hi, side_hi)
                 return
@@ -307,7 +332,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
                 emit(lo, lam_x, line_lo, side_lo)
                 emit(lam_x, hi, line_hi, side_hi)
                 return
-            line_x = ladder.line_of(side_x, ext)
+            line_x = ladder.line_of(side_x)
             assert line_x[0] * lam_x + line_x[1] == v_x, "cut does not certify probe"
             refine(lo, line_lo, side_lo, lam_x, line_x, side_x)
             refine(lam_x, line_x, side_x, hi, line_hi, side_hi)
@@ -337,7 +362,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         # plateau has slope 0 < Σd, so the minimum is over a non-empty set
         # and λ* is always finite.
         lambda_star = min(
-            seg.intercept / (arrival_slope - seg.slope)
+            Fraction(seg.intercept, arrival_slope - seg.slope)
             for seg in segments if seg.slope < arrival_slope
         )
 
@@ -359,7 +384,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         algorithm=algorithm,
         cold_solves=1,
         probes=ladder.probes,
-        warm_steps=ladder.warm_steps,
+        warm_steps=ladder.probes,
     )
 
 

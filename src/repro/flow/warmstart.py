@@ -1,13 +1,13 @@
 """Warm-started parametric max-flow over capacity changes in both directions.
 
 The flow stack keeps solving the *same* network while only some arc
-capacities move: the feasibility stack (Definitions 3–4) raises the
-virtual ``(s*, v)`` arcs of ``G*`` for the ε-scaled certification probe,
-the ``f*`` relaxation and every envelope probe, and the mobility timeline
-opens and closes link arcs from one snapshot to the next.  Solving each
-from scratch repeats all the flow work; this module solves the first
-problem once (the only *cold* solve) and repairs the flow in place for
-every later capacity vector:
+capacities move: every rung of the parametric ladder
+(:mod:`repro.flow.parametric`, behind classify and the envelope) raises
+the virtual ``(s*, v)`` arcs of ``G*``, and the mobility timeline opens
+and closes link arcs from one snapshot to the next.  Solving each from
+scratch repeats all the flow work; this module solves the first problem
+once (the only *cold* solve) and repairs the flow in place for every
+later capacity vector:
 
 * a **raised** arc only gains forward residual — the carried flow stays
   feasible;
@@ -47,8 +47,9 @@ indistinguishable from cold ones.
 
 :meth:`ParametricMaxFlow.fork` checkpoints the engine in O(m) (the
 residual shares its immutable topology arrays), which is what lets the
-breakpoint envelope restart every probe from the nearest solved
-parameter value.
+ladder start every rung from the nearest solved parameter value, and
+:meth:`ParametricMaxFlow.scale` moves a fork onto a finer common
+denominator (or back to ``Fraction``) without disturbing its flow.
 """
 
 from __future__ import annotations
@@ -316,8 +317,8 @@ class ParametricMaxFlow:
         """An independent engine sharing nothing mutable with this one.
 
         O(m): the residual array and height function are copied, the
-        topology arrays are aliased.  Used by the breakpoint envelope to
-        probe a capacity change without committing to it.
+        topology arrays are aliased.  Used by the parametric ladder to
+        solve a new rung without disturbing the one it starts from.
         """
         clone = object.__new__(ParametricMaxFlow)
         clone.algorithm = self.algorithm
@@ -328,6 +329,27 @@ class ParametricMaxFlow:
         clone.warm_arc_pushes = self.warm_arc_pushes
         clone._result = None
         return clone
+
+    def scale(self, k: Number) -> None:
+        """Multiply every capacity, every residual entry and the value by ``k > 0``.
+
+        That keeps a maximum flow maximum, every min cut and a push-relabel
+        labelling valid (labels see only which residuals are positive).
+        ``k = Fraction(1, S)`` turns an engine scaled by ``S`` into an exact
+        ``Fraction`` one.  ``k <= 0`` raises :class:`FlowError`.
+        """
+        if not k > 0:
+            raise FlowError(f"scale factor must be positive, got {k}")
+        res = self._res
+        p = res.problem
+        res.residual = [r * k for r in res.residual]
+        res.problem = FlowProblem._trusted(
+            n=p.n, tails=p.tails, heads=p.heads,
+            capacities=[c * k for c in p.capacities],
+            source=p.source, sink=p.sink,
+        )
+        self._value = self._value * k
+        self._result = None
 
     # -- the parametric step -------------------------------------------
     def set_arc_capacities(
@@ -341,8 +363,8 @@ class ParametricMaxFlow:
         mentioned keep their capacity.
 
         ``target_value`` is an optional early-stop certificate: a value the
-        caller has *proved* no flow can exceed (the feasibility probes and
-        the mobility timeline use the total source-arc capacity).
+        caller has *proved* no flow can exceed (the mobility timeline uses
+        the total source-arc capacity).
         Augmentation stops as soon as the flow reaches it, skipping the
         final no-path search; a flow can never overshoot a capacity
         bound, so the result stays exact.  Only the Dinic-based engines

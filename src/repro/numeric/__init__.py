@@ -17,10 +17,12 @@ is the middle path:
   full-fallback shows up in tests and metrics instead of just running
   slow.
 
-Consumers: the feasibility classifier scales all ``G*`` capacities before
-solving (:func:`repro.flow.feasibility.classify_network`), the LGG engine
+Consumers: the parametric ladder behind classify and the breakpoint
+envelope scales ``G*`` and the ray, and rescales each rung it forks
+(:mod:`repro.flow.parametric`); the mobility timeline scales its link and
+rate capacities (:mod:`repro.mobility.feasibility`); the LGG engine
 advances whole horizons in the integer kernel
-(:mod:`repro.core.fastpath`), and the analysis helpers
+(:mod:`repro.core.fastpath`); and the analysis helpers
 (:mod:`repro.core.bounds`, :mod:`repro.analysis.burstiness`) hoist their
 loop-invariant ratios through :func:`exact.common_denominator`.
 """

@@ -65,9 +65,12 @@ def _as_fraction(value: Rational) -> Fraction:
 
 
 def common_denominator(values: Iterable[Rational]) -> int:
-    """The lcm of the denominators of ``values`` (1 for an empty batch)."""
-    dens = [_as_fraction(v).denominator for v in values]
-    return lcm(*dens) if dens else 1
+    """The lcm of the denominators of ``values`` (1 for an empty batch).
+
+    A plain ``int`` (not ``bool``) has denominator 1 and is skipped
+    without building a ``Fraction``.
+    """
+    return lcm(*[_as_fraction(v).denominator for v in values if type(v) is not int])
 
 
 def scale_int(value: Rational, denominator: int) -> int:
@@ -97,13 +100,17 @@ def try_scale(
     fallback: the caller must then take the ``Fraction`` path.  Never
     raises for in-domain rationals and never rounds.
     """
-    fracs = [_as_fraction(v) for v in values]
-    den = lcm(*[f.denominator for f in fracs]) if fracs else 1
+    # plain ints (not bools) skip the Fraction round trip: denominator 1
+    exact = [v if type(v) is int else _as_fraction(v) for v in values]
+    den = lcm(*[v.denominator for v in exact if type(v) is not int])
     if den > limit:
         return None
     ints = []
-    for f in fracs:
-        scaled = f.numerator * (den // f.denominator)
+    for v in exact:
+        if type(v) is int:
+            scaled = v * den
+        else:
+            scaled = v.numerator * (den // v.denominator)
         if scaled > limit or scaled < -limit:
             return None
         ints.append(scaled)

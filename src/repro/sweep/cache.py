@@ -181,10 +181,10 @@ class FeasibilityCache:
         """``classify_network(spec.extended(), algorithm)``, memoized.
 
         A miss pays exactly one cold max-flow solve: ``classify_network``
-        runs its base / ε-scaled / ``f*`` chain on a single warm-started
-        :class:`~repro.flow.warmstart.ParametricMaxFlow` engine, so the
-        cache's unit of work is "one cold solve plus two parametric
-        steps", not three independent solves.
+        reads the λ = 1, λ = 1 + ε and ``f*`` rungs of one parametric
+        ladder, so the cache's unit of work is "one trivial cold solve at
+        λ = 0 plus three warm rungs" (two for an infeasible network), not
+        three independent solves.
         """
         def compute():
             from repro.flow.feasibility import classify_network

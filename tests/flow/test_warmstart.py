@@ -19,7 +19,9 @@ import repro.obs as obs
 from repro.errors import FlowError
 from repro.flow import (
     ALGORITHMS,
+    CutKind,
     FlowProblem,
+    NetworkClass,
     ParametricMaxFlow,
     classify_cut,
     classify_network,
@@ -30,6 +32,7 @@ from repro.flow import (
 from repro.flow.dinic import augment_residual
 from repro.flow.feasibility import classify_network_cold
 from repro.flow.maxflow import max_flow
+from repro.flow.parametric import _Ladder
 from repro.flow.residual import Residual
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -143,6 +146,91 @@ class TestClassifyEquivalence:
         assert list(warm.min_cut.arcs) == list(cold.min_cut.arcs)
         assert warm.min_cut.capacity == cold.min_cut.capacity
 
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_no_injections_equals_cold(self, algorithm):
+        g = gen.random_gnp(7, 0.5, seed=5, ensure_connected=True)
+        ext = build_extended_graph(g, {}, {6: Fraction(3, 2)})
+        # no parametric arcs: every read of the ladder is its λ = 0 base
+        ladder = _Ladder(ext, ext.in_rates, algorithm)
+        base = ladder.rung(Fraction(0))
+        assert ladder.rung(Fraction(1)) is base
+        assert ladder.rung(ladder.lam_end) is base
+        assert ladder.probes == 0
+        warm = classify_network(ext, algorithm=algorithm)
+        cold = classify_network_cold(ext, algorithm=algorithm)
+        assert warm.network_class is cold.network_class is NetworkClass.UNSATURATED
+        assert warm.certified_epsilon == cold.certified_epsilon == 1
+        assert (warm.arrival_rate, warm.max_flow_value, warm.f_star) == (0, 0, 0)
+        assert (cold.arrival_rate, cold.max_flow_value, cold.f_star) == (0, 0, 0)
+        assert warm.cut_kind is cold.cut_kind is CutKind.TRIVIAL_SOURCE
+        assert warm.unique_min_cut == cold.unique_min_cut
+        assert warm.min_cut.side.tolist() == cold.min_cut.side.tolist()
+        assert list(warm.min_cut.arcs) == list(cold.min_cut.arcs)
+        assert warm.min_cut.capacity == cold.min_cut.capacity
+
+
+class TestScale:
+    """``ParametricMaxFlow.scale(k)``: every capacity, residual and the value
+    times ``k > 0``, with the flow still maximum and every cut kept."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @given(case=problems_with_schedules(), k=st.integers(1, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_integer_scale_then_schedule_matches_cold(self, algorithm, case, k):
+        problem, steps = case
+        engine = ParametricMaxFlow(problem, algorithm)
+        # one warm step first, so push-relabel carries heights into the scale
+        engine.set_arc_capacities(steps[0])
+        value = engine.value
+        side = min_cut(engine.result).side.tolist()
+        engine.scale(k)
+        assert engine.value == k * value
+        engine.result.check()
+        assert min_cut(engine.result).side.tolist() == side
+        caps = list(engine.problem.capacities)
+        for updates in steps[1:]:
+            updates = {j: k * c for j, c in updates.items()}
+            caps = [updates.get(j, c) for j, c in enumerate(caps)]
+            engine.set_arc_capacities(updates)
+            cold = max_flow(_with_caps(problem, caps), algorithm)
+            warm = engine.result
+            assert warm.value == cold.value
+            warm.check()
+            wc, cc = min_cut(warm), min_cut(cold)
+            assert list(wc.arcs) == list(cc.arcs)
+            assert wc.side.tolist() == cc.side.tolist()
+            assert is_unique_min_cut(warm) == is_unique_min_cut(cold)
+
+    def _problem(self):
+        # s=0 -> 1 -> t=3 carries min(6, 3), s -> 2 -> t carries min(4, 6)
+        return FlowProblem(n=4, tails=(0, 0, 1, 2), heads=(1, 2, 3, 3),
+                           capacities=(6, 4, 3, 6), source=0, sink=3)
+
+    def test_unit_fraction_scale_leaves_an_exact_fraction_engine(self):
+        engine = ParametricMaxFlow(self._problem())
+        assert engine.value == 7
+        engine.scale(Fraction(1, 6))
+        assert engine.value == Fraction(7, 6)
+        assert all(type(c) is Fraction for c in engine.problem.capacities)
+        assert all(type(f) is Fraction for f in engine.result.flows)
+        engine.result.check()
+        # later steps stay exact: lowering 1 -> t below its flow of 1/2
+        assert engine.set_arc_capacities({2: Fraction(1, 3)}) == 1
+        engine.result.check()
+        cold = max_flow(_with_caps(self._problem(),
+                                   [1, Fraction(2, 3), Fraction(1, 3), 1]))
+        assert cold.value == engine.value
+
+    @pytest.mark.parametrize("k", [0, -2, Fraction(-1, 3)],
+                             ids=["zero", "negative", "negative_fraction"])
+    def test_non_positive_factor_rejected(self, k):
+        engine = ParametricMaxFlow(self._problem())
+        with pytest.raises(FlowError, match="positive"):
+            engine.scale(k)
+        assert engine.value == 7
+        assert list(engine.problem.capacities) == [6, 4, 3, 6]
+        engine.result.check()
+
 
 class TestEngineBasics:
     def _problem(self):
@@ -255,10 +343,11 @@ class TestEngineBasics:
 class TestOneColdSolveGuard:
     """Lint-level guard: classify_network pays exactly one cold solve.
 
-    The whole point of the warm chain is that the ε-probe and f* steps
-    are parametric, not fresh solves — ``repro_flow_solves_total`` (only
-    incremented by the cold entry points) must advance by exactly 1 per
-    classify call, while the warm-step counter advances instead.
+    The whole point of the ladder is that the λ = 1 read, the ε-probe and
+    the f* read are parametric forks of the trivial λ = 0 base, not fresh
+    solves — ``repro_flow_solves_total`` (only incremented by the cold
+    entry points) must advance by exactly 1 per classify call, while the
+    warm-step counter advances instead.
     """
 
     def _total(self, name):
@@ -276,9 +365,10 @@ class TestOneColdSolveGuard:
                 before_cold = self._total("repro_flow_solves_total")
                 before_warm = self._total("repro_flow_warm_solves_total")
                 report = classify_network(ext, algorithm=algorithm)
-                # feasible networks take the ε-probe + f* warm steps; an
-                # infeasible one goes straight to f* (one warm step)
-                expected_warm = 2 if report.feasible else 1
+                # λ = 1 is a warm fork of the λ = 0 base; feasible
+                # networks then take the ε-probe and f* rungs, an
+                # infeasible one goes straight to f*
+                expected_warm = 3 if report.feasible else 2
                 assert self._total("repro_flow_solves_total") - before_cold == 1
                 assert (self._total("repro_flow_warm_solves_total")
                         - before_warm) == expected_warm

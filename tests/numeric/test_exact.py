@@ -1,8 +1,11 @@
 """Unit tests for the integer scaling layer (repro.numeric.exact)."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FlowError
 from repro.numeric import (
@@ -81,3 +84,58 @@ class TestCounters:
         reset_counters()
         assert fastpath_steps_total() == 0
         assert fraction_fallbacks_total() == 0
+
+
+def _fraction_route_denominator(values):
+    """The all-``Fraction`` reference: every value through ``Fraction``."""
+    return lcm(*[Fraction(v).denominator for v in values])
+
+
+def _fraction_route_scale(values, limit=INT_SCALE_LIMIT):
+    fracs = [Fraction(v) for v in values]
+    den = _fraction_route_denominator(fracs)
+    if den > limit:
+        return None
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    if any(abs(x) > limit for x in ints):
+        return None
+    return ints, den
+
+
+_AT_GUARD = st.sampled_from([INT_SCALE_LIMIT, INT_SCALE_LIMIT + 1, -INT_SCALE_LIMIT,
+                             -INT_SCALE_LIMIT - 1, INT_SCALE_LIMIT // 2,
+                             INT_SCALE_LIMIT // 3 + 1])
+_MIXED = st.one_of(
+    st.integers(-1000, 1000),
+    st.booleans(),
+    _AT_GUARD,
+    st.fractions(max_denominator=64),
+    st.builds(Fraction, _AT_GUARD, st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([(1 << 62) + 1, 3 << 60])),
+)
+
+
+class TestIntegerAwareRoute:
+    """``common_denominator`` and ``try_scale`` skip the ``Fraction`` round
+    trip for plain ints; every result and every decline must stay what the
+    all-``Fraction`` route gives, including values at the guard."""
+
+    @given(values=st.lists(_MIXED, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_route(self, values):
+        assert common_denominator(values) == _fraction_route_denominator(values)
+        scaled = try_scale(values)
+        expected = _fraction_route_scale(values)
+        if expected is None:
+            assert scaled is None
+        else:
+            assert scaled is not None
+            assert (scaled.ints, scaled.denominator) == expected
+            assert all(type(x) is int for x in scaled.ints)
+
+    @given(values=st.lists(_MIXED, max_size=12), limit=st.integers(1, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_under_a_lowered_limit(self, values, limit):
+        scaled = try_scale(values, limit=limit)
+        expected = _fraction_route_scale(values, limit)
+        assert (None if scaled is None else (scaled.ints, scaled.denominator)) == expected

@@ -32,8 +32,10 @@ from repro.core.ensemble import EnsembleSimulator
 from repro.core.tiebreak import TieBreak
 from repro.errors import SimulationError
 from repro.exp.workloads import bottleneck_spec
-from repro.flow import ALGORITHMS
+import repro.flow.parametric as parametric
+from repro.flow import ALGORITHMS, FlowProblem, max_flow
 from repro.flow.feasibility import classify_network, classify_network_cold
+from repro.flow.parametric import _Ladder, breakpoint_envelope
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -198,6 +200,32 @@ def _flow_instance(seed: int, denominators):
     return build_extended_graph(g, in_rates, out_rates)
 
 
+def _cold_value(ext, lam, algorithm):
+    """v(lam) along the nominal ray by a cold solve on ``Fraction`` caps."""
+    p = FlowProblem.from_extended(ext, source_cap_override={
+        v: lam * Fraction(r) for v, r in ext.in_rates.items()})
+    return max_flow(FlowProblem(
+        n=p.n, tails=p.tails, heads=p.heads,
+        capacities=[Fraction(c) for c in p.capacities],
+        source=p.source, sink=p.sink), algorithm).value
+
+
+def _assert_envelope_exact(ext, env, algorithm):
+    """The envelope equals cold solves at every breakpoint and midpoint."""
+    points = list(env.breakpoints)
+    for seg in env.segments:
+        hi = seg.lo + 1 if seg.hi is None else seg.hi
+        points.append((seg.lo + hi) / 2)
+    for lam in points:
+        assert env.value_at(lam) == _cold_value(ext, lam, algorithm), lam
+
+
+def _envelope_facts(env):
+    return (env.lambda_star, env.probes, env.warm_steps, env.cold_solves,
+            tuple((s.lo, s.hi, s.slope, s.intercept, s.cut_side, s.cut_arcs)
+                  for s in env.segments))
+
+
 class TestClassifyVsFractionOracle:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @pytest.mark.parametrize("denominators,label", [
@@ -233,3 +261,47 @@ class TestClassifyVsFractionOracle:
         assert fraction_fallbacks_total() == 1
         cold = classify_network_cold(ext, algorithm)
         assert report_facts(warm) == report_facts(cold)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_envelope_stays_on_integers_and_exact(self, algorithm):
+        for seed in (0, 1, 2):
+            ext = _flow_instance(seed, (2, 3, 5))
+            reset_counters()
+            env = breakpoint_envelope(ext, algorithm=algorithm)
+            assert fraction_fallbacks_total() == 0
+            assert env.probes > 0
+            _assert_envelope_exact(ext, env, algorithm)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_envelope_guard_trips_mid_ladder(self, algorithm, monkeypatch):
+        # the λ = 0 base still scales (its batch is far below the real
+        # guard); a guard of 1000 is then outgrown by the probes' scales,
+        # and every probe of these instances leaves the integer path
+        for seed in (0, 1, 2):
+            ext = _flow_instance(seed, (2, 3, 5))
+            reference = breakpoint_envelope(ext, algorithm=algorithm)
+            with monkeypatch.context() as m:
+                m.setattr(parametric, "INT_SCALE_LIMIT", 1000)
+                reset_counters()
+                env = breakpoint_envelope(ext, algorithm=algorithm)
+                assert fraction_fallbacks_total() == 1
+            assert _envelope_facts(env) == _envelope_facts(reference)
+            _assert_envelope_exact(ext, env, algorithm)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_ladder_rungs_leave_the_integer_path_once(self, algorithm, monkeypatch):
+        # path 0 - 1 - 2, in(0) = 1, out(2) = 1: v(λ) = min(λ, 1), D = 1
+        ext = build_extended_graph(gen.path(3), {0: 1}, {2: 1})
+        monkeypatch.setattr(parametric, "INT_SCALE_LIMIT", 5)
+        reset_counters()
+        ladder = _Ladder(ext, ext.in_rates, algorithm)
+        nominal = ladder.rung(Fraction(1))          # scale 1: integer
+        seventh = ladder.rung(Fraction(1, 7))       # scale 7 > 5: leaves
+        two_sevenths = ladder.rung(Fraction(2, 7))  # forked from 1/7: Fraction
+        three = ladder.rung(Fraction(3))            # forked from 1: integer
+        assert [r.scale for r in (nominal, seventh, two_sevenths, three)] == [1, None, None, 1]
+        assert type(two_sevenths.engine.value) is Fraction
+        assert [r.value for r in (nominal, seventh, two_sevenths, three)] == [
+            1, Fraction(1, 7), Fraction(2, 7), 1]
+        assert fraction_fallbacks_total() == 1
+        assert ladder.probes == 4

@@ -24,7 +24,8 @@ def test_lint_targets_exist():
     names = {f.name for f in files}
     # the load-bearing modules must be covered
     assert {"exact.py", "counters.py", "fastpath.py", "residual.py",
-            "dinic.py", "warmstart.py"} <= names
+            "dinic.py", "warmstart.py", "parametric.py",
+            "feasibility.py"} <= names
 
 
 def test_lint_catches_division_and_float(tmp_path):
