@@ -61,32 +61,23 @@ class CSRTopology:
     # ------------------------------------------------------------------
     @classmethod
     def from_multigraph(cls, graph) -> "CSRTopology":
-        """Build the flat arrays in one pass over the live edges."""
+        """Build the flat arrays with one stable sort of the half-edges.
+
+        Half-edge ``2k`` sits at the ``k``-th live edge's first endpoint
+        and ``2k + 1`` at its second; sorting them stably by sender keeps
+        each node's block in edge-id order.
+        """
         n = graph.n
-        live = [(e, u, v) for e, u, v in graph.edges()]
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for _, u, v in live:
-            counts[u + 1] += 1
-            counts[v + 1] += 1
-        indptr = np.cumsum(counts)
-        size = int(indptr[-1])
-        neighbors = np.zeros(size, dtype=np.int64)
-        edge_ids = np.zeros(size, dtype=np.int64)
-        senders = np.zeros(size, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for e, u, v in live:
-            cu, cv = cursor[u], cursor[v]
-            neighbors[cu] = v
-            edge_ids[cu] = e
-            senders[cu] = u
-            cursor[u] = cu + 1
-            neighbors[cv] = u
-            edge_ids[cv] = e
-            senders[cv] = v
-            cursor[v] = cv + 1
-        eids = np.array([e for e, _, _ in live], dtype=np.int64)
-        us = np.array([u if u <= v else v for _, u, v in live], dtype=np.int64)
-        vs = np.array([v if u <= v else u for _, u, v in live], dtype=np.int64)
+        eids, eu, ev = graph.edge_array()
+        ends = np.column_stack((eu, ev)).ravel()
+        order = np.argsort(ends, kind="stable")
+        senders = ends[order]
+        neighbors = ends[order ^ 1]  # the other half of the same edge
+        edge_ids = eids[order >> 1]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        us = np.minimum(eu, ev)
+        vs = np.maximum(eu, ev)
         for arr in (indptr, neighbors, edge_ids, senders, eids, us, vs):
             arr.setflags(write=False)  # aliased everywhere: freeze
         return cls(

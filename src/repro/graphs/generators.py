@@ -132,23 +132,21 @@ def random_gnp(n: int, p: float, seed: SeedLike = None, *, ensure_connected: boo
     _require(n >= 1, f"G(n,p) needs >= 1 node, got {n}")
     _require(0.0 <= p <= 1.0, f"p must be in [0,1], got {p}")
     rng = as_generator(seed)
-    g = MultiGraph(n)
-    present: set[tuple[int, int]] = set()
+    tree = np.empty((0, 2), dtype=np.int64)
     if ensure_connected and n > 1:
+        # node order[i] hangs off a uniform earlier node order[j], j < i
         order = rng.permutation(n)
-        for i in range(1, n):
-            u = int(order[i])
-            v = int(order[int(rng.integers(0, i))])
-            g.add_edge(u, v)
-            present.add((min(u, v), max(u, v)))
+        tree = np.column_stack((order[1:], order[rng.integers(0, np.arange(1, n))]))
+    edges = [tree]
     if p > 0:
         iu, jv = np.triu_indices(n, k=1)
         mask = rng.random(len(iu)) < p
-        for u, v in zip(iu[mask], jv[mask]):
-            key = (int(u), int(v))
-            if key not in present:
-                g.add_edge(int(u), int(v))
-    return g
+        # the tree's pairs are edges already: clear them at their index in
+        # the row-major upper triangle
+        a, b = tree.min(axis=1), tree.max(axis=1)
+        mask[a * (2 * n - a - 1) // 2 + b - a - 1] = False
+        edges.append(np.column_stack((iu[mask], jv[mask])))
+    return MultiGraph.from_edges(n, np.concatenate(edges))
 
 
 def random_regular(n: int, d: int, seed: SeedLike = None, *, max_tries: int = 200) -> MultiGraph:
@@ -171,7 +169,7 @@ def random_regular(n: int, d: int, seed: SeedLike = None, *, max_tries: int = 20
                 break
             seen.add((a, b))
         if ok:
-            return MultiGraph.from_edges(n, ((int(u), int(v)) for u, v in pairs))
+            return MultiGraph.from_edges(n, pairs)
     raise GraphError(f"failed to sample a simple {d}-regular graph on {n} nodes in {max_tries} tries")
 
 
@@ -248,10 +246,11 @@ def radius_keys(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radius_edges(points, radius: float):
-    """The geometric link rule shared by :func:`random_geometric` and the
-    mobility layer (:mod:`repro.mobility`): node pairs within Euclidean
+    """The geometric link rule as pair lists: node pairs within Euclidean
     distance ``radius`` (inclusive), as sorted ``(u, v)`` pairs with
-    ``u < v``.
+    ``u < v``.  :func:`random_geometric` and the mobility layer
+    (:mod:`repro.mobility`) read the flat keys of :func:`radius_keys`
+    instead.
 
     ``points`` is one ``(n, 2)`` point set, or a ``(…, n, 2)`` stack of
     them; a stack gives nested lists, one pair list per point set.  One
@@ -289,12 +288,10 @@ def random_geometric(
     _require(radius > 0, f"radius must be positive, got {radius}")
     rng = as_generator(seed)
     pts = rng.random((n, 2))
-    g = MultiGraph(n)
-    for u, v in radius_edges(pts, radius):
-        g.add_edge(u, v)
+    keys, _ = radius_keys(pts, radius)
+    g = MultiGraph.from_edges(n, np.column_stack(np.divmod(keys, n)))
     if ensure_connected and n > 1:
-        while not g.is_connected():
-            comps = g.components()
+        while len(comps := g.components()) > 1:
             label = np.empty(n, dtype=np.int64)
             for c, comp in enumerate(comps):
                 label[comp] = c
@@ -540,13 +537,12 @@ def barabasi_albert(n: int, m_attach: int, seed: SeedLike = None) -> MultiGraph:
     _require(n >= m_attach + 1,
              f"need n >= m_attach + 1 nodes, got n={n}, m_attach={m_attach}")
     rng = as_generator(seed)
-    g = star(m_attach)  # nodes 0..m_attach, hub 0
-    g.add_nodes(n - (m_attach + 1))
-    # one entry per half-edge: sampling uniformly from it is degree-biased
+    # the edge list flattened, one entry per half-edge: sampling uniformly
+    # from it is degree-biased.  It starts as the star on nodes
+    # 0..m_attach with hub 0.
     repeated: list[int] = []
-    for _, u, v in g.edges():
-        repeated.append(u)
-        repeated.append(v)
+    for leaf in range(1, m_attach + 1):
+        repeated += (0, leaf)
     for new in range(m_attach + 1, n):
         targets: list[int] = []
         seen: set[int] = set()
@@ -556,10 +552,8 @@ def barabasi_albert(n: int, m_attach: int, seed: SeedLike = None) -> MultiGraph:
                 seen.add(pick)
                 targets.append(pick)
         for t in targets:
-            g.add_edge(new, t)
-            repeated.append(new)
-            repeated.append(t)
-    return g
+            repeated += (new, t)
+    return MultiGraph.from_edges(n, np.array(repeated, dtype=np.int64).reshape(-1, 2))
 
 
 def watts_strogatz(n: int, k: int, beta: float, seed: SeedLike = None) -> MultiGraph:
@@ -619,7 +613,7 @@ def kronecker(power: int, initiator: Sequence[Sequence[int]] = KRONECKER_INITIAT
     for _ in range(power - 1):
         mat = np.kron(mat, base)
     iu, jv = np.nonzero(np.triu(mat, k=1))
-    return MultiGraph.from_edges(mat.shape[0], zip(iu.tolist(), jv.tolist()))
+    return MultiGraph.from_edges(mat.shape[0], np.column_stack((iu, jv)))
 
 
 def configuration_model(
@@ -643,9 +637,7 @@ def configuration_model(
     for _ in range(max_tries):
         pairs = stubs[rng.permutation(len(stubs))].reshape(-1, 2)
         if len(pairs) == 0 or (pairs[:, 0] != pairs[:, 1]).all():
-            return MultiGraph.from_edges(
-                len(degs), ((int(u), int(v)) for u, v in pairs)
-            )
+            return MultiGraph.from_edges(len(degs), pairs)
     raise GraphError(
         f"failed to sample a loop-free stub pairing in {max_tries} tries "
         f"(degree sequence too concentrated?)"

@@ -82,11 +82,34 @@ class MultiGraph:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "MultiGraph":
-        """Build a graph on ``n`` nodes from an iterable of ``(u, v)`` pairs."""
+    def from_edges(
+        cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray
+    ) -> "MultiGraph":
+        """Build a graph on ``n`` nodes from ``(u, v)`` pairs: an iterable of
+        pairs or an ``(m, 2)`` integer array.  Edge ids follow input order.
+
+        Every edge is checked at once, on the values as given (Python ints
+        of any size included), before the cast to int64; the first bad edge
+        in input order raises the :class:`GraphError` :meth:`add_edge` would.
+        """
         g = cls(n)
-        for u, v in edges:
-            g.add_edge(u, v)
+        if isinstance(edges, np.ndarray):
+            pairs = edges
+        else:  # object dtype keeps each value exactly as given
+            pairs = np.array(list(edges), dtype=object)
+        if pairs.size == 0:
+            return g
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise GraphError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        us, vs = pairs[:, 0], pairs[:, 1]
+        bad = ~((us >= 0) & (us < g._n) & (vs >= 0) & (vs < g._n)) | (us == vs)
+        if bad.any():
+            k = int(np.argmax(bad))
+            g._check_pair(us[k], vs[k])
+        g._eu = us.astype(np.int64).tolist()
+        g._ev = vs.astype(np.int64).tolist()
+        g._alive = [True] * len(g._eu)
+        g._m_alive = len(g._eu)
         return g
 
     def copy(self) -> "MultiGraph":
@@ -116,10 +139,7 @@ class MultiGraph:
 
         Parallel edges are allowed and each gets a distinct id.
         """
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise GraphError(f"self-loop at node {u} is not allowed")
+        self._check_pair(u, v)
         eid = len(self._eu)
         self._eu.append(int(u))
         self._ev.append(int(v))
@@ -191,9 +211,10 @@ class MultiGraph:
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live edges as ``(eids, us, vs)`` int64 arrays (id order)."""
-        eids = np.array([e for e, a in enumerate(self._alive) if a], dtype=np.int64)
-        us = np.array([self._eu[e] for e in eids], dtype=np.int64)
-        vs = np.array([self._ev[e] for e in eids], dtype=np.int64)
+        alive = np.array(self._alive, dtype=bool)
+        eids = np.flatnonzero(alive).astype(np.int64, copy=False)
+        us = np.array(self._eu, dtype=np.int64)[alive]
+        vs = np.array(self._ev, dtype=np.int64)[alive]
         return eids, us, vs
 
     def degree(self, v: int) -> int:
@@ -263,9 +284,18 @@ class MultiGraph:
     # connectivity / subgraphs
     # ------------------------------------------------------------------
     def components(self) -> list[list[int]]:
-        """Connected components, each a sorted node list."""
-        seen = np.zeros(self._n, dtype=bool)
-        adj = self.adjacency()
+        """Connected components, each a sorted node list, ordered by their
+        smallest node.
+
+        A DFS over plain adjacency lists read from the edge store: it
+        neither builds nor caches a CSR snapshot.
+        """
+        adj: list[list[int]] = [[] for _ in range(self._n)]
+        for u, v, alive in zip(self._eu, self._ev, self._alive):
+            if alive:
+                adj[u].append(v)
+                adj[v].append(u)
+        seen = [False] * self._n
         out: list[list[int]] = []
         for start in range(self._n):
             if seen[start]:
@@ -276,10 +306,10 @@ class MultiGraph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj.neighbors_of(v):
+                for w in adj[v]:
                     if not seen[w]:
                         seen[w] = True
-                        stack.append(int(w))
+                        stack.append(w)
             out.append(sorted(comp))
         return out
 
@@ -328,6 +358,12 @@ class MultiGraph:
     def _check_node(self, v: int) -> None:
         if not (0 <= v < self._n):
             raise GraphError(f"unknown node {v} (graph has {self._n} nodes)")
+
+    def _check_pair(self, u: int, v: int) -> None:
+        self._check_node(u)
+        self._check_node(v)
+        if u == v:
+            raise GraphError(f"self-loop at node {u} is not allowed")
 
     def _check_edge(self, eid: int) -> None:
         if not (0 <= eid < len(self._eu)) or not self._alive[eid]:

@@ -1,14 +1,24 @@
-"""CSRTopology: the shared flat-array snapshot and its caching contract."""
+"""CSRTopology: the shared flat-array snapshot and its caching contract.
+
+The snapshot is one stable sort of the half-edges; the per-edge cursor
+loop it replaced lives in ``tests/graphs/csr_reference.py`` and must
+give the same seven arrays, element for element, after any sequence of
+edits.
+"""
 
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lgg_fast import HalfEdges
 from repro.graphs import CSRTopology, MultiGraph
 from repro.graphs import generators as gen
+
+from tests.graphs.csr_reference import components_reference, csr_arrays_reference
 
 
 def diamond() -> MultiGraph:
@@ -145,3 +155,47 @@ class TestFromGenerators:
         edges = {(min(u, v), max(u, v), e) for e, u, v in g.edges()}
         flat = set(zip(csr.us.tolist(), csr.vs.tolist(), csr.eids.tolist()))
         assert flat == edges
+
+
+#: one edit per tuple: (kind, a, b), read modulo the graph's current size
+edits = st.lists(
+    st.tuples(st.sampled_from(("add", "add", "remove", "restore", "grow")),
+              st.integers(0, 63), st.integers(0, 63)),
+    max_size=40,
+)
+
+
+def apply_edit(g: MultiGraph, kind: str, a: int, b: int) -> None:
+    if kind == "grow":
+        g.add_nodes(1)
+    elif kind == "add" and g.n >= 2 and a % g.n != b % g.n:
+        g.add_edge(a % g.n, b % g.n)
+    elif kind == "remove" and g.num_edge_slots and g.has_edge_id(a % g.num_edge_slots):
+        g.remove_edge(a % g.num_edge_slots)
+    elif kind == "restore" and g.num_edge_slots:
+        g.restore_edge(a % g.num_edge_slots)
+
+
+class TestAgainstReference:
+    """Parallel edges, tombstones, restored ids, isolated nodes, n = 0, 1."""
+
+    @given(st.integers(0, 6), edits)
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_and_components_match(self, n, seq):
+        g = MultiGraph(n)
+        for edit in seq:
+            apply_edit(g, *edit)
+        assert g.components() == components_reference(g)
+        assert g._csr_cache is None  # connectivity never builds a snapshot
+        csr = g.to_csr()
+        for name, want in csr_arrays_reference(g).items():
+            got = getattr(csr, name)
+            assert got.dtype == np.int64, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_in_block_order_is_edge_id_order(self):
+        # node 0's half-edges in id order, whichever endpoint it is
+        g = MultiGraph.from_edges(4, [(0, 3), (2, 0), (0, 1), (1, 0), (3, 0)])
+        csr = g.to_csr()
+        assert csr.edge_ids[:csr.indptr[1]].tolist() == [0, 1, 2, 3, 4]
+        assert csr.neighbors[:csr.indptr[1]].tolist() == [3, 2, 1, 1, 3]

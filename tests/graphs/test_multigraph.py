@@ -1,5 +1,6 @@
 """Unit tests for the core MultiGraph container."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -23,6 +24,25 @@ class TestConstruction:
         assert g.n == 3
         assert g.m == 2
 
+    def test_from_edges_array_matches_pairs(self):
+        pairs = [(2, 0), (0, 1), (1, 2), (0, 1)]
+        a = MultiGraph.from_edges(3, pairs)
+        b = MultiGraph.from_edges(3, np.array(pairs, dtype=np.int64))
+        assert list(a.edges()) == list(b.edges()) == [
+            (0, 2, 0), (1, 0, 1), (2, 1, 2), (3, 0, 1)]
+        assert all(type(u) is int for _, u, _ in b.edges())
+
+    def test_from_edges_empty(self):
+        for edges in ([], iter(()), np.empty((0, 2), dtype=np.int64)):
+            g = MultiGraph.from_edges(2, edges)
+            assert (g.n, g.m, g.num_edge_slots) == (2, 0, 0)
+
+    def test_from_edges_rejects_non_pairs(self):
+        with pytest.raises(GraphError, match="pairs"):
+            MultiGraph.from_edges(4, np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(GraphError, match="pairs"):
+            MultiGraph.from_edges(4, [(0, 1), (1, 2, 3)])
+
     def test_add_nodes_returns_range(self):
         g = MultiGraph(2)
         new = g.add_nodes(3)
@@ -36,6 +56,51 @@ class TestConstruction:
     def test_add_negative_nodes_rejected(self):
         with pytest.raises(GraphError):
             MultiGraph(1).add_nodes(-2)
+
+
+#: name -> (bad edge, the GraphError text add_edge raises for it on 4 nodes)
+BAD_EDGES = {
+    "v-unknown": ((0, 9), "unknown node 9 (graph has 4 nodes)"),
+    "u-negative": ((-1, 2), "unknown node -1 (graph has 4 nodes)"),
+    "u-checked-first": ((7, -1), "unknown node 7 (graph has 4 nodes)"),
+    "unknown-before-loop": ((4, 4), "unknown node 4 (graph has 4 nodes)"),
+    "self-loop": ((2, 2), "self-loop at node 2 is not allowed"),
+    "v-past-int64": ((0, 2**70), f"unknown node {2**70} (graph has 4 nodes)"),
+    "u-past-int64": ((-2**70, 1), f"unknown node {-2**70} (graph has 4 nodes)"),
+    "past-uint64": ((2**64, 2**64), f"unknown node {2**64} (graph has 4 nodes)"),
+}
+
+
+def _fits_int64(pair) -> bool:
+    return all(-2**63 <= x < 2**63 for x in pair)
+
+
+#: each bad edge as a list, and as an int64 array where its values fit
+BAD_EDGE_CASES = [
+    pytest.param(bad, message, as_array,
+                 id=f"{name}-{'array' if as_array else 'list'}")
+    for name, (bad, message) in BAD_EDGES.items()
+    for as_array in (False, True)
+    if not as_array or _fits_int64(bad)
+]
+
+
+class TestFromEdgesValidation:
+    """``from_edges`` names the first bad edge exactly as ``add_edge``
+    would, for Python ints of any size, and never leaks a numpy
+    ``OverflowError``/``TypeError``/``ValueError``."""
+
+    @pytest.mark.parametrize("bad,message,as_array", BAD_EDGE_CASES)
+    def test_first_bad_edge_raises_graph_error(self, bad, message, as_array):
+        edges = [(0, 1), (1, 2), (2, 3), bad, (3, 3), (0, 8)]
+        if as_array:
+            edges = np.array(edges, dtype=np.int64)
+        with pytest.raises(GraphError) as exc_info:
+            MultiGraph.from_edges(4, edges)
+        assert str(exc_info.value) == message
+        with pytest.raises(GraphError) as add_info:
+            MultiGraph(4).add_edge(*bad)
+        assert str(add_info.value) == message
 
 
 class TestEdges:
@@ -198,6 +263,13 @@ class TestConnectivity:
         g = MultiGraph(3)
         g.add_edge(0, 1)
         assert g.components() == [[0, 1], [2]]
+
+    def test_connectivity_builds_no_csr(self):
+        g = MultiGraph.from_edges(5, [(3, 4), (0, 1), (1, 2)])
+        assert g.components() == [[0, 1, 2], [3, 4]]
+        assert not g.is_connected()
+        assert g._csr_cache is None
+        assert g._adj_cache is None
 
 
 class TestSubgraphAndCopy:

@@ -68,6 +68,9 @@ class TestParseSpecExplicit:
         ({"nodes": 4, "edges": [[0, 1]], "in_rates": {"9": 1}}, "unknown node"),
         ({"nodes": 4, "edges": [[0, 1]], "in_rates": {"0": -1}}, "nonnegative"),
         ({"nodes": 4, "edges": [[0, 1]], "in_rates": [1]}, "mapping"),
+        ({"nodes": 4, "edges": [[0, 2**70]]}, "unknown node"),
+        ({"nodes": 4, "edges": [[-2**70, 1]]}, "unknown node"),
+        ({"nodes": 4, "edges": [[0, 1], [2, 2]]}, "self-loop"),
     ])
     def test_rejects(self, payload, fragment):
         with pytest.raises(ServeError) as exc_info:
