@@ -18,37 +18,15 @@ Quickstart
 True
 """
 
-from repro.graphs import MultiGraph, build_extended_graph, generators
-from repro.network import NetworkSpec, NodeRole, RevelationPolicy
-from repro.flow import (
-    FeasibilityReport,
-    classify_network,
-    max_flow,
-    min_cut,
-)
-from repro.core import (
-    LGGPolicy,
-    SimulationResult,
-    Simulator,
-    simulate_lgg,
-)
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    ".graphs": ("MultiGraph", "build_extended_graph", "generators"),
+    ".network": ("NetworkSpec", "NodeRole", "RevelationPolicy"),
+    ".flow": ("FeasibilityReport", "classify_network", "max_flow", "min_cut"),
+    ".core": ("LGGPolicy", "SimulationResult", "Simulator", "simulate_lgg"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "MultiGraph",
-    "build_extended_graph",
-    "generators",
-    "NetworkSpec",
-    "NodeRole",
-    "RevelationPolicy",
-    "FeasibilityReport",
-    "classify_network",
-    "max_flow",
-    "min_cut",
-    "LGGPolicy",
-    "SimulationResult",
-    "Simulator",
-    "simulate_lgg",
-    "__version__",
-]
+__all__.append("__version__")

@@ -1,23 +1,12 @@
 """Run-analysis helpers: summary metrics and plain-text reporting."""
 
-from repro.analysis.metrics import RunMetrics, summarize
-from repro.analysis.report import format_series, format_table, sparkline
-from repro.analysis.convergence import delivery_rate_series, standing_mass, warmup_time
-from repro.analysis.landscape import height_profile, render_grid_landscape
-from repro.analysis.fairness import jain_index, normalized_shares, per_source_throughput
+from repro._exports import lazy_exports
 
-__all__ = [
-    "RunMetrics",
-    "summarize",
-    "format_table",
-    "format_series",
-    "sparkline",
-    "delivery_rate_series",
-    "standing_mass",
-    "warmup_time",
-    "height_profile",
-    "render_grid_landscape",
-    "jain_index",
-    "normalized_shares",
-    "per_source_throughput",
-]
+_EXPORTS = {
+    ".metrics": ("RunMetrics", "summarize"),
+    ".report": ("format_table", "format_series", "sparkline"),
+    ".convergence": ("delivery_rate_series", "standing_mass", "warmup_time"),
+    ".landscape": ("height_profile", "render_grid_landscape"),
+    ".fairness": ("jain_index", "normalized_shares", "per_source_throughput"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

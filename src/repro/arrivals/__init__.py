@@ -7,28 +7,14 @@ conjectures need richer processes: pointwise-dominated traces
 (Conjecture 2), and uniform random arrivals (Conjecture 3).
 """
 
-from repro.arrivals.base import ArrivalProcess
-from repro.arrivals.deterministic import DeterministicArrivals, ScaledArrivals
-from repro.arrivals.stochastic import (
-    BernoulliArrivals,
-    UniformArrivals,
-    PoissonClippedArrivals,
-)
-from repro.arrivals.adversarial import BurstArrivals, OnOffArrivals
-from repro.arrivals.trace import TraceArrivals, RecordingArrivals, dominates
-from repro.arrivals.token_bucket import TokenBucketArrivals
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "DeterministicArrivals",
-    "ScaledArrivals",
-    "BernoulliArrivals",
-    "UniformArrivals",
-    "PoissonClippedArrivals",
-    "BurstArrivals",
-    "OnOffArrivals",
-    "TokenBucketArrivals",
-    "TraceArrivals",
-    "RecordingArrivals",
-    "dominates",
-]
+_EXPORTS = {
+    ".base": ("ArrivalProcess",),
+    ".deterministic": ("DeterministicArrivals", "ScaledArrivals"),
+    ".stochastic": ("BernoulliArrivals", "UniformArrivals", "PoissonClippedArrivals"),
+    ".adversarial": ("BurstArrivals", "OnOffArrivals"),
+    ".token_bucket": ("TokenBucketArrivals",),
+    ".trace": ("TraceArrivals", "RecordingArrivals", "dominates"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

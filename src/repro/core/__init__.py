@@ -3,66 +3,22 @@ Algorithm 1), the synchronous simulation engine, baseline policies, and the
 stability / Lyapunov analysis toolkit.
 """
 
-from repro.core.tiebreak import TieBreak
-from repro.core.lgg import lgg_select_reference
-from repro.core.lgg_fast import HalfEdges
-from repro.core.policies import (
-    BackpressurePolicy,
-    FlowRoutingPolicy,
-    LGGPolicy,
-    RandomForwardingPolicy,
-    ShortestPathPolicy,
-    TransmissionPolicy,
-)
-from repro.core.pipeline import (
-    DEFAULT_PIPELINE,
-    STAGE_NAMES,
-    Stage,
-    StagePipeline,
-    StageTiming,
-    StepState,
-)
-from repro.core.engine import (
-    ExtractionMode,
-    LinkCapacityMode,
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-    simulate_lgg,
-)
-from repro.core.packet_engine import PacketSimulator, PacketStats
-from repro.core.ensemble import EnsembleResult, EnsembleSimulator
-from repro.core.stability import StabilityVerdict, assess_stability
-from repro.core import bounds, lyapunov
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TieBreak",
-    "lgg_select_reference",
-    "HalfEdges",
-    "TransmissionPolicy",
-    "LGGPolicy",
-    "FlowRoutingPolicy",
-    "BackpressurePolicy",
-    "RandomForwardingPolicy",
-    "ShortestPathPolicy",
-    "DEFAULT_PIPELINE",
-    "STAGE_NAMES",
-    "Stage",
-    "StagePipeline",
-    "StageTiming",
-    "StepState",
-    "ExtractionMode",
-    "LinkCapacityMode",
-    "SimulationConfig",
-    "SimulationResult",
-    "Simulator",
-    "simulate_lgg",
-    "PacketSimulator",
-    "PacketStats",
-    "EnsembleSimulator",
-    "EnsembleResult",
-    "StabilityVerdict",
-    "assess_stability",
-    "bounds",
-    "lyapunov",
-]
+_EXPORTS = {
+    ".tiebreak": ("TieBreak",),
+    ".lgg": ("lgg_select_reference",),
+    ".lgg_fast": ("HalfEdges",),
+    ".policies": ("TransmissionPolicy", "LGGPolicy", "FlowRoutingPolicy",
+                  "BackpressurePolicy", "RandomForwardingPolicy", "ShortestPathPolicy"),
+    ".pipeline": ("DEFAULT_PIPELINE", "STAGE_NAMES", "Stage", "StagePipeline",
+                  "StageTiming", "StepState"),
+    ".engine": ("ExtractionMode", "LinkCapacityMode", "SimulationConfig",
+                "SimulationResult", "Simulator", "simulate_lgg"),
+    ".packet_engine": ("PacketSimulator", "PacketStats"),
+    ".ensemble": ("EnsembleSimulator", "EnsembleResult"),
+    ".stability": ("StabilityVerdict", "assess_stability"),
+    ".bounds": None,
+    ".lyapunov": None,
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

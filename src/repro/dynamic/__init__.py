@@ -1,15 +1,9 @@
 """Dynamic (time-varying) topologies — Conjecture 4's setting."""
 
-from repro.dynamic.topology import (
-    EdgeChurnSchedule,
-    PeriodicLinkSchedule,
-    ScheduledChanges,
-    TopologySchedule,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TopologySchedule",
-    "ScheduledChanges",
-    "PeriodicLinkSchedule",
-    "EdgeChurnSchedule",
-]
+_EXPORTS = {
+    ".topology": ("TopologySchedule", "ScheduledChanges", "PeriodicLinkSchedule",
+                  "EdgeChurnSchedule"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -45,8 +45,8 @@ def register(exp_id: str, title: str) -> Callable[[RunFn], RunFn]:
 
     def deco(fn: RunFn) -> RunFn:
         if exp_id in REGISTRY:
-            # running a module as __main__ re-executes its decorator after
-            # the package import already registered it; the identical title
+            # running a module as __main__ re-executes its decorator when
+            # repro.exp.registry already registered it; the identical title
             # identifies that benign case — anything else is a clash
             if REGISTRY[exp_id][0] != title:
                 raise ExperimentError(f"duplicate experiment id {exp_id!r}")

@@ -27,65 +27,21 @@ implements, from scratch:
   maximum-flow routing baseline (the ``E_t^Φ`` of the proofs).
 """
 
-from repro.flow.residual import FlowProblem, FlowResult
-from repro.flow.maxflow import max_flow, ALGORITHMS
-from repro.flow.mincut import min_cut, CutKind, MinCut, classify_cut, is_unique_min_cut, is_sd_cut
-from repro.flow.feasibility import (
-    FeasibilityReport,
-    NetworkClass,
-    RegionReport,
-    classify_network,
-    classify_region,
-    f_star,
-    feasible_flow,
-    max_unsaturation_margin,
-)
-from repro.flow.parametric import (
-    BreakpointEnvelope,
-    EnvelopeSegment,
-    breakpoint_envelope,
-    critical_lambda,
-)
-from repro.flow.decomposition import (
-    PathDecomposition,
-    decompose_paths,
-    edge_flow_from_result,
-)
-from repro.flow.warmstart import ParametricMaxFlow, source_arc_updates
-from repro.flow.cut_enum import CutFamily, count_min_cuts, enumerate_min_cuts
-from repro.flow.distributed_pr import DistributedRun, distributed_push_relabel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FlowProblem",
-    "FlowResult",
-    "max_flow",
-    "ALGORITHMS",
-    "min_cut",
-    "CutKind",
-    "MinCut",
-    "classify_cut",
-    "is_unique_min_cut",
-    "is_sd_cut",
-    "FeasibilityReport",
-    "NetworkClass",
-    "RegionReport",
-    "classify_network",
-    "classify_region",
-    "f_star",
-    "feasible_flow",
-    "max_unsaturation_margin",
-    "BreakpointEnvelope",
-    "EnvelopeSegment",
-    "breakpoint_envelope",
-    "critical_lambda",
-    "ParametricMaxFlow",
-    "source_arc_updates",
-    "PathDecomposition",
-    "decompose_paths",
-    "edge_flow_from_result",
-    "DistributedRun",
-    "distributed_push_relabel",
-    "CutFamily",
-    "count_min_cuts",
-    "enumerate_min_cuts",
-]
+_EXPORTS = {
+    ".residual": ("FlowProblem", "FlowResult"),
+    ".maxflow": ("max_flow", "ALGORITHMS"),
+    ".mincut": ("min_cut", "CutKind", "MinCut", "classify_cut", "is_unique_min_cut",
+                "is_sd_cut"),
+    ".feasibility": ("FeasibilityReport", "NetworkClass", "RegionReport",
+                     "classify_network", "classify_region", "f_star", "feasible_flow",
+                     "max_unsaturation_margin"),
+    ".parametric": ("BreakpointEnvelope", "EnvelopeSegment", "breakpoint_envelope",
+                    "critical_lambda"),
+    ".warmstart": ("ParametricMaxFlow", "source_arc_updates"),
+    ".decomposition": ("PathDecomposition", "decompose_paths", "edge_flow_from_result"),
+    ".distributed_pr": ("DistributedRun", "distributed_push_relabel"),
+    ".cut_enum": ("CutFamily", "count_min_cuts", "enumerate_min_cuts"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

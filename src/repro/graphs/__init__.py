@@ -15,18 +15,13 @@ subpackage provides:
 * :mod:`~repro.graphs.convert` — networkx interoperability.
 """
 
-from repro.graphs.csr import CSRTopology
-from repro.graphs.multigraph import MultiGraph
-from repro.graphs.extended import ExtendedGraph, build_extended_graph
-from repro.graphs import generators
-from repro.graphs.convert import from_networkx, to_networkx
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CSRTopology",
-    "MultiGraph",
-    "ExtendedGraph",
-    "build_extended_graph",
-    "generators",
-    "from_networkx",
-    "to_networkx",
-]
+_EXPORTS = {
+    ".csr": ("CSRTopology",),
+    ".multigraph": ("MultiGraph",),
+    ".extended": ("ExtendedGraph", "build_extended_graph"),
+    ".generators": None,
+    ".convert": ("from_networkx", "to_networkx"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,15 +1,10 @@
 """Wireless-interference models — Conjecture 5's setting."""
 
-from repro.interference.matching import (
-    GreedyMatchingInterference,
-    InterferenceModel,
-    OracleMatchingInterference,
-)
-from repro.interference.distance2 import DistanceTwoInterference
+from repro._exports import lazy_exports
 
-__all__ = [
-    "InterferenceModel",
-    "GreedyMatchingInterference",
-    "OracleMatchingInterference",
-    "DistanceTwoInterference",
-]
+_EXPORTS = {
+    ".matching": ("InterferenceModel", "GreedyMatchingInterference",
+                  "OracleMatchingInterference"),
+    ".distance2": ("DistanceTwoInterference",),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -19,34 +19,13 @@ Stdlib only, deterministic schedules (seeded ``random.Random``), no new
 dependencies.
 """
 
-from repro.errors import LoadGenError
-from repro.loadgen.runner import (
-    LoadReport,
-    RequestResult,
-    RequestSpec,
-    classify_request,
-    percentile,
-    run_closed_loop,
-    run_open_loop,
-    simulate_request,
-)
-from repro.loadgen.schedules import burst_schedule, constant_schedule, poisson_schedule
-from repro.loadgen.slo import SLO, assert_slo, check_slo
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LoadGenError",
-    "LoadReport",
-    "RequestResult",
-    "RequestSpec",
-    "classify_request",
-    "simulate_request",
-    "percentile",
-    "run_open_loop",
-    "run_closed_loop",
-    "poisson_schedule",
-    "burst_schedule",
-    "constant_schedule",
-    "SLO",
-    "check_slo",
-    "assert_slo",
-]
+_EXPORTS = {
+    "..errors": ("LoadGenError",),
+    ".runner": ("LoadReport", "RequestResult", "RequestSpec", "classify_request",
+                "simulate_request", "percentile", "run_open_loop", "run_closed_loop"),
+    ".schedules": ("poisson_schedule", "burst_schedule", "constant_schedule"),
+    ".slo": ("SLO", "check_slo", "assert_slo"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -7,20 +7,10 @@ losses *only improve* stability (the E14 ablation tests this), and its
 Conjecture 1 machinery needs adversarial losses.
 """
 
-from repro.loss.models import (
-    AdversarialEdgeLoss,
-    BernoulliLoss,
-    GilbertElliottLoss,
-    LossModel,
-    NoLoss,
-    TargetedNodeLoss,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LossModel",
-    "NoLoss",
-    "BernoulliLoss",
-    "GilbertElliottLoss",
-    "AdversarialEdgeLoss",
-    "TargetedNodeLoss",
-]
+_EXPORTS = {
+    ".models": ("LossModel", "NoLoss", "BernoulliLoss", "GilbertElliottLoss",
+                "AdversarialEdgeLoss", "TargetedNodeLoss"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -23,34 +23,13 @@ Everything is deterministic given a seed: one generator per trace, fixed
 draw order, no wall-clock.
 """
 
-from repro.mobility.feasibility import (
-    FeasibilityTimeline,
-    TimelineEntry,
-    feasibility_timeline,
-    feasibility_timeline_cold,
-)
-from repro.mobility.models import (
-    MODEL_NAMES,
-    CircularOrbit,
-    MobilityModel,
-    RandomWaypoint,
-    VirtualForce,
-    model_by_name,
-)
-from repro.mobility.trace import MobilitySchedule, MobilitySnapshot, MobilityTrace
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MobilityModel",
-    "RandomWaypoint",
-    "VirtualForce",
-    "CircularOrbit",
-    "model_by_name",
-    "MODEL_NAMES",
-    "MobilitySnapshot",
-    "MobilityTrace",
-    "MobilitySchedule",
-    "TimelineEntry",
-    "FeasibilityTimeline",
-    "feasibility_timeline",
-    "feasibility_timeline_cold",
-]
+_EXPORTS = {
+    ".models": ("MobilityModel", "RandomWaypoint", "VirtualForce", "CircularOrbit",
+                "model_by_name", "MODEL_NAMES"),
+    ".trace": ("MobilitySnapshot", "MobilityTrace", "MobilitySchedule"),
+    ".feasibility": ("TimelineEntry", "FeasibilityTimeline", "feasibility_timeline",
+                     "feasibility_timeline_cold"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -9,13 +9,10 @@ simulation engine (:mod:`repro.core.engine`); trajectory recording lives in
 :mod:`repro.network.state`.
 """
 
-from repro.network.spec import NetworkSpec, NodeRole, RevelationPolicy
-from repro.network.state import Trajectory, network_state
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NetworkSpec",
-    "NodeRole",
-    "RevelationPolicy",
-    "Trajectory",
-    "network_state",
-]
+_EXPORTS = {
+    ".spec": ("NetworkSpec", "NodeRole", "RevelationPolicy"),
+    ".state": ("Trajectory", "network_state"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -27,32 +27,12 @@ advances whole horizons in the integer kernel
 loop-invariant ratios through :func:`exact.common_denominator`.
 """
 
-from repro.numeric.counters import (
-    fastpath_steps_total,
-    fraction_fallbacks_total,
-    note_fastpath_steps,
-    note_fraction_fallback,
-    reset_counters,
-)
-from repro.numeric.exact import (
-    INT_SCALE_LIMIT,
-    ScaledValues,
-    common_denominator,
-    scale_int,
-    try_scale,
-    unscale,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "INT_SCALE_LIMIT",
-    "ScaledValues",
-    "common_denominator",
-    "scale_int",
-    "try_scale",
-    "unscale",
-    "fastpath_steps_total",
-    "fraction_fallbacks_total",
-    "note_fastpath_steps",
-    "note_fraction_fallback",
-    "reset_counters",
-]
+_EXPORTS = {
+    ".exact": ("INT_SCALE_LIMIT", "ScaledValues", "common_denominator", "scale_int",
+               "try_scale", "unscale"),
+    ".counters": ("fastpath_steps_total", "fraction_fallbacks_total",
+                  "note_fastpath_steps", "note_fraction_fallback", "reset_counters"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -41,102 +41,24 @@ on the CLI); the spans opened on that sink, and their children, land
 there too.
 """
 
-from __future__ import annotations
+from repro._exports import lazy_exports
 
-from repro.errors import ObservabilityError
-from repro.obs.merge import (
-    add_snapshots,
-    counter_regressions,
-    merge_worker_snapshots,
-    parse_exposition,
-    render_snapshot,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-    PROMETHEUS_CONTENT_TYPE,
-    get_registry,
-)
-from repro.obs.profile import profile_report, profile_rows
-from repro.obs.replay import ReplayResult, replay_trace
-from repro.obs.spans import (
-    SPAN_SECONDS_METRIC,
-    Span,
-    current_span,
-    current_trace_id,
-    get_span_sink,
-    new_trace_id,
-    normalized_tree,
-    render_waterfall,
-    set_span_sink,
-    span,
-    span_records,
-    span_tree,
-)
-from repro.obs.trace import (
-    NULL_SINK,
-    WALL_CLOCK_FIELDS,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-    TraceSink,
-    config_fingerprint,
-    read_trace,
-    resolve_sink,
-)
-
-__all__ = [
-    "configure",
-    "ObservabilityError",
-    # trace
-    "TraceSink",
-    "NullSink",
-    "NULL_SINK",
-    "JsonlSink",
-    "RingBufferSink",
-    "resolve_sink",
-    "config_fingerprint",
-    "read_trace",
-    "WALL_CLOCK_FIELDS",
-    # metrics
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "NULL_INSTRUMENT",
-    "DEFAULT_LATENCY_BUCKETS",
-    "PROMETHEUS_CONTENT_TYPE",
-    "get_registry",
-    # spans
-    "SPAN_SECONDS_METRIC",
-    "Span",
-    "span",
-    "current_span",
-    "current_trace_id",
-    "new_trace_id",
-    "get_span_sink",
-    "set_span_sink",
-    "span_records",
-    "span_tree",
-    "normalized_tree",
-    "render_waterfall",
-    # snapshot merging
-    "add_snapshots",
-    "merge_worker_snapshots",
-    "render_snapshot",
-    "parse_exposition",
-    "counter_regressions",
-    # profiling
-    "profile_report",
-    "profile_rows",
-    # replay
-    "ReplayResult",
-    "replay_trace",
-]
+_EXPORTS = {
+    "..errors": ("ObservabilityError",),
+    ".trace": ("TraceSink", "NullSink", "NULL_SINK", "JsonlSink", "RingBufferSink",
+               "resolve_sink", "config_fingerprint", "read_trace", "WALL_CLOCK_FIELDS"),
+    ".metrics": ("MetricsRegistry", "Counter", "Gauge", "Histogram", "NULL_INSTRUMENT",
+                 "DEFAULT_LATENCY_BUCKETS", "PROMETHEUS_CONTENT_TYPE", "get_registry"),
+    ".spans": ("SPAN_SECONDS_METRIC", "Span", "span", "current_span", "current_trace_id",
+               "new_trace_id", "get_span_sink", "set_span_sink", "span_records",
+               "span_tree", "normalized_tree", "render_waterfall"),
+    ".merge": ("add_snapshots", "merge_worker_snapshots", "render_snapshot",
+               "parse_exposition", "counter_regressions"),
+    ".profile": ("profile_report", "profile_rows"),
+    ".replay": ("ReplayResult", "replay_trace"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__.insert(0, "configure")
 
 _UNSET = object()
 
@@ -157,6 +79,10 @@ def configure(*, metrics=_UNSET, spans=_UNSET) -> dict:
     and round-trips: ``prev = configure(spans=..., metrics=...)`` followed
     by ``configure(**prev)`` restores the state exactly.
     """
+    from repro.obs.metrics import get_registry
+    from repro.obs.spans import set_span_sink
+    from repro.obs.trace import resolve_sink
+
     previous: dict = {}
     if metrics is not _UNSET:
         registry = get_registry()

@@ -1,20 +1,10 @@
 """Section V-C induction machinery: splitting a saturated network along an
 interior minimum cut into the ``B'`` and ``A'`` generalized networks."""
 
-from repro.reduction.cutsplit import (
-    CutSplit,
-    section_v_case,
-    build_a_prime,
-    build_b_prime,
-    interior_min_cut,
-    split_along_cut,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CutSplit",
-    "interior_min_cut",
-    "build_b_prime",
-    "build_a_prime",
-    "split_along_cut",
-    "section_v_case",
-]
+_EXPORTS = {
+    ".cutsplit": ("CutSplit", "interior_min_cut", "build_b_prime", "build_a_prime",
+                  "split_along_cut", "section_v_case"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -32,35 +32,17 @@ Everything is stdlib + the repo's own modules: no web framework, no new
 dependencies.
 """
 
-from repro.errors import ServeError
-from repro.serve.admission import AdmissionController
-from repro.serve.batching import MicroBatcher, direct_simulate
-from repro.serve.client import ServeClient
-from repro.serve.codec import (
-    parse_simulate_request,
-    parse_spec,
-    report_to_json,
-    simulation_response,
-)
-from repro.serve.jobs import JobManager, JobState, grid_from_request, summarize_rows
-from repro.serve.server import BackgroundServer, ReproServer
-from repro.serve.workers import WorkerPool
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ServeError",
-    "AdmissionController",
-    "MicroBatcher",
-    "direct_simulate",
-    "ServeClient",
-    "parse_spec",
-    "parse_simulate_request",
-    "report_to_json",
-    "simulation_response",
-    "JobManager",
-    "JobState",
-    "grid_from_request",
-    "summarize_rows",
-    "ReproServer",
-    "BackgroundServer",
-    "WorkerPool",
-]
+_EXPORTS = {
+    "..errors": ("ServeError",),
+    ".admission": ("AdmissionController",),
+    ".batching": ("MicroBatcher", "direct_simulate"),
+    ".client": ("ServeClient",),
+    ".codec": ("parse_spec", "parse_simulate_request", "report_to_json",
+               "simulation_response"),
+    ".jobs": ("JobManager", "JobState", "grid_from_request", "summarize_rows"),
+    ".server": ("ReproServer", "BackgroundServer"),
+    ".workers": ("WorkerPool",),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -5,11 +5,18 @@ any non-2xx response parses its ``{"error", "detail"}`` JSON body and is
 re-raised as the matching :class:`~repro.errors.ServeError` (status code,
 error slug, and ``Retry-After`` preserved), so callers handle overload
 and validation failures with one ``except ServeError`` — no
-``urllib.error`` types leak out.
+``urllib.error`` or socket types leak out.  When no response arrives the
+error has ``status=None``: ``error="unreachable"`` if the connection was
+refused or closed before the response was complete, ``error="timeout"``
+if the server stayed silent for ``timeout`` seconds.
+
+Stdlib only: a load generator imports this module without loading the
+rest of the library.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -17,9 +24,11 @@ import urllib.request
 from typing import Any, Mapping, Optional
 
 from repro.errors import ServeError
-from repro.serve.codec import TRACE_HEADER
 
 __all__ = ["ServeClient"]
+
+#: Response (and accepted request) header carrying the request's trace id.
+TRACE_HEADER = "X-Repro-Trace-Id"
 
 
 class ServeClient:
@@ -63,6 +72,16 @@ class ServeClient:
         except urllib.error.URLError as exc:
             raise ServeError(
                 f"cannot reach {self.base_url}: {exc.reason}",
+                status=None, error="unreachable",
+            ) from None
+        except TimeoutError:
+            raise ServeError(
+                f"no response from {self.base_url} within {self.timeout}s",
+                status=None, error="timeout",
+            ) from None
+        except (ConnectionError, http.client.HTTPException) as exc:
+            raise ServeError(
+                f"connection to {self.base_url} lost: {exc!r}",
                 status=None, error="unreachable",
             ) from None
         if ctype.startswith("application/json"):

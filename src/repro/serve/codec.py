@@ -25,11 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.core.engine import SimulationResult
 from repro.errors import ReproError, ServeError
 from repro.network.spec import NetworkSpec, RevelationPolicy
+from repro.serve.client import TRACE_HEADER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import SimulationResult
 
 __all__ = [
     "parse_spec",
@@ -41,9 +44,6 @@ __all__ = [
     "TRACE_HEADER",
     "valid_trace_id",
 ]
-
-#: Response (and accepted request) header carrying the request's trace id.
-TRACE_HEADER = "X-Repro-Trace-Id"
 
 _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9_.\-]{1,64}$")
 

@@ -82,12 +82,20 @@ _STOP = None  # pipe sentinel: parent asks the worker to exit cleanly
 # worker-process side
 # ----------------------------------------------------------------------
 def _warm_imports() -> None:
-    """Import the heavy stack once, before the worker reports ready."""
-    import repro.analysis            # noqa: F401  (summarize)
-    import repro.core.ensemble       # noqa: F401
-    import repro.flow.feasibility    # noqa: F401
-    import repro.serve.batching      # noqa: F401
-    import repro.serve.codec         # noqa: F401
+    """Import every module a task uses, before the worker reports ready.
+
+    The packages resolve their exports on first use, so a module missing
+    here would be imported by the first task that needs it.
+    ``tests/serve/test_workers.py`` pins that no task imports anything
+    after this.
+    """
+    import repro.analysis.metrics        # noqa: F401  (summarize, in simulation_response)
+    import repro.arrivals.deterministic  # noqa: F401  (the integer kernel's eligibility)
+    import repro.core.ensemble           # noqa: F401
+    import repro.flow.feasibility        # noqa: F401
+    import repro.loss.models             # noqa: F401  (loss_p > 0)
+    import repro.serve.batching          # noqa: F401
+    import repro.serve.codec             # noqa: F401
 
 
 def _task_classify(cache: FeasibilityCache, spec, algorithm: str) -> tuple[dict, bool]:

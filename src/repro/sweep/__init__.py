@@ -19,47 +19,16 @@ worker count or completion order — so ``workers=0`` (inline serial),
 ``workers=1``, and ``workers=8`` are interchangeable and differentiable.
 """
 
-from repro.sweep.cache import (
-    FeasibilityCache,
-    cached_classify,
-    cached_envelope,
-    cached_region,
-    canonical_graph_key,
-    canonical_ray_key,
-    canonical_spec_key,
-    shared_cache,
-)
-from repro.sweep.checkpoint import SweepCheckpoint, load_records, resume
-from repro.sweep.executor import PointRecord, SweepRun, run_sweep
-from repro.sweep.grid import GridPoint, GridSpec
-from repro.sweep.points import (
-    FAMILIES,
-    classify_point,
-    mobility_point,
-    random_instance_spec,
-    region_point,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GridPoint",
-    "GridSpec",
-    "PointRecord",
-    "SweepRun",
-    "run_sweep",
-    "FeasibilityCache",
-    "shared_cache",
-    "cached_classify",
-    "cached_envelope",
-    "cached_region",
-    "canonical_graph_key",
-    "canonical_ray_key",
-    "canonical_spec_key",
-    "SweepCheckpoint",
-    "load_records",
-    "resume",
-    "FAMILIES",
-    "random_instance_spec",
-    "classify_point",
-    "region_point",
-    "mobility_point",
-]
+_EXPORTS = {
+    ".grid": ("GridPoint", "GridSpec"),
+    ".executor": ("PointRecord", "SweepRun", "run_sweep"),
+    ".cache": ("FeasibilityCache", "shared_cache", "cached_classify", "cached_envelope",
+               "cached_region", "canonical_graph_key", "canonical_ray_key",
+               "canonical_spec_key"),
+    ".checkpoint": ("SweepCheckpoint", "load_records", "resume"),
+    ".points": ("FAMILIES", "random_instance_spec", "classify_point", "region_point",
+                "mobility_point"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -8,13 +8,18 @@ the HTTP-level pooled-vs-inprocess equality matrix lives in
 """
 
 import os
+import pickle
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import WorkerPool, direct_simulate, parse_spec
+from repro.serve.codec import parse_region_request
 from repro.sweep.cache import canonical_spec_key, shard_index
 
 SPEC_PAYLOAD = {"topology": "gnp", "n": 16, "p": 0.3, "seed": 3,
@@ -101,6 +106,44 @@ class TestErrorTransport:
         with pytest.raises(TypeError):
             pool.submit("ping", (1, 2, 3, 4)).result(30)
         assert pool.submit("ping", ("still alive",)).result(30) == "still alive"
+
+
+WARM_PROBE = """
+import pickle, sys
+from repro.serve.workers import _HANDLERS, _warm_imports
+from repro.sweep.cache import FeasibilityCache
+
+_warm_imports()
+before = set(sys.modules)
+cache = FeasibilityCache()
+for kind, args in pickle.loads(sys.stdin.buffer.read()):
+    _HANDLERS[kind](cache, *args)
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "repro"))
+"""
+
+
+class TestWarmImports:
+    def test_no_task_imports_after_warm_up(self):
+        """A worker that reports ready can compute: in a fresh interpreter,
+        the tasks after ``_warm_imports()`` (their arguments unpickled
+        there, as a worker receives them) import no ``repro`` module."""
+        spec = parse_spec(SPEC_PAYLOAD)
+        _, direction = parse_region_request({"spec": SPEC_PAYLOAD, "direction": {"0": "3/2"}})
+        tasks = [
+            ("classify", (spec, "dinic")),
+            ("region", (spec, None, "dinic")),
+            ("region", (spec, direction, "dinic")),
+            ("simulate_batch", (spec, 50, 0.0, [0, 1])),
+            ("simulate_batch", (spec, 50, 0.1, [2])),
+        ]
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", WARM_PROBE], input=pickle.dumps(tasks),
+            capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == "[]"
 
 
 class TestLifecycle:
