@@ -85,7 +85,7 @@ class ExtendedGraph:
         shares one conversion instead of re-walking the numpy arrays.  The
         lists are aliased, never copied; callers must not mutate them.
         """
-        return [int(t) for t in self.tails], [int(h) for h in self.heads]
+        return self.tails.tolist(), self.heads.tolist()
 
     def arcs_of_kind(self, kind: ArcKind) -> np.ndarray:
         """Indices of arcs with the given provenance."""
@@ -144,47 +144,32 @@ def build_extended_graph(
     in_clean = {v: r for v, r in sorted(in_rates.items()) if r > 0}
     out_clean = {v: r for v, r in sorted(out_rates.items()) if r > 0}
 
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[Number] = []
-    kinds: list[ArcKind] = []
-    refs: list[int] = []
-
-    for eid, u, v in graph.edges():
-        tails.append(u)
-        heads.append(v)
-        caps.append(edge_capacity)
-        kinds.append(ArcKind.EDGE_FWD)
-        refs.append(eid)
-        tails.append(v)
-        heads.append(u)
-        caps.append(edge_capacity)
-        kinds.append(ArcKind.EDGE_BWD)
-        refs.append(eid)
-
+    # both directions of every live edge in id order, then s* -> v, then v -> d*
+    eids, us, vs = graph.edge_array()
+    m = len(eids)
     s_star, d_star = n, n + 1
-    for v, r in in_clean.items():
-        tails.append(s_star)
-        heads.append(v)
-        caps.append(r * source_scale)
-        kinds.append(ArcKind.SOURCE)
-        refs.append(v)
-    for v, r in out_clean.items():
-        tails.append(v)
-        heads.append(d_star)
-        caps.append(r)
-        kinds.append(ArcKind.SINK)
-        refs.append(v)
+    in_nodes = np.array(list(in_clean), dtype=np.int64)
+    out_nodes = np.array(list(out_clean), dtype=np.int64)
+    tails = np.concatenate((np.column_stack((us, vs)).ravel(),
+                            np.full(len(in_nodes), s_star, dtype=np.int64), out_nodes))
+    heads = np.concatenate((np.column_stack((vs, us)).ravel(),
+                            in_nodes, np.full(len(out_nodes), d_star, dtype=np.int64)))
+    refs = np.concatenate((np.repeat(eids, 2), in_nodes, out_nodes))
+    caps = ((edge_capacity,) * (2 * m)
+            + tuple(r * source_scale for r in in_clean.values())
+            + tuple(out_clean.values()))
+    kinds = ((ArcKind.EDGE_FWD, ArcKind.EDGE_BWD) * m
+             + (ArcKind.SOURCE,) * len(in_nodes) + (ArcKind.SINK,) * len(out_nodes))
 
     return ExtendedGraph(
         n_base=n,
         s_star=s_star,
         d_star=d_star,
-        tails=np.array(tails, dtype=np.int64),
-        heads=np.array(heads, dtype=np.int64),
-        capacities=tuple(caps),
-        kinds=tuple(kinds),
-        refs=np.array(refs, dtype=np.int64),
+        tails=tails,
+        heads=heads,
+        capacities=caps,
+        kinds=kinds,
+        refs=refs,
         in_rates=dict(in_clean),
         out_rates=dict(out_clean),
     )

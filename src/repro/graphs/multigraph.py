@@ -2,11 +2,21 @@
 
 Design notes
 ------------
-* Nodes are dense integers ``0 .. n-1``; experiments that need labels keep
-  their own mapping (see :func:`repro.graphs.convert.from_networkx`).
+* Nodes are dense integers ``0 .. n-1`` with ``n < 2**31``; experiments
+  that need labels keep their own mapping (see
+  :func:`repro.graphs.convert.from_networkx`).
 * Edges get a stable id when added.  Removal leaves a *tombstone* so ids of
   surviving edges never shift — the dynamic-topology driver (Conjecture 4)
   relies on this to splice link schedules across epochs.
+* The edge store is three flat arrays indexed by edge id: int32 endpoints
+  ``_eu``/``_ev`` and a bool live mask ``_alive``, 9 bytes per edge.  The
+  first :attr:`~MultiGraph.num_edge_slots` entries are in use;
+  :meth:`~MultiGraph.from_edges` and :meth:`~MultiGraph.copy` allocate
+  exactly, and an :meth:`~MultiGraph.add_edge` that finds the store full
+  grows it by an eighth plus a few slots.  int32 endpoints are why ``n``
+  stays below ``2**31``.  What the store hands out keeps its types:
+  Python ints from ``edges()``, ``edge_endpoints()`` and
+  ``components()``, int64 arrays from ``edge_array()``.
 * The hot path of the simulator reads the graph through a cached CSR-style
   adjacency (:meth:`MultiGraph.adjacency`), three numpy arrays shared by all
   engines.  Any mutation invalidates the cache.
@@ -26,6 +36,9 @@ from repro.errors import GraphError
 from repro.graphs.csr import CSRTopology
 
 __all__ = ["MultiGraph", "Adjacency"]
+
+#: int32 endpoints: the largest node count, so the largest node id is 2**31 - 2
+_MAX_NODES = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -65,15 +78,19 @@ class MultiGraph:
     2
     """
 
-    __slots__ = ("_n", "_eu", "_ev", "_alive", "_m_alive", "_adj_cache", "_csr_cache")
+    __slots__ = ("_n", "_eu", "_ev", "_alive", "_slots", "_m_alive",
+                 "_adj_cache", "_csr_cache")
 
     def __init__(self, n: int = 0) -> None:
         if n < 0:
             raise GraphError(f"node count must be non-negative, got {n}")
+        if n > _MAX_NODES:
+            raise GraphError(f"node count must be below 2**31, got {n}")
         self._n = int(n)
-        self._eu: list[int] = []
-        self._ev: list[int] = []
-        self._alive: list[bool] = []
+        self._eu = np.zeros(0, dtype=np.int32)
+        self._ev = np.zeros(0, dtype=np.int32)
+        self._alive = np.zeros(0, dtype=bool)
+        self._slots = 0
         self._m_alive = 0
         self._adj_cache: Optional[Adjacency] = None
         self._csr_cache: Optional[CSRTopology] = None
@@ -89,8 +106,9 @@ class MultiGraph:
         pairs or an ``(m, 2)`` integer array.  Edge ids follow input order.
 
         Every edge is checked at once, on the values as given (Python ints
-        of any size included), before the cast to int64; the first bad edge
+        of any size included), before the cast to int32; the first bad edge
         in input order raises the :class:`GraphError` :meth:`add_edge` would.
+        The store keeps the cast arrays, with no spare slots.
         """
         g = cls(n)
         if isinstance(edges, np.ndarray):
@@ -106,18 +124,20 @@ class MultiGraph:
         if bad.any():
             k = int(np.argmax(bad))
             g._check_pair(us[k], vs[k])
-        g._eu = us.astype(np.int64).tolist()
-        g._ev = vs.astype(np.int64).tolist()
-        g._alive = [True] * len(g._eu)
-        g._m_alive = len(g._eu)
+        g._eu = us.astype(np.int32)
+        g._ev = vs.astype(np.int32)
+        g._alive = np.ones(len(g._eu), dtype=bool)
+        g._slots = g._m_alive = len(g._eu)
         return g
 
     def copy(self) -> "MultiGraph":
         """Deep copy (edge ids, including tombstones, are preserved)."""
         g = MultiGraph(self._n)
-        g._eu = list(self._eu)
-        g._ev = list(self._ev)
-        g._alive = list(self._alive)
+        k = self._slots
+        g._eu = self._eu[:k].copy()
+        g._ev = self._ev[:k].copy()
+        g._alive = self._alive[:k].copy()
+        g._slots = k
         g._m_alive = self._m_alive
         return g
 
@@ -128,6 +148,10 @@ class MultiGraph:
         """Append ``k`` fresh nodes; returns their id range."""
         if k < 0:
             raise GraphError(f"cannot add {k} nodes")
+        if self._n + k > _MAX_NODES:
+            raise GraphError(
+                f"cannot add {k} nodes to {self._n}: node count must stay below 2**31"
+            )
         first = self._n
         self._n += k
         self._adj_cache = None
@@ -140,10 +164,16 @@ class MultiGraph:
         Parallel edges are allowed and each gets a distinct id.
         """
         self._check_pair(u, v)
-        eid = len(self._eu)
-        self._eu.append(int(u))
-        self._ev.append(int(v))
-        self._alive.append(True)
+        eid = self._slots
+        if eid == len(self._eu):  # full: grow by an eighth plus 8 slots
+            extra = (eid >> 3) + 8
+            self._eu = np.concatenate((self._eu, np.zeros(extra, dtype=np.int32)))
+            self._ev = np.concatenate((self._ev, np.zeros(extra, dtype=np.int32)))
+            self._alive = np.concatenate((self._alive, np.zeros(extra, dtype=bool)))
+        self._eu[eid] = u
+        self._ev[eid] = v
+        self._alive[eid] = True
+        self._slots = eid + 1
         self._m_alive += 1
         self._adj_cache = None
         self._csr_cache = None
@@ -162,7 +192,7 @@ class MultiGraph:
 
     def restore_edge(self, eid: int) -> None:
         """Undo a prior :meth:`remove_edge` (used by topology schedules)."""
-        if not (0 <= eid < len(self._eu)):
+        if not (0 <= eid < self._slots):
             raise GraphError(f"unknown edge id {eid}")
         if not self._alive[eid]:
             self._alive[eid] = True
@@ -186,14 +216,14 @@ class MultiGraph:
     @property
     def num_edge_slots(self) -> int:
         """Number of edge ids ever allocated (live + tombstoned)."""
-        return len(self._eu)
+        return self._slots
 
     def has_edge_id(self, eid: int) -> bool:
-        return 0 <= eid < len(self._eu) and self._alive[eid]
+        return 0 <= eid < self._slots and bool(self._alive[eid])
 
     def edge_endpoints(self, eid: int) -> tuple[int, int]:
         self._check_edge(eid)
-        return self._eu[eid], self._ev[eid]
+        return int(self._eu[eid]), int(self._ev[eid])
 
     def other_end(self, eid: int, v: int) -> int:
         u, w = self.edge_endpoints(eid)
@@ -204,18 +234,14 @@ class MultiGraph:
         raise GraphError(f"node {v} is not an endpoint of edge {eid}")
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(eid, u, v)`` for every live edge, in id order."""
-        for eid, (u, v, alive) in enumerate(zip(self._eu, self._ev, self._alive)):
-            if alive:
-                yield eid, u, v
+        """``(eid, u, v)`` of every live edge as Python ints, in id order."""
+        eids, us, vs = self.edge_array()
+        return zip(eids.tolist(), us.tolist(), vs.tolist())
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live edges as ``(eids, us, vs)`` int64 arrays (id order)."""
-        alive = np.array(self._alive, dtype=bool)
-        eids = np.flatnonzero(alive).astype(np.int64, copy=False)
-        us = np.array(self._eu, dtype=np.int64)[alive]
-        vs = np.array(self._ev, dtype=np.int64)[alive]
-        return eids, us, vs
+        eids = np.flatnonzero(self._alive[: self._slots]).astype(np.int64, copy=False)
+        return eids, self._eu[eids].astype(np.int64), self._ev[eids].astype(np.int64)
 
     def degree(self, v: int) -> int:
         """``|Γ(v)|`` counting parallel edges with multiplicity."""
@@ -287,31 +313,26 @@ class MultiGraph:
         """Connected components, each a sorted node list, ordered by their
         smallest node.
 
-        A DFS over plain adjacency lists read from the edge store: it
-        neither builds nor caches a CSR snapshot.
+        Min-label hooking over the live edge arrays: while some edge joins
+        two trees of the forest ``root``, hang each tree's root under the
+        smallest root it has an edge to, then flatten the forest by pointer
+        jumping.  Every two rounds at least halve the trees of a component,
+        and its last root is its smallest node.  Neither builds nor caches a
+        CSR snapshot.
         """
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for u, v, alive in zip(self._eu, self._ev, self._alive):
-            if alive:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = [False] * self._n
-        out: list[list[int]] = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
+        _, us, vs = self.edge_array()
+        root = np.arange(self._n, dtype=np.int64)
+        while True:
+            ru, rv = root[us], root[vs]
+            if (ru == rv).all():
+                break
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while not ((hop := root[root]) == root).all():
+                root = hop
+        nodes = np.argsort(root, kind="stable").tolist()
+        sizes = np.bincount(root)
+        ends = np.cumsum(sizes[sizes > 0]).tolist()
+        return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
     def is_connected(self) -> bool:
         if self._n == 0:
@@ -330,11 +351,13 @@ class MultiGraph:
             if old in mapping:
                 raise GraphError(f"duplicate node {old} in subgraph request")
             mapping[old] = new
-        g = MultiGraph(len(mapping))
-        for _, u, v in self.edges():
-            if u in mapping and v in mapping:
-                g.add_edge(mapping[u], mapping[v])
-        return g, mapping
+        index = np.full(self._n, -1, dtype=np.int64)
+        index[list(mapping)] = np.arange(len(mapping))
+        _, us, vs = self.edge_array()
+        us, vs = index[us], index[vs]
+        inside = (us >= 0) & (vs >= 0)
+        edges = np.column_stack((us[inside], vs[inside]))
+        return MultiGraph.from_edges(len(mapping), edges), mapping
 
     # ------------------------------------------------------------------
     # dunder / misc
@@ -348,9 +371,12 @@ class MultiGraph:
             return NotImplemented
         if self._n != other._n or self._m_alive != other._m_alive:
             return False
-        mine = sorted(tuple(sorted((u, v))) for _, u, v in self.edges())
-        theirs = sorted(tuple(sorted((u, v))) for _, u, v in other.edges())
-        return mine == theirs
+        return np.array_equal(self._edge_keys(), other._edge_keys())
+
+    def _edge_keys(self) -> np.ndarray:
+        """Live edges as sorted ``min * n + max`` keys (below ``2**62``)."""
+        _, us, vs = self.edge_array()
+        return np.sort(np.minimum(us, vs) * self._n + np.maximum(us, vs))
 
     def __hash__(self) -> int:  # MultiGraph is mutable
         raise TypeError("MultiGraph is unhashable (mutable)")
@@ -366,5 +392,5 @@ class MultiGraph:
             raise GraphError(f"self-loop at node {u} is not allowed")
 
     def _check_edge(self, eid: int) -> None:
-        if not (0 <= eid < len(self._eu)) or not self._alive[eid]:
+        if not (0 <= eid < self._slots) or not self._alive[eid]:
             raise GraphError(f"unknown or removed edge id {eid}")

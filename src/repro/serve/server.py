@@ -612,6 +612,12 @@ class BackgroundServer:
     """Run a :class:`ReproServer` on a dedicated thread with its own event
     loop — the embedding used by tests, benchmarks, and the CI smoke step.
 
+    Each server enables the process-global metrics registry and span sink
+    when it starts and restores the state it found when it stops, so
+    servers whose lifetimes overlap must stop in reverse start order: stop
+    the earlier one first and the later one's restore re-enables the
+    earlier one's registry and span ring for the rest of the process.
+
     >>> with BackgroundServer(queue_limit=8) as url:
     ...     client = ServeClient(url)           # doctest: +SKIP
     """

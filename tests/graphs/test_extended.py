@@ -1,5 +1,8 @@
 """Tests for the G* construction (Fig. 2 / Fig. 4)."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -95,6 +98,77 @@ class TestBuildExtendedGraph:
         ext = build_extended_graph(g, {0: 1}, {3: 1}, edge_capacity=7)
         f = ext.arcs_of_kind(ArcKind.EDGE_FWD)[0]
         assert ext.capacities[f] == 7
+
+
+def extended_reference(graph, in_rates, out_rates, *, edge_capacity=1,
+                       source_scale=1):
+    """The per-edge loop ``build_extended_graph`` replaced, as its fields."""
+    n = graph.n
+    in_clean = {v: r for v, r in sorted(in_rates.items()) if r > 0}
+    out_clean = {v: r for v, r in sorted(out_rates.items()) if r > 0}
+    tails, heads, caps, kinds, refs = [], [], [], [], []
+    for eid, u, v in graph.edges():
+        tails += [u, v]
+        heads += [v, u]
+        caps += [edge_capacity, edge_capacity]
+        kinds += [ArcKind.EDGE_FWD, ArcKind.EDGE_BWD]
+        refs += [eid, eid]
+    for v, r in in_clean.items():
+        tails.append(n)
+        heads.append(v)
+        caps.append(r * source_scale)
+        kinds.append(ArcKind.SOURCE)
+        refs.append(v)
+    for v, r in out_clean.items():
+        tails.append(v)
+        heads.append(n + 1)
+        caps.append(r)
+        kinds.append(ArcKind.SINK)
+        refs.append(v)
+    return {"n_base": n, "s_star": n, "d_star": n + 1,
+            "tails": np.array(tails, dtype=np.int64),
+            "heads": np.array(heads, dtype=np.int64),
+            "capacities": tuple(caps), "kinds": tuple(kinds),
+            "refs": np.array(refs, dtype=np.int64),
+            "in_rates": in_clean, "out_rates": out_clean}
+
+
+def _tombstoned_gnp():
+    g = gen.random_gnp(24, 0.3, seed=5)
+    for eid in range(0, g.num_edge_slots, 3):
+        g.remove_edge(eid)
+    g.add_edge(0, 1)
+    g.add_edge(1, 0)
+    return g
+
+
+class TestAgainstPerEdgeLoop:
+    """The array build gives the per-edge loop's ``G*``, field for field."""
+
+    @pytest.mark.parametrize("graph,in_rates,out_rates,kwargs", [
+        (MultiGraph(3), {}, {}, {}),
+        (MultiGraph(3), {0: 1}, {2: 2}, {}),
+        (small_net(), {0: 2, 1: 0}, {3: 4, 0: 1}, {}),
+        (_tombstoned_gnp(), {5: 3, 0: 1}, {7: Fraction(5, 2)},
+         {"source_scale": Fraction(11, 10)}),
+        (_tombstoned_gnp(), {2: 1.5}, {9: 2}, {"edge_capacity": 3}),
+        (gen.grid(5, 5), {0: 1, 4: 1}, {24: 2, 0: 1}, {"source_scale": 2}),
+    ], ids=["edgeless", "edgeless-rates", "path", "tombstones-fractions",
+            "float-capacity", "grid-both-maps"])
+    def test_fields_match(self, graph, in_rates, out_rates, kwargs):
+        ext = build_extended_graph(graph, in_rates, out_rates, **kwargs)
+        want = extended_reference(graph, in_rates, out_rates, **kwargs)
+        for name, value in want.items():
+            got = getattr(ext, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == np.int64, name
+                np.testing.assert_array_equal(got, value, err_msg=name)
+            else:
+                assert got == value, name
+                if name == "capacities":
+                    assert [type(c) for c in got] == [type(c) for c in value]
+        assert ext.arc_lists == (want["tails"].tolist(), want["heads"].tolist())
+        assert all(type(x) is int for x in ext.arc_lists[0] + ext.arc_lists[1])
 
 
 class TestNetworkxRoundTrip:

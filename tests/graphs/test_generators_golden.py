@@ -1,11 +1,13 @@
 """Golden digests of the random generators behind ``random_instance_spec``.
 
 Each digest is a sha256 over a graph's edge store ``(n, _eu, _ev,
-_alive)`` and its spec's rate maps, so it pins edge ids, endpoint
-orientation and every random draw.  The digests were recorded before the
-generators assembled their edge lists as arrays; they hold that rewrite
-(``random_gnp``'s spanning-tree draws in one call included) to the
-graphs of the per-edge construction, on whatever numpy runs the suite.
+_alive)``, its used slots as Python lists, and its spec's rate maps, so
+it pins edge ids, endpoint orientation and every random draw.  The
+digests were recorded before the generators assembled their edge lists
+as arrays, and while the store was still three Python lists; they hold
+both rewrites (``random_gnp``'s spanning-tree draws in one call
+included) to the graphs of the per-edge construction, on whatever numpy
+runs the suite.
 """
 
 import hashlib
@@ -74,7 +76,9 @@ BRIDGED_GEOMETRIC_GOLDEN = {
 
 
 def digest(graph, in_rates=None, out_rates=None) -> str:
-    payload = [graph.n, graph._eu, graph._ev, graph._alive,
+    used = graph.num_edge_slots
+    payload = [graph.n, graph._eu[:used].tolist(), graph._ev[:used].tolist(),
+               graph._alive[:used].tolist(),
                sorted((in_rates or {}).items()),
                sorted((out_rates or {}).items())]
     return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()

@@ -71,6 +71,8 @@ class TestParseSpecExplicit:
         ({"nodes": 4, "edges": [[0, 2**70]]}, "unknown node"),
         ({"nodes": 4, "edges": [[-2**70, 1]]}, "unknown node"),
         ({"nodes": 4, "edges": [[0, 1], [2, 2]]}, "self-loop"),
+        # past the int32 endpoint store, like the past-int64 cases above
+        ({"nodes": 4, "edges": [[0, 2**31]]}, "unknown node"),
     ])
     def test_rejects(self, payload, fragment):
         with pytest.raises(ServeError) as exc_info:

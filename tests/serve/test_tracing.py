@@ -43,7 +43,7 @@ def server_factory():
         return url, srv.server
 
     yield launch
-    for srv in live:
+    for srv in reversed(live):  # last started, first stopped
         srv.stop()
 
 

@@ -50,9 +50,9 @@ def twins():
         pooled = ServeClient(pooled_srv.start(timeout=120.0))
         inproc = ServeClient(inproc_srv.start(timeout=120.0))
         yield pooled, inproc, pooled_srv
-    finally:
-        pooled_srv.stop()
+    finally:  # reverse start order
         inproc_srv.stop()
+        pooled_srv.stop()
 
 
 def _no_batch(body: dict) -> dict:
