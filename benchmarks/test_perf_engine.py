@@ -1,26 +1,21 @@
 """Performance benchmarks of the hot paths (not tied to a paper artifact).
 
-These track the throughput of the two LGG implementations (the vectorized
-kernel, here at ``R = 1``, must beat the per-node reference), the full
-engine step, and the three max-flow solvers, so regressions in the
-substrates are visible.
+These track the throughput of the vectorized LGG kernel (here at ``R = 1``,
+next to the per-node reference of the tests), the full engine step, and
+the max-flow engine next to the cold oracles of the tests, so regressions
+in the substrates are visible.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    HalfEdges,
-    LGGPolicy,
-    SimulationConfig,
-    Simulator,
-    lgg_select_reference,
-)
+from repro.core import HalfEdges, SimulationConfig, Simulator
 from repro.core.lgg_fast import lgg_select_fast_batched
-from repro.flow import max_flow
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
+from tests.core.lgg_reference import ReferenceLGGPolicy, lgg_select_reference
+from tests.flow.engines import ENGINES
 
 
 def _grid_workload(side=20):
@@ -67,7 +62,7 @@ class TestEngine:
         def run():
             sim = Simulator(
                 spec,
-                policy=LGGPolicy(use_reference=True),
+                policy=ReferenceLGGPolicy(),
                 config=SimulationConfig(horizon=200, seed=0),
             )
             return sim.run()
@@ -84,5 +79,5 @@ class TestMaxFlowSolvers:
     @pytest.mark.parametrize("algo", ["dinic", "edmonds_karp", "push_relabel"])
     def test_solver(self, algo, benchmark):
         p = self._instance()
-        result = benchmark(max_flow, p, algo)
+        result = benchmark(ENGINES[algo], p)
         assert result.value == 2

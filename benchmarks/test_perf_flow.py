@@ -6,7 +6,7 @@ feasibility stack — :func:`classify_network` (one cold solve, then the
 :func:`max_unsaturation_margin` (one parametric breakpoint envelope) —
 beats the cold-solve oracles (:func:`classify_network_cold` /
 :func:`max_unsaturation_margin_cold`, every probe a fresh solve) by
->= 3x wall-clock, for every registered algorithm.
+>= 3x wall-clock.
 
 Correctness is asserted unconditionally — speed never buys away
 correctness: every classification equals the cold one exactly, and every
@@ -23,10 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from benchmarks.e2e.record import append_record
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import (
     classify_network,
     classify_network_cold,
@@ -85,25 +83,20 @@ def _report_facts(report):
 
 
 class TestWarmStartSpeedup:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_warm_beats_cold_3x(self, algorithm, benchmark, perf_asserts):
+    def test_warm_beats_cold_3x(self, benchmark, perf_asserts):
         exts = _instances()
 
         # warm-up: let both paths touch their code once, off the clock
-        classify_network(exts[0], algorithm=algorithm)
-        classify_network_cold(exts[0], algorithm=algorithm)
-        max_unsaturation_margin(exts[0], algorithm=algorithm)
-        max_unsaturation_margin_cold(exts[0], tol=TOL, algorithm=algorithm)
+        classify_network(exts[0])
+        classify_network_cold(exts[0])
+        max_unsaturation_margin(exts[0])
+        max_unsaturation_margin_cold(exts[0], tol=TOL)
 
         cold_facts, cold_margins = [], []
         t0 = time.perf_counter()
         for ext in exts:
-            cold_facts.append(
-                _report_facts(classify_network_cold(ext, algorithm=algorithm))
-            )
-            cold_margins.append(
-                max_unsaturation_margin_cold(ext, tol=TOL, algorithm=algorithm)
-            )
+            cold_facts.append(_report_facts(classify_network_cold(ext)))
+            cold_margins.append(max_unsaturation_margin_cold(ext, tol=TOL))
         cold_s = time.perf_counter() - t0
 
         warm_facts, warm_margins = [], []
@@ -112,12 +105,8 @@ class TestWarmStartSpeedup:
             warm_facts.clear()
             warm_margins.clear()
             for ext in exts:
-                warm_facts.append(
-                    _report_facts(classify_network(ext, algorithm=algorithm))
-                )
-                warm_margins.append(
-                    max_unsaturation_margin(ext, algorithm=algorithm)
-                )
+                warm_facts.append(_report_facts(classify_network(ext)))
+                warm_margins.append(max_unsaturation_margin(ext))
 
         benchmark.pedantic(warm_pass, rounds=1, iterations=1)
         warm_s = benchmark.stats["mean"]
@@ -125,7 +114,6 @@ class TestWarmStartSpeedup:
 
         append_record(RESULTS, {
             "bench": "flow_warmstart",
-            "algorithm": algorithm,
             "instances": len(exts),
             "tol": str(TOL),
             "cold_s": round(cold_s, 4),
@@ -133,7 +121,7 @@ class TestWarmStartSpeedup:
             "speedup": round(speedup, 2),
             "perf_asserts": perf_asserts,
         })
-        print(f"\n[flow:{algorithm}] cold {cold_s:.3f}s  warm {warm_s:.3f}s  "
+        print(f"\n[flow] cold {cold_s:.3f}s  warm {warm_s:.3f}s  "
               f"speedup {speedup:.2f}x over {len(exts)} instances")
 
         # correctness is never timing-gated: every verdict must be exact,
@@ -147,7 +135,7 @@ class TestWarmStartSpeedup:
 
         if perf_asserts:
             assert speedup >= SPEEDUP_FLOOR, (
-                f"{algorithm}: warm path only {speedup:.2f}x faster "
+                f"warm path only {speedup:.2f}x faster "
                 f"(cold {cold_s:.3f}s, warm {warm_s:.3f}s); floor is "
                 f"{SPEEDUP_FLOOR}x"
             )

@@ -28,10 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from benchmarks.e2e.record import append_record
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import (
     NetworkClass,
     classify_network,
@@ -82,17 +80,13 @@ def _instances():
 
 
 class TestRegionEnvelopeSpeedup:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_envelope_beats_per_scale_classify_3x(self, algorithm, benchmark,
-                                                  perf_asserts):
+    def test_envelope_beats_per_scale_classify_3x(self, benchmark, perf_asserts):
         instances = _instances()
 
         # warm-up: let both paths touch their code once, off the clock
         g0, in0, out0 = instances[0]
-        classify_region(build_extended_graph(g0, in0, out0),
-                        algorithm=algorithm)
-        classify_network(build_extended_graph(g0, in0, out0),
-                         algorithm=algorithm)
+        classify_region(build_extended_graph(g0, in0, out0))
+        classify_network(build_extended_graph(g0, in0, out0))
 
         # -- old path: one warm classify per sampled scale
         point_rows = []
@@ -102,7 +96,7 @@ class TestRegionEnvelopeSpeedup:
             for s in SCALES:
                 scaled = build_extended_graph(
                     g, {v: s * r for v, r in in_rates.items()}, out_rates)
-                rep = classify_network(scaled, algorithm=algorithm)
+                rep = classify_network(scaled)
                 row.append((rep.network_class, rep.max_flow_value))
             point_rows.append(row)
         point_s = time.perf_counter() - t0
@@ -114,8 +108,7 @@ class TestRegionEnvelopeSpeedup:
             reports.clear()
             for g, in_rates, out_rates in instances:
                 report = classify_region(
-                    build_extended_graph(g, in_rates, out_rates),
-                    algorithm=algorithm)
+                    build_extended_graph(g, in_rates, out_rates))
                 env = report.envelope
                 row = [(NetworkClass.UNSATURATED if s < env.lambda_star
                         else NetworkClass.SATURATED if s == env.lambda_star
@@ -130,7 +123,6 @@ class TestRegionEnvelopeSpeedup:
 
         append_record(RESULTS, {
             "bench": "region_envelope",
-            "algorithm": algorithm,
             "instances": len(instances),
             "scales_per_ray": len(SCALES),
             "point_s": round(point_s, 4),
@@ -138,7 +130,7 @@ class TestRegionEnvelopeSpeedup:
             "speedup": round(speedup, 2),
             "perf_asserts": perf_asserts,
         })
-        print(f"\n[region:{algorithm}] per-scale classify {point_s:.3f}s  "
+        print(f"\n[region] per-scale classify {point_s:.3f}s  "
               f"envelope {envelope_s:.3f}s  speedup {speedup:.2f}x over "
               f"{len(instances)} rays x {len(SCALES)} scales")
 
@@ -149,8 +141,7 @@ class TestRegionEnvelopeSpeedup:
                 reports, point_rows, instances):
             assert row == old_row
             margin = max_unsaturation_margin_cold(
-                build_extended_graph(g, in_rates, out_rates),
-                tol=TOL, algorithm=algorithm)
+                build_extended_graph(g, in_rates, out_rates), tol=TOL)
             if margin >= 2**20:
                 assert report.margin >= 2**20  # bisection bailed at its cap
             else:
@@ -158,7 +149,7 @@ class TestRegionEnvelopeSpeedup:
 
         if perf_asserts:
             assert speedup >= SPEEDUP_FLOOR, (
-                f"{algorithm}: envelope path only {speedup:.2f}x faster "
+                f"envelope path only {speedup:.2f}x faster "
                 f"(per-scale classify {point_s:.3f}s, envelope "
                 f"{envelope_s:.3f}s); floor is {SPEEDUP_FLOOR}x"
             )

@@ -3,10 +3,10 @@ algorithm* (Caillouet, Huc, Nisse, Pérennes, Rivano — IPPS 2010).
 
 The package implements the paper's Local Greedy Gradient (LGG) protocol and
 every substrate it depends on: the multigraph network model (S-D-networks
-and R-generalized S-D-networks), max-flow/min-cut solvers (including
-Goldberg–Tarjan push-relabel), feasibility classification, baselines, and
-an empirical-validation harness covering each theorem, property and
-conjecture of the paper.
+and R-generalized S-D-networks), max flow/min cut (one Dinic engine, and
+the distributed Goldberg–Tarjan push-relabel the paper relates LGG to),
+feasibility classification, baselines, and an empirical-validation
+harness covering each theorem, property and conjecture of the paper.
 
 Quickstart
 ----------

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from repro.analysis import summarize
 from repro.core import ExtractionMode
 from repro.errors import ReproError
-from repro.flow import ALGORITHMS, classify_network
+from repro.flow import classify_network
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec, RevelationPolicy
 
@@ -115,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--ray", default=None, metavar="NODE=RATE[,NODE=RATE...]",
                        help="direction in rate space; rates may be exact "
                             "rationals like 3/2 (default: the nominal in-rates)")
-    p_reg.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="dinic")
     p_reg.add_argument("--json", action="store_true", dest="as_json",
                        help="print the full envelope as JSON")
 
@@ -613,8 +612,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "integer node and a rational rate (e.g. 0=3/2)"
                         ) from None
             ext = spec.extended()
-            env = breakpoint_envelope(ext, direction, algorithm=args.algorithm)
-            report = (classify_region(ext, args.algorithm, envelope=env)
+            env = breakpoint_envelope(ext, direction)
+            report = (classify_region(ext, envelope=env)
                       if direction is None else None)
             if args.as_json:
                 print(_json.dumps(region_response(env, report), indent=2))

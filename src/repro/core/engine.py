@@ -166,7 +166,7 @@ class Engine:
         self.topology = config.topology
         # the built-in LGG policy runs as the vectorized kernel; any other
         # policy is asked through policy.select
-        self._lgg = type(self.policy) is LGGPolicy and not self.policy.use_reference
+        self._lgg = type(self.policy) is LGGPolicy
 
         self._in_vec = spec.in_vector()
         self._out_vec = spec.out_vector()

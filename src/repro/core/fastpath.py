@@ -113,11 +113,8 @@ def ineligibility_reasons(engine) -> list[str]:
     policy = engine.policy
     if type(policy) is not LGGPolicy:
         reasons.append(f"policy {type(policy).__name__}")
-    else:
-        if policy.use_reference:
-            reasons.append("reference LGG selection")
-        if policy.tiebreak not in _FAST_TIEBREAKS:
-            reasons.append(f"tie-break {policy.tiebreak.value}")
+    elif policy.tiebreak not in _FAST_TIEBREAKS:
+        reasons.append(f"tie-break {policy.tiebreak.value}")
     if engine.losses is not None:
         reasons.append("loss model")
     arrivals = engine.arrivals

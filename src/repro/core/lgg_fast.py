@@ -2,9 +2,9 @@
 
 Per the hpc-parallel guidance (vectorize the bottleneck, keep a legible
 reference): one stable composite-key argsort over the half-edge arrays of
-an ``(R, n)`` queue matrix replaces the per-node Python loops of
-:func:`repro.core.lgg.lgg_select_reference`.  A single run is the
-``R = 1`` case.
+an ``(R, n)`` queue matrix replaces per-node Python loops (the
+line-by-line transcription of Algorithm 1 is the tests' oracle,
+``tests/core/lgg_reference.py``).  A single run is the ``R = 1`` case.
 
 Correctness argument: within one sender's block sorted by ascending
 revealed queue, the *eligible* half-edges (receiver revealed queue strictly

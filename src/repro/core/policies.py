@@ -7,8 +7,7 @@ arrays; the policy returns ``(edge_ids, senders, receivers)``.
 
 Implemented policies
 --------------------
-* :class:`LGGPolicy` — Algorithm 1 (the paper's protocol), vectorized with
-  an optional reference mode for differential testing.
+* :class:`LGGPolicy` — Algorithm 1 (the paper's protocol), vectorized.
 * :class:`FlowRoutingPolicy` — the "optimal" comparison of Section III:
   push packets along the arcs of a fixed maximum flow ``Φ`` (the paper's
   ``E_t^Φ``).  Stable on every feasible network by construction.
@@ -30,7 +29,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.lgg import lgg_select_reference
 from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
 from repro.core.tiebreak import TieBreak
 from repro.network.spec import NetworkSpec
@@ -85,18 +83,8 @@ class LGGPolicy(_PolicyBase):
     """Algorithm 1 — the paper's Local Greedy Gradient protocol."""
 
     tiebreak: TieBreak = TieBreak.QUEUE_THEN_ID
-    use_reference: bool = False  # per-node Python loop, for differential tests
 
     def select(self, ctx: StepContext) -> Selection:
-        if self.use_reference:
-            triples = lgg_select_reference(
-                ctx.spec.graph, ctx.queues, ctx.revealed,
-                tiebreak=self.tiebreak, rng=ctx.rng,
-            )
-            if not triples:
-                return _EMPTY, _EMPTY, _EMPTY
-            arr = np.array(triples, dtype=np.int64)
-            return arr[:, 0], arr[:, 1], arr[:, 2]
         eids, snd, rcv, mask = lgg_select_fast_batched(
             ctx.half, ctx.queues[None, :], ctx.revealed[None, :],
             tiebreak=self.tiebreak, rngs=[ctx.rng],
@@ -116,8 +104,7 @@ class FlowRoutingPolicy(_PolicyBase):
     allowing a maximum flow" that the stability proof compares LGG to.
     """
 
-    def __init__(self, spec: NetworkSpec, *, algorithm: str = "dinic") -> None:
-        self._algorithm = algorithm
+    def __init__(self, spec: NetworkSpec) -> None:
         self._plan_edges: np.ndarray = _EMPTY
         self._plan_senders: np.ndarray = _EMPTY
         self._plan_receivers: np.ndarray = _EMPTY
@@ -127,7 +114,7 @@ class FlowRoutingPolicy(_PolicyBase):
         from repro.flow import feasible_flow, edge_flow_from_result
 
         ext = spec.extended()
-        result = feasible_flow(ext, self._algorithm)
+        result = feasible_flow(ext)
         plan = edge_flow_from_result(ext, result)
         rows = [(eid, u, v) for eid, (u, v, amt) in sorted(plan.items()) if amt > 0]
         if rows:

@@ -5,19 +5,20 @@ The paper's stability results hinge on flows in the extended graph ``G*``
 implements, from scratch:
 
 * :mod:`~repro.flow.residual` — the directed flow-network representation
-  shared by all solvers (exact :class:`fractions.Fraction` or float
+  (exact :class:`fractions.Fraction`, scaled-integer or float
   capacities),
-* :mod:`~repro.flow.edmonds_karp` — BFS augmenting paths,
-* :mod:`~repro.flow.dinic` — Dinic's blocking-flow algorithm,
-* :mod:`~repro.flow.push_relabel` — Goldberg–Tarjan push-relabel (the
-  paper's reference [6]), FIFO and highest-label variants,
+* :mod:`~repro.flow.dinic` — Dinic's blocking-flow algorithm, the one
+  max-flow engine (:func:`~repro.flow.maxflow.max_flow` is its cold
+  solve; its phase loop also continues warm from any carried flow),
+* :mod:`~repro.flow.distributed_pr` — a round-synchronous *distributed*
+  Goldberg–Tarjan push-relabel (the paper's reference [6]), LGG's
+  closest relative among flow algorithms,
 * :mod:`~repro.flow.mincut` — cut extraction and the cut taxonomy of
   Section V (trivial source cut / sink cut / interior S-D-cut),
 * :mod:`~repro.flow.warmstart` — the parametric warm-start engine: one
   cold solve, then capacity changes in either direction answered in
   place: lowered arcs have their flow repaired (rerouted, or cancelled
-  back to the terminals), then the residual is re-augmented
-  (Dinic-on-residual or warm push-relabel),
+  back to the terminals), then Dinic re-augments the residual,
 * :mod:`~repro.flow.parametric` — the one parametric ladder (scaled
   integers; one cold solve per ray, every other λ a warm fork) and the
   Gallo–Grigoriadis–Tarjan breakpoint envelope on it, with the exact λ*,
@@ -31,7 +32,7 @@ from repro._exports import lazy_exports
 
 _EXPORTS = {
     ".residual": ("FlowProblem", "FlowResult"),
-    ".maxflow": ("max_flow", "ALGORITHMS"),
+    ".maxflow": ("max_flow",),
     ".mincut": ("min_cut", "CutKind", "MinCut", "classify_cut", "is_unique_min_cut",
                 "is_sd_cut"),
     ".feasibility": ("FeasibilityReport", "NetworkClass", "RegionReport",

@@ -108,9 +108,7 @@ class CutFamily:
         return len(self.cuts)
 
 
-def enumerate_min_cuts(
-    problem: FlowProblem, *, limit: int = 64, algorithm: str = "dinic"
-) -> CutFamily:
+def enumerate_min_cuts(problem: FlowProblem, *, limit: int = 64) -> CutFamily:
     """Enumerate minimum cuts (up to ``limit``; set ``complete`` accordingly).
 
     Every returned :class:`MinCut` has the canonical capacity (asserted
@@ -118,7 +116,7 @@ def enumerate_min_cuts(
     """
     if limit < 1:
         raise FlowError(f"limit must be >= 1, got {limit}")
-    result = max_flow(problem, algorithm)
+    result = max_flow(problem)
     comp, cadj = _residual_sccs(result)
     n_comp = len(cadj)
     s_comp = int(comp[problem.source])

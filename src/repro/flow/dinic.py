@@ -1,8 +1,8 @@
-"""Dinic's max-flow algorithm: level graphs + blocking flows.
+"""Dinic's max flow — level graphs and blocking flows — the one flow engine.
 
 O(V² · E) in general, O(E · sqrt(V)) on unit-capacity networks — which is
 exactly what the extended graphs ``G*`` of this library look like away from
-the virtual arcs, so this is the default solver.
+the virtual arcs.
 
 The phase loop is factored out as :func:`augment_residual` so the
 parametric warm-start engine (:mod:`repro.flow.warmstart`) can re-run it on

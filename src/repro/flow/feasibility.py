@@ -85,12 +85,12 @@ def _exact_problem(ext, *, source_cap_override=None) -> FlowProblem:
     return replace(p, capacities=[Fraction(c) for c in p.capacities])
 
 
-def feasible_flow(ext, algorithm: str = "dinic") -> FlowResult:
+def feasible_flow(ext) -> FlowResult:
     """Max ``s*``-``d*`` flow of ``G*`` with the nominal source capacities."""
-    return max_flow(_exact_problem(ext), algorithm)
+    return max_flow(_exact_problem(ext))
 
 
-def f_star(ext, algorithm: str = "dinic") -> object:
+def f_star(ext) -> object:
     """Max flow with *infinite* capacity on the ``(s*, v)`` arcs.
 
     "Infinite" is implemented as total sink capacity + 1, which no s*-d*
@@ -98,7 +98,7 @@ def f_star(ext, algorithm: str = "dinic") -> object:
     """
     big = sum(ext.out_rates.values(), start=Fraction(0)) + 1
     override = {v: big for v in ext.in_rates}
-    result = max_flow(_exact_problem(ext, source_cap_override=override), algorithm)
+    result = max_flow(_exact_problem(ext, source_cap_override=override))
     return result.value
 
 
@@ -127,7 +127,7 @@ def certification_epsilon(ext) -> Fraction:
     return Fraction(1, 2 * L * (int(arrival) + 2))
 
 
-def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
+def classify_network(ext) -> FeasibilityReport:
     """Full Definitions 3–4 classification of an extended graph ``G*``.
 
     Three reads of one parametric ladder along the nominal injection ray
@@ -140,10 +140,10 @@ def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
     on scaled integers, or on exact ``Fraction`` past the magnitude guard
     (recorded in ``repro_core_fraction_fallbacks_total``).
     """
-    with span("flow.classify", algorithm=algorithm) as sp:
+    with span("flow.classify", algorithm="dinic") as sp:
         arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
         eps = certification_epsilon(ext)
-        ladder = _Ladder(ext, ext.in_rates, algorithm)
+        ladder = _Ladder(ext, ext.in_rates)
         nominal = ladder.rung(Fraction(1))
         result = nominal.engine.result
         cut = min_cut(result)
@@ -174,19 +174,19 @@ def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
         )
 
 
-def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
+def classify_network_cold(ext) -> FeasibilityReport:
     """The pre-warm-start classifier: three independent cold solves.
 
     Kept as the differential/benchmark twin of :func:`classify_network` —
     same verdicts, no residual reuse.
     """
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    base = feasible_flow(ext, algorithm)
+    base = feasible_flow(ext)
     cut = min_cut(base)
     problem = base.problem
     kind = classify_cut(cut, problem)
     unique = is_unique_min_cut(base)
-    fs = f_star(ext, algorithm)
+    fs = f_star(ext)
 
     if base.value < arrival:
         return FeasibilityReport(
@@ -202,7 +202,7 @@ def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
 
     eps = certification_epsilon(ext)
     scaled_caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-    scaled = max_flow(_exact_problem(ext, source_cap_override=scaled_caps), algorithm)
+    scaled = max_flow(_exact_problem(ext, source_cap_override=scaled_caps))
     unsaturated = scaled.value == (1 + eps) * arrival
 
     return FeasibilityReport(
@@ -217,7 +217,7 @@ def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
     )
 
 
-def max_unsaturation_margin(ext, *, algorithm: str = "dinic") -> Fraction:
+def max_unsaturation_margin(ext) -> Fraction:
     """The *exact* largest ε with ``(1 + ε) in`` still feasible.
 
     This is the ε of Definition 4 maximised: ``λ* − 1`` along the nominal
@@ -231,11 +231,11 @@ def max_unsaturation_margin(ext, *, algorithm: str = "dinic") -> Fraction:
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
         raise FlowError("margin undefined for a network with no injections")
-    env = breakpoint_envelope(ext, algorithm=algorithm)
+    env = breakpoint_envelope(ext)
     return max(Fraction(0), env.lambda_star - 1)
 
 
-def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024), algorithm: str = "dinic") -> Fraction:
+def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024)) -> Fraction:
     """Largest ε (to within ``tol``) by bisection, every probe a cold solve.
 
     The differential oracle and benchmark baseline of
@@ -251,7 +251,7 @@ def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024), algo
 
     def feasible_at(eps: Fraction) -> bool:
         caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-        res = max_flow(_exact_problem(ext, source_cap_override=caps), algorithm)
+        res = max_flow(_exact_problem(ext, source_cap_override=caps))
         return res.value == (1 + eps) * arrival
 
     if not feasible_at(Fraction(0)):
@@ -311,8 +311,7 @@ class RegionReport:
         return self.margin if self.margin > 0 else None
 
 
-def classify_region(ext, algorithm: str = "dinic", *,
-                    envelope: BreakpointEnvelope | None = None) -> RegionReport:
+def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> RegionReport:
     """Classify a network from one parametric envelope solve.
 
     The verdict is a pure function of the exact critical scalar: λ* > 1
@@ -327,7 +326,7 @@ def classify_region(ext, algorithm: str = "dinic", *,
     skip the solve entirely, e.g. from the feasibility cache.
     """
     if envelope is None:
-        envelope = breakpoint_envelope(ext, algorithm=algorithm)
+        envelope = breakpoint_envelope(ext)
     arrival = envelope.arrival_slope
     lambda_star = envelope.lambda_star
     if lambda_star > 1:

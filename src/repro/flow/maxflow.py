@@ -1,36 +1,18 @@
-"""Uniform max-flow front-end and algorithm registry."""
+"""The max-flow front end: one engine, Dinic's algorithm."""
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.errors import FlowError
 from repro.flow.dinic import dinic
-from repro.flow.edmonds_karp import edmonds_karp
-from repro.flow.push_relabel import push_relabel
 from repro.flow.residual import FlowProblem, FlowResult
 
-__all__ = ["max_flow", "ALGORITHMS"]
-
-ALGORITHMS: dict[str, Callable[[FlowProblem], FlowResult]] = {
-    "dinic": dinic,
-    "edmonds_karp": edmonds_karp,
-    "push_relabel": lambda p: push_relabel(p, "highest"),
-    "push_relabel_fifo": lambda p: push_relabel(p, "fifo"),
-}
+__all__ = ["max_flow"]
 
 
-def max_flow(problem: FlowProblem, algorithm: str = "dinic") -> FlowResult:
-    """Solve ``problem`` with the named algorithm (default Dinic).
+def max_flow(problem: FlowProblem) -> FlowResult:
+    """Solve ``problem`` from scratch with Dinic's algorithm.
 
-    Every registered algorithm returns the same flow *value*; the flow
-    assignment itself may differ between algorithms (max flows are not
-    unique), which the tests exploit for differential checking.
+    Every other flow question of the stack (the parametric ladder, the
+    mobility timeline) starts from one such cold solve and continues warm
+    on its residual (:class:`~repro.flow.warmstart.ParametricMaxFlow`).
     """
-    try:
-        solver = ALGORITHMS[algorithm]
-    except KeyError:
-        raise FlowError(
-            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-        ) from None
-    return solver(problem)
+    return dinic(problem)

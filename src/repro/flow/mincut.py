@@ -132,7 +132,7 @@ def classify_cut(cut: MinCut, problem: FlowProblem) -> CutKind:
     return CutKind.INTERIOR
 
 
-def all_min_cut_kinds(problem: FlowProblem, algorithm: str = "dinic") -> set[CutKind]:
+def all_min_cut_kinds(problem: FlowProblem) -> set[CutKind]:
     """Kinds realised by the extreme min cuts (min and max source side).
 
     Section V-B needs to know whether, besides the trivial source cut, the
@@ -141,7 +141,7 @@ def all_min_cut_kinds(problem: FlowProblem, algorithm: str = "dinic") -> set[Cut
     min cut exists, at least one of the extremes is interior or the extremes
     differ.
     """
-    result = max_flow(problem, algorithm)
+    result = max_flow(problem)
     kinds = set()
     for side in ("min", "max"):
         kinds.add(classify_cut(min_cut(result, side=side), problem))

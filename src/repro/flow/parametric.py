@@ -87,7 +87,6 @@ class BreakpointEnvelope:
     arrival_slope: Fraction          # Σ d(v): slope of the demand line λ·Σd
     segments: tuple[EnvelopeSegment, ...]
     lambda_star: Fraction
-    algorithm: str
     cold_solves: int
     probes: int
     warm_steps: int
@@ -170,8 +169,7 @@ class _Ladder:
     ``Fraction`` with its forks; the ladder counts one fallback in all.
     """
 
-    def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Number],
-                 algorithm: str) -> None:
+    def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Number]) -> None:
         # λ = 0: injection nodes outside the ray keep their source arcs
         # closed for every λ, so 0 is their fixed capacity
         problem = FlowProblem.from_extended(
@@ -200,7 +198,7 @@ class _Ladder:
         base = ParametricMaxFlow(FlowProblem._trusted(
             n=problem.n, tails=problem.tails, heads=problem.heads,
             capacities=self._fixed, source=problem.source, sink=problem.sink,
-        ), algorithm)
+        ))
         self._lams: list[Fraction] = [Fraction(0)]
         self._rungs: list[_Rung] = [_Rung(base, scale)]
 
@@ -260,8 +258,7 @@ class _Ladder:
         return Fraction(slope, self._den), Fraction(intercept, self._den), crossing
 
 
-def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
-                        algorithm: str = "dinic") -> BreakpointEnvelope:
+def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelope:
     """Compute the exact min-cut envelope of ``v(λ)`` along a ray.
 
     ``direction`` maps injection nodes to non-negative rates (defaults to
@@ -274,8 +271,8 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
     direction = _normalize_direction(ext, direction)
     arrival_slope = sum(direction.values(), start=Fraction(0))
 
-    with span("flow.envelope", algorithm=algorithm):
-        ladder = _Ladder(ext, direction, algorithm)
+    with span("flow.envelope", algorithm="dinic"):
+        ladder = _Ladder(ext, direction)
 
         # Tangent at λ = 0: the min cut is exactly {s*} (all parametric
         # arcs closed, so no residual arc leaves s*), giving the demand
@@ -368,7 +365,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
 
     reg = get_registry()
     if reg.enabled:
-        lbl = {"algorithm": algorithm}
+        lbl = {"algorithm": "dinic"}
         reg.counter("repro_flow_envelope_solves_total",
                     "Breakpoint-envelope computations (one cold solve each).",
                     ("algorithm",)).labels(**lbl).inc()
@@ -381,14 +378,12 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         arrival_slope=arrival_slope,
         segments=tuple(segments),
         lambda_star=lambda_star,
-        algorithm=algorithm,
         cold_solves=1,
         probes=ladder.probes,
         warm_steps=ladder.probes,
     )
 
 
-def critical_lambda(ext: ExtendedGraph, direction=None, *,
-                    algorithm: str = "dinic") -> Fraction:
+def critical_lambda(ext: ExtendedGraph, direction=None) -> Fraction:
     """The exact feasibility frontier λ* along a ray (see module docs)."""
-    return breakpoint_envelope(ext, direction, algorithm=algorithm).lambda_star
+    return breakpoint_envelope(ext, direction).lambda_star

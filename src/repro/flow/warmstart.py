@@ -24,20 +24,10 @@ later capacity vector:
   invariant.  All three pushes are Dinic phases
   (:func:`repro.flow.dinic.augment_residual` with ``source``/``sink`` and
   a hard ``target_gain`` cap);
-* then re-augment once from the repaired flow:
-
-  - **Dinic-on-residual** (``dinic`` / ``edmonds_karp`` engines): Dinic's
-    phase loop never assumes a zero initial flow, so
-    :func:`~repro.flow.dinic.augment_residual` continues from the carried
-    flow;
-  - **warm push-relabel** (``push_relabel`` / ``push_relabel_fifo``
-    engines, Gallo–Grigoriadis–Tarjan style): saturate the residual arcs
-    out of the source (re-creating a preflow), keep the height function
-    from the previous step when it is still a valid labeling — checked
-    on every step, since raised and rerouted arcs can invalidate it — and
-    otherwise repair it with one exact global relabeling (BFS distance
-    labels, O(m)); then discharge the new excess.  The expensive part —
-    the flow itself — always carries over.
+* then re-augment once from the repaired flow with Dinic on the
+  residual: Dinic's phase loop never assumes a zero initial flow, so
+  :func:`~repro.flow.dinic.augment_residual` continues from the carried
+  flow, and a ``target_value`` stops it early.
 
 Everything is exact: capacities stay whatever number type the problem
 uses (scaled integers or :class:`fractions.Fraction`), and each step's
@@ -54,19 +44,16 @@ denominator (or back to ``Fraction``) without disturbing its flow.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping
 
 from repro.errors import FlowError
 from repro.flow.dinic import augment_residual
-from repro.flow.maxflow import ALGORITHMS, max_flow
-from repro.flow.residual import FlowProblem, FlowResult, Number, Residual
+from repro.flow.maxflow import max_flow
+from repro.flow.residual import FlowProblem, FlowResult, Number
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 
 __all__ = ["ParametricMaxFlow", "source_arc_updates"]
-
-_PUSH_RELABEL_ENGINES = frozenset({"push_relabel", "push_relabel_fifo"})
 
 
 def source_arc_updates(ext, override: Mapping[int, Number]) -> dict[int, Number]:
@@ -85,175 +72,6 @@ def source_arc_updates(ext, override: Mapping[int, Number]) -> dict[int, Number]
     return updates
 
 
-def _global_relabel(res: Residual) -> list[int]:
-    """Exact BFS distance labels — always a valid push-relabel labeling.
-
-    Sink-side nodes get their residual distance to ``t``; nodes that
-    cannot reach ``t`` get ``n`` + their residual distance to ``s`` (the
-    drain-back labels); nodes that can reach neither are inert — no
-    preflow excess can ever sit on them — and are parked at ``2n``.
-    """
-    problem = res.problem
-    n, s, t = problem.n, problem.source, problem.sink
-    topo = res.topology
-    indptr, arcs = topo.indptr, topo.arcs
-    to, residual = res.to, res.residual
-    unset = 2 * n
-    height = [unset] * n
-    height[t] = 0
-    queue = deque([t])
-    while queue:
-        w = queue.popleft()
-        d = height[w] + 1
-        for i in range(indptr[w], indptr[w + 1]):
-            a = arcs[i]
-            # arc a leaves w; its partner a^1 runs to[a] -> w
-            # (truthiness == "> 0": residuals are never negative, and it
-            # skips the costly Fraction rational comparison)
-            if residual[a ^ 1]:
-                u = to[a]
-                if u != s and height[u] == unset:
-                    height[u] = d
-                    queue.append(u)
-    height[s] = n
-    queue = deque([s])
-    while queue:
-        w = queue.popleft()
-        d = height[w] + 1
-        for i in range(indptr[w], indptr[w + 1]):
-            a = arcs[i]
-            if residual[a ^ 1]:
-                u = to[a]
-                if u != t and height[u] == unset:
-                    height[u] = d
-                    queue.append(u)
-    return height
-
-
-def _labeling_valid(res: Residual, height: list[int]) -> bool:
-    """True iff ``height[u] <= height[v] + 1`` for every residual arc u->v."""
-    problem = res.problem
-    if height[problem.source] != problem.n or height[problem.sink] != 0:
-        return False
-    residual = res.residual
-    to = res.to
-    topo = res.topology
-    indptr, arcs = topo.indptr, topo.arcs
-    for u in range(topo.n):
-        hu = height[u]
-        for i in range(indptr[u], indptr[u + 1]):
-            a = arcs[i]
-            if residual[a] and hu > height[to[a]] + 1:
-                return False
-    return True
-
-
-def _pr_reaugment(res: Residual, height: list[int] | None) -> tuple:
-    """Warm push-relabel step: saturate source arcs, discharge new excess.
-
-    Returns ``(gained, arc_pushes, height)`` — the flow added on top of
-    the residual's current flow, the number of residual-arc pushes, and
-    the (possibly repaired) height function to carry into the next step.
-    """
-    problem = res.problem
-    n, s, t = problem.n, problem.source, problem.sink
-    topo = res.topology
-    indptr, arcs = topo.indptr, topo.arcs
-    to, residual = res.to, res.residual
-    excess: list = [0] * n
-    arc_pushes = 0
-
-    # Re-create the preflow: every residual arc out of s gets saturated.
-    # The flow already routed to t is untouched; the new excess either
-    # reaches t (the gain) or drains back to s during discharge.
-    for i in range(indptr[s], indptr[s + 1]):
-        a = arcs[i]
-        amt = residual[a]
-        if amt:
-            v = to[a]
-            if v == t:
-                # direct s->t arcs contribute immediately
-                res.push(a, amt)
-                excess[t] += amt
-                arc_pushes += 1
-                continue
-            res.push(a, amt)
-            excess[v] += amt
-            arc_pushes += 1
-
-    if height is None or not _labeling_valid(res, height):
-        height = _global_relabel(res)
-
-    count = [0] * (2 * n + 1)
-    for h in height:
-        count[min(h, 2 * n)] += 1
-    # per-node current-arc cursor, absolute into the flat arcs array
-    it = list(indptr[:n])
-
-    active: deque[int] = deque()
-    in_active = [False] * n
-    for v in range(n):
-        if v not in (s, t) and excess[v]:
-            in_active[v] = True
-            active.append(v)
-
-    def activate(v: int) -> None:
-        if v not in (s, t) and not in_active[v] and excess[v]:
-            in_active[v] = True
-            active.append(v)
-
-    def push(u: int, a: int) -> None:
-        nonlocal arc_pushes
-        v = to[a]
-        amount = excess[u] if excess[u] < residual[a] else residual[a]
-        res.push(a, amount)
-        excess[u] -= amount
-        excess[v] += amount
-        activate(v)
-        arc_pushes += 1
-
-    def relabel(u: int) -> None:
-        old = height[u]
-        new = min(
-            (
-                height[to[arcs[i]]]
-                for i in range(indptr[u], indptr[u + 1])
-                if residual[arcs[i]]
-            ),
-            default=2 * n - 1,
-        ) + 1
-        count[old] -= 1
-        if count[old] == 0 and old < n:  # gap heuristic
-            for w in range(n):
-                if old < height[w] < n and w != s:
-                    count[height[w]] -= 1
-                    height[w] = n + 1
-                    count[height[w]] += 1
-        height[u] = new
-        count[min(new, 2 * n)] += 1
-        it[u] = indptr[u]
-
-    while active:
-        u = active.popleft()
-        in_active[u] = False
-        end = indptr[u + 1]
-        while excess[u]:
-            if it[u] == end:
-                relabel(u)
-                if height[u] >= 2 * n:
-                    break
-                continue
-            a = arcs[it[u]]
-            if residual[a] and height[u] == height[to[a]] + 1:
-                push(u, a)
-            else:
-                it[u] += 1
-        if excess[u] and height[u] < 2 * n:
-            activate(u)
-
-    return excess[t], arc_pushes, height
-
-
 class ParametricMaxFlow:
     """One cold solve, then incremental answers to capacity changes.
 
@@ -269,21 +87,14 @@ class ParametricMaxFlow:
     advancing to the next step — or :meth:`fork` first.
     """
 
-    __slots__ = ("algorithm", "_res", "_value", "_result", "_height",
-                 "warm_steps", "warm_arc_pushes")
+    __slots__ = ("_res", "_value", "_result", "warm_steps", "warm_arc_pushes")
 
-    def __init__(self, problem: FlowProblem, algorithm: str = "dinic") -> None:
-        if algorithm not in ALGORITHMS:
-            raise FlowError(
-                f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-            )
-        self.algorithm = algorithm
-        with span("flow.solve", algorithm=algorithm, kind="cold"):
-            base = max_flow(problem, algorithm)  # the one and only cold solve
+    def __init__(self, problem: FlowProblem) -> None:
+        with span("flow.solve", algorithm="dinic", kind="cold"):
+            base = max_flow(problem)  # the one and only cold solve
         self._res = base.residual
         self._value = base.value
         self._result = base
-        self._height: list[int] | None = None
         self.warm_steps = 0
         self.warm_arc_pushes = 0
 
@@ -316,15 +127,13 @@ class ParametricMaxFlow:
     def fork(self) -> "ParametricMaxFlow":
         """An independent engine sharing nothing mutable with this one.
 
-        O(m): the residual array and height function are copied, the
-        topology arrays are aliased.  Used by the parametric ladder to
+        O(m): the residual array is copied, the topology arrays are
+        aliased.  Used by the parametric ladder to
         solve a new rung without disturbing the one it starts from.
         """
         clone = object.__new__(ParametricMaxFlow)
-        clone.algorithm = self.algorithm
         clone._res = self._res.fork()
         clone._value = self._value
-        clone._height = list(self._height) if self._height is not None else None
         clone.warm_steps = self.warm_steps
         clone.warm_arc_pushes = self.warm_arc_pushes
         clone._result = None
@@ -333,8 +142,8 @@ class ParametricMaxFlow:
     def scale(self, k: Number) -> None:
         """Multiply every capacity, every residual entry and the value by ``k > 0``.
 
-        That keeps a maximum flow maximum, every min cut and a push-relabel
-        labelling valid (labels see only which residuals are positive).
+        That keeps a maximum flow maximum and every min cut a min cut
+        (reachability sees only which residuals are positive).
         ``k = Fraction(1, S)`` turns an engine scaled by ``S`` into an exact
         ``Fraction`` one.  ``k <= 0`` raises :class:`FlowError`.
         """
@@ -367,11 +176,9 @@ class ParametricMaxFlow:
         the total source-arc capacity).
         Augmentation stops as soon as the flow reaches it, skipping the
         final no-path search; a flow can never overshoot a capacity
-        bound, so the result stays exact.  Only the Dinic-based engines
-        use it — a push-relabel discharge cannot stop mid-flight without
-        leaving preflow excess behind.
+        bound, so the result stays exact.
         """
-        with span("flow.solve", algorithm=self.algorithm, kind="warm"):
+        with span("flow.solve", algorithm="dinic", kind="warm"):
             return self._set_arc_capacities(new_caps, target_value=target_value)
 
     def _set_arc_capacities(
@@ -418,24 +225,11 @@ class ParametricMaxFlow:
 
         gained: Number = 0
         if changed:
-            if self.algorithm in _PUSH_RELABEL_ENGINES:
-                gained, pushes, self._height = _pr_reaugment(res, self._height)
-                arc_pushes += pushes
-                # Belt and braces for exactness: a single no-op BFS when the
-                # discharge already reached the max flow, a completion
-                # otherwise.  Keeps every step certified independently of
-                # push-relabel's termination subtleties.
-                extra, _, _, extra_pushes = augment_residual(res)
-                if extra:
-                    gained += extra
-                    arc_pushes += extra_pushes
-                    self._height = None  # heights stale after Dinic touched flow
-            else:
-                target_gain = None
-                if target_value is not None:
-                    target_gain = target_value - self._value
-                gained, _, _, pushes = augment_residual(res, target_gain=target_gain)
-                arc_pushes += pushes
+            target_gain = None
+            if target_value is not None:
+                target_gain = target_value - self._value
+            gained, _, _, pushes = augment_residual(res, target_gain=target_gain)
+            arc_pushes += pushes
 
         self._value = self._value + gained
         self.warm_steps += 1
@@ -443,7 +237,7 @@ class ParametricMaxFlow:
 
         reg = get_registry()
         if reg.enabled:
-            lbl = {"algorithm": self.algorithm}
+            lbl = {"algorithm": "dinic"}
             reg.counter("repro_flow_warm_solves_total",
                         "Warm-started parametric max-flow steps.",
                         ("algorithm",)).labels(**lbl).inc()

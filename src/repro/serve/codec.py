@@ -73,8 +73,13 @@ def _bad(detail: str) -> ServeError:
 
 def _get_int(payload: Mapping[str, Any], key: str, default: Optional[int] = None,
              *, lo: Optional[int] = None, hi: Optional[int] = None) -> Optional[int]:
+    """``payload[key]`` as a bounded integer, ``default`` when absent.
+
+    An explicit JSON ``null`` means "absent" only for an optional field
+    (``default is None``); where the default is an integer it is a 400.
+    """
     value = payload.get(key, default)
-    if value is None:
+    if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise _bad(f"{key!r} must be an integer, got {value!r}")
@@ -145,7 +150,7 @@ def _generated_graph(payload: Mapping[str, Any]):
     p = payload.get("p", 0.3)
     if not isinstance(p, (int, float)) or isinstance(p, bool) or not (0.0 <= p <= 1.0):
         raise _bad(f"'p' must be a probability in [0, 1], got {p!r}")
-    seed = _get_int(payload, "seed", 0)
+    seed = _get_int(payload, "seed", 0, lo=0)
     return gen.random_gnp(n, float(p), seed=seed, ensure_connected=True)
 
 
@@ -207,7 +212,7 @@ def parse_simulate_request(
         raise _bad("'spec' must be a JSON object describing the network")
     spec = parse_spec(spec_payload)
     horizon = _get_int(payload, "horizon", 1000, lo=8, hi=max_horizon)
-    seed = _get_int(payload, "seed", 0)
+    seed = _get_int(payload, "seed", 0, lo=0)
     loss_p = payload.get("loss_p", 0.0)
     if (isinstance(loss_p, bool) or not isinstance(loss_p, (int, float))
             or not (0.0 <= loss_p <= 1.0)):
@@ -305,7 +310,8 @@ def region_response(envelope, report=None) -> dict:
             }
             for seg in envelope.segments
         ],
-        "algorithm": envelope.algorithm,
+        # the one flow engine, kept on the wire for existing clients
+        "algorithm": "dinic",
         "cold_solves": envelope.cold_solves,
         "probes": envelope.probes,
     }

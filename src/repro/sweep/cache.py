@@ -133,9 +133,9 @@ class FeasibilityCache:
         if max_entries is not None and max_entries < 1:
             raise SweepError(f"max_entries must be >= 1 or None, got {max_entries}")
         self.max_entries = max_entries
-        # classify entries key as (digest, algorithm); envelope/region
-        # entries as ("ray"/"region", ray digest, algorithm) — disjoint
-        # tuple shapes sharing one table, one bound, one eviction order
+        # entries key as ("classify", spec digest), ("ray", ray digest) or
+        # ("region", ray digest) — the tag keeps the three kinds disjoint
+        # in one table, under one bound and one eviction order
         self._table: dict[tuple, object] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -177,8 +177,8 @@ class FeasibilityCache:
                             "FeasibilityCache entries evicted (max_entries).").inc(evicted)
         return value
 
-    def classify(self, spec: NetworkSpec, algorithm: str = "dinic") -> "FeasibilityReport":
-        """``classify_network(spec.extended(), algorithm)``, memoized.
+    def classify(self, spec: NetworkSpec) -> "FeasibilityReport":
+        """``classify_network(spec.extended())``, memoized.
 
         A miss pays exactly one cold max-flow solve: ``classify_network``
         reads the λ = 1, λ = 1 + ε and ``f*`` rungs of one parametric
@@ -189,12 +189,11 @@ class FeasibilityCache:
         def compute():
             from repro.flow.feasibility import classify_network
 
-            return classify_network(spec.extended(), algorithm)
+            return classify_network(spec.extended())
 
-        return self._memoized((canonical_spec_key(spec), algorithm), compute)
+        return self._memoized(("classify", canonical_spec_key(spec)), compute)
 
-    def envelope(self, spec: NetworkSpec, direction=None,
-                 algorithm: str = "dinic") -> "BreakpointEnvelope":
+    def envelope(self, spec: NetworkSpec, direction=None) -> "BreakpointEnvelope":
         """``breakpoint_envelope(spec.extended(), direction)``, memoized.
 
         Banks the full exact envelope — λ*, breakpoints, per-segment cut
@@ -205,13 +204,11 @@ class FeasibilityCache:
         def compute():
             from repro.flow.parametric import breakpoint_envelope
 
-            return breakpoint_envelope(spec.extended(), direction,
-                                       algorithm=algorithm)
+            return breakpoint_envelope(spec.extended(), direction)
 
-        key = ("ray", canonical_ray_key(spec, direction), algorithm)
-        return self._memoized(key, compute)
+        return self._memoized(("ray", canonical_ray_key(spec, direction)), compute)
 
-    def region(self, spec: NetworkSpec, algorithm: str = "dinic") -> "RegionReport":
+    def region(self, spec: NetworkSpec) -> "RegionReport":
         """``classify_region`` along the nominal injection ray, memoized.
 
         Derived from (and sharing) the banked envelope, so a region
@@ -220,11 +217,10 @@ class FeasibilityCache:
         def compute():
             from repro.flow.feasibility import classify_region
 
-            env = self.envelope(spec, None, algorithm)
-            return classify_region(spec.extended(), algorithm, envelope=env)
+            env = self.envelope(spec)
+            return classify_region(spec.extended(), envelope=env)
 
-        key = ("region", canonical_ray_key(spec, None), algorithm)
-        return self._memoized(key, compute)
+        return self._memoized(("region", canonical_ray_key(spec, None)), compute)
 
     # ------------------------------------------------------------------
     @property
@@ -263,17 +259,16 @@ def shared_cache() -> FeasibilityCache:
     return _SHARED
 
 
-def cached_classify(spec: NetworkSpec, algorithm: str = "dinic") -> "FeasibilityReport":
+def cached_classify(spec: NetworkSpec) -> "FeasibilityReport":
     """:func:`classify_network` through the process-global cache."""
-    return _SHARED.classify(spec, algorithm)
+    return _SHARED.classify(spec)
 
 
-def cached_envelope(spec: NetworkSpec, direction=None,
-                    algorithm: str = "dinic") -> "BreakpointEnvelope":
+def cached_envelope(spec: NetworkSpec, direction=None) -> "BreakpointEnvelope":
     """:func:`breakpoint_envelope` through the process-global cache."""
-    return _SHARED.envelope(spec, direction, algorithm)
+    return _SHARED.envelope(spec, direction)
 
 
-def cached_region(spec: NetworkSpec, algorithm: str = "dinic") -> "RegionReport":
+def cached_region(spec: NetworkSpec) -> "RegionReport":
     """:func:`classify_region` through the process-global cache."""
-    return _SHARED.region(spec, algorithm)
+    return _SHARED.region(spec)

@@ -2,10 +2,10 @@
 
 Section II's synchronous step for one run, written as plain loops over
 nodes and transmissions, with Algorithm 1 taken from its line-by-line
-transcription (:func:`repro.core.lgg.lgg_select_reference`).  It shares no
-code with :mod:`repro.core.pipeline`; what it shares is the *draw order*,
-the contract that makes a seeded run reproducible.  Per step, from the
-run's one generator:
+transcription (:func:`tests.core.lgg_reference.lgg_select_reference`).
+It shares no code with :mod:`repro.core.pipeline`; what it shares is the
+*draw order*, the contract that makes a seeded run reproducible.  Per
+step, from the run's one generator:
 
 1. the arrival process's ``sample`` (classical runs draw nothing);
 2. ``RANDOM`` revelation: one ``integers`` call over the lying terminals,
@@ -27,8 +27,8 @@ import numpy as np
 
 from repro._rng import as_generator
 from repro.core.engine import ExtractionMode, LinkCapacityMode
-from repro.core.lgg import lgg_select_reference
 from repro.network.spec import RevelationPolicy
+from tests.core.lgg_reference import lgg_select_reference
 
 SERIES = ("potentials", "total_queued", "max_queues",
           "injected", "transmitted", "lost", "delivered")

@@ -1,8 +1,10 @@
 """Algorithm 1 semantics: reference implementation, vectorized agreement.
 
 The vectorized kernel (:func:`lgg_select_fast_batched`) is checked row by
-row against the per-node reference: row 0 of an ``R = 1`` call compacted by
-its mask, and ``R = 3`` calls whose rows differ.
+row against the per-node reference (``tests/core/lgg_reference.py``): row 0
+of an ``R = 1`` call compacted by its mask, and ``R = 3`` calls whose rows
+differ.  The reference also runs inside the engine as a policy, and a whole
+run must equal the kernel's.
 """
 
 import numpy as np
@@ -10,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HalfEdges, TieBreak, lgg_select_reference
+from repro.core import HalfEdges, SimulationConfig, Simulator, TieBreak
+from repro.core.fastpath import ineligibility_reasons
 from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.graphs import MultiGraph
 from repro.graphs import generators as gen
+from repro.network import NetworkSpec
+from tests.core.lgg_reference import ReferenceLGGPolicy, lgg_select_reference
 
 
 def select_ref(graph, queues, revealed=None, **kw):
@@ -243,3 +248,22 @@ class TestSelectionInvariants:
             used_edges.add(eid)
         for u, k in sends.items():
             assert k <= q[u], "sender overdraw"
+
+
+class TestReferencePolicy:
+    """The reference inside the engine: :class:`ReferenceLGGPolicy` is asked
+    through ``select`` (the kernel serves only the exact ``LGGPolicy``),
+    and a whole run equals the kernel's."""
+
+    @pytest.mark.parametrize("tb", list(TieBreak))
+    def test_run_matches_kernel(self, tb):
+        g = gen.random_multigraph(9, 20, seed=4)
+        spec = NetworkSpec.classical(g, {0: 2, 3: 1}, {8: 3})
+        cfg = SimulationConfig(horizon=80, seed=6, tiebreak=tb)
+        sim = Simulator(spec, policy=ReferenceLGGPolicy(tiebreak=tb), config=cfg)
+        assert "policy ReferenceLGGPolicy" in ineligibility_reasons(sim)
+        ref = sim.run()
+        fast = Simulator(spec, config=cfg).run()
+        assert ref.trajectory.potentials == fast.trajectory.potentials
+        assert ref.trajectory.delivered == fast.trajectory.delivered
+        assert ref.final_queues.tolist() == fast.final_queues.tolist()

@@ -72,7 +72,7 @@ class TestDifferential:
                 arcs.append((int(u), int(v), int(rng.integers(0, 50))))
         p = problem(n, arcs, 0, n - 1)
         r = capacity_scaling(p)
-        assert r.value == max_flow(p, "dinic").value
+        assert r.value == max_flow(p).value
         r.check()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -85,4 +85,4 @@ class TestDifferential:
             if u != v:
                 arcs.append((int(u), int(v), int(rng.integers(1, 10**6))))
         p = problem(n, arcs, 0, n - 1)
-        assert capacity_scaling(p).value == max_flow(p, "dinic").value
+        assert capacity_scaling(p).value == max_flow(p).value

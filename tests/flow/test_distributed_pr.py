@@ -48,7 +48,7 @@ class TestCorrectness:
                 arcs.append((int(u), int(v), int(rng.integers(0, 7))))
         p = problem(n, arcs, 0, n - 1)
         run = distributed_push_relabel(p)
-        assert run.result.value == max_flow(p, "dinic").value
+        assert run.result.value == max_flow(p).value
         run.result.check()
 
     def test_extended_graph_instance(self):

@@ -40,7 +40,7 @@ class TestLPMaxFlow:
                 arcs.append((int(u), int(v), int(rng.integers(0, 8))))
         p = problem(n, arcs, 0, n - 1)
         value, _ = lp_max_flow(p)
-        assert value == pytest.approx(float(max_flow(p, "dinic").value), abs=1e-7)
+        assert value == pytest.approx(float(max_flow(p).value), abs=1e-7)
 
 
 class TestLPMargin:

@@ -18,26 +18,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlowError
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import (
     _exact_problem,
     max_unsaturation_margin,
     max_unsaturation_margin_cold,
 )
-from repro.flow.maxflow import max_flow
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.graphs.multigraph import MultiGraph
+from tests.flow.engines import ENGINES, cold_engine
 
 TOL = Fraction(1, 512)
 
 
-def _feasible_at(ext, eps: Fraction, algorithm: str = "dinic") -> bool:
+def _feasible_at(ext, eps: Fraction, engine: str = "dinic") -> bool:
     """Ground truth by an independent cold solve at scale (1 + eps)."""
     arrival = sum((Fraction(r) for r in ext.in_rates.values()),
                   start=Fraction(0))
     caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-    res = max_flow(_exact_problem(ext, source_cap_override=caps), algorithm)
+    res = ENGINES[engine](_exact_problem(ext, source_cap_override=caps))
     return res.value == (1 + eps) * arrival
 
 
@@ -80,12 +79,13 @@ class TestExactMarginCertificate:
 
 
 class TestProbeBracketsExact:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     @given(ext=random_networks())
     @settings(max_examples=10, deadline=None)
     def test_cold_brackets_exact(self, algorithm, ext):
-        cold = max_unsaturation_margin_cold(ext, tol=TOL, algorithm=algorithm)
-        exact = max_unsaturation_margin(ext, algorithm=algorithm)
+        with cold_engine(algorithm):
+            cold = max_unsaturation_margin_cold(ext, tol=TOL)
+        exact = max_unsaturation_margin(ext)
         if cold >= 2**20:
             # bracket search bailed out on the unbounded-slack escape
             # hatch; the exact path keeps going
@@ -98,9 +98,15 @@ class TestProbeBracketsExact:
     @given(ext=random_networks())
     @settings(max_examples=10, deadline=None)
     def test_exact_identical_across_algorithms(self, ext):
-        values = {alg: max_unsaturation_margin(ext, algorithm=alg)
-                  for alg in sorted(ALGORITHMS)}
-        assert len(set(values.values())) == 1, values
+        """Every oracle engine, solving cold, confirms the exact margin:
+        feasible at it, infeasible a hair beyond it."""
+        margin = max_unsaturation_margin(ext)
+        for engine in sorted(ENGINES):
+            if not _feasible_at(ext, Fraction(0), engine):
+                assert margin == 0, engine
+                continue
+            assert _feasible_at(ext, margin, engine), engine
+            assert not _feasible_at(ext, margin + Fraction(1, 2**40), engine), engine
 
 
 class TestEdgePaths:

@@ -25,31 +25,30 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.errors import FlowError
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import (
     _exact_problem,
     classify_network,
     classify_region,
     max_unsaturation_margin_cold,
 )
-from repro.flow.maxflow import max_flow
 from repro.flow.parametric import breakpoint_envelope, critical_lambda
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.graphs.multigraph import MultiGraph
 from repro.obs.metrics import get_registry
+from tests.flow.engines import ENGINES
 
 TOL = Fraction(1, 512)
 
 
 def _cold_value_at(ext, lam: Fraction, direction=None,
-                   algorithm: str = "dinic") -> Fraction:
+                   engine: str = "dinic") -> Fraction:
     """Oracle: an independent cold max-flow at source caps λ·d."""
     direction = direction if direction is not None else ext.in_rates
     caps = {v: Fraction(0) for v in ext.in_rates}
     for v, d in direction.items():
         caps[v] = lam * Fraction(d)
-    res = max_flow(_exact_problem(ext, source_cap_override=caps), algorithm)
+    res = ENGINES[engine](_exact_problem(ext, source_cap_override=caps))
     return Fraction(res.value)
 
 
@@ -103,13 +102,16 @@ class TestLambdaStarOracle:
     @given(ext=random_networks())
     @settings(max_examples=8, deadline=None)
     def test_identical_across_algorithms(self, ext):
-        envs = {alg: breakpoint_envelope(ext, algorithm=alg)
-                for alg in sorted(ALGORITHMS)}
-        stars = {e.lambda_star for e in envs.values()}
-        assert len(stars) == 1, envs
-        lines = {tuple((s.lo, s.hi, s.slope, s.intercept)
-                       for s in e.segments) for e in envs.values()}
-        assert len(lines) == 1  # the envelope is canonical, cuts may differ
+        """Every oracle engine, solving cold, meets the envelope at λ*, at
+        each breakpoint and inside each segment."""
+        env = breakpoint_envelope(ext)
+        points = {env.lambda_star, *env.breakpoints}
+        for seg in env.segments:
+            points.add(seg.lo + 1 if seg.hi is None else (seg.lo + seg.hi) / 2)
+        for engine in sorted(ENGINES):
+            for lam in sorted(points):
+                assert _cold_value_at(ext, lam, engine=engine) == env.value_at(lam), (
+                    engine, lam)
 
 
 class TestSegmentCertificates:
@@ -197,19 +199,27 @@ class TestSolveAccounting:
         counter = get_registry().counter(name, "", ("algorithm",))
         return sum(inst.value for _labels, inst in counter._series())
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_envelope_is_one_cold_solve(self, algorithm):
+    def _count(self, name, label):
+        counter = get_registry().counter(name, "", ("algorithm",))
+        return counter.labels(algorithm=label).value
+
+    @pytest.mark.parametrize("label", ["dinic"])
+    def test_envelope_is_one_cold_solve(self, label):
+        """One cold solve and one envelope, both under the one engine's
+        ``algorithm`` label."""
         g = gen.random_gnp(10, 0.4, seed=11, ensure_connected=True)
         ext = build_extended_graph(g, {0: Fraction(3, 2), 1: Fraction(1)},
                                    {8: Fraction(2), 9: Fraction(2)})
+        names = ("repro_flow_solves_total", "repro_flow_envelope_solves_total")
         prev = obs.configure(metrics=True)
         try:
-            before_cold = self._total("repro_flow_solves_total")
-            before_env = self._total("repro_flow_envelope_solves_total")
-            env = breakpoint_envelope(ext, algorithm=algorithm)
-            assert self._total("repro_flow_solves_total") - before_cold == 1
-            assert (self._total("repro_flow_envelope_solves_total")
-                    - before_env) == 1
+            totals = [self._total(name) for name in names]
+            labelled = [self._count(name, label) for name in names]
+            env = breakpoint_envelope(ext)
+            assert [self._total(name) - before
+                    for name, before in zip(names, totals)] == [1, 1]
+            assert [self._count(name, label) - before
+                    for name, before in zip(names, labelled)] == [1, 1]
             assert env.cold_solves == 1
         finally:
             obs.configure(**prev)

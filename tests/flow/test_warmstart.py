@@ -3,9 +3,11 @@
 The load-bearing property: after any schedule of capacity changes — up,
 down, or to 0 — the warm engine must be *indistinguishable* from a cold
 solve of the current problem — same exact-Fraction flow value, same
-canonical min cut, same cut kind, same uniqueness verdict — for every
-registered algorithm.  Hypothesis drives random problems through random
-schedules and compares at every step, not just the last.
+canonical min cut, same cut kind, same uniqueness verdict.  The engine
+is Dinic on the residual; the cold solve it is checked against is each
+oracle engine of ``tests/flow/engines.py`` in turn.  Hypothesis drives
+random problems through random schedules and compares at every step, not
+just the last.
 """
 
 from fractions import Fraction
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.errors import FlowError
 from repro.flow import (
-    ALGORITHMS,
     CutKind,
     FlowProblem,
     NetworkClass,
@@ -37,6 +38,7 @@ from repro.flow.residual import Residual
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.obs.metrics import get_registry
+from tests.flow.engines import ENGINES, cold_engine
 
 
 def _cap(rng):
@@ -86,17 +88,17 @@ def _with_caps(problem, caps):
 
 
 class TestDifferentialSchedules:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     @given(case=problems_with_schedules())
     @settings(max_examples=30, deadline=None)
     def test_every_step_matches_cold_solve(self, algorithm, case):
         problem, steps = case
-        engine = ParametricMaxFlow(problem, algorithm)
+        engine = ParametricMaxFlow(problem)
         caps = list(problem.capacities)
         for updates in steps:
             caps = [updates.get(j, c) for j, c in enumerate(caps)]
             engine.set_arc_capacities(updates)
-            cold = max_flow(_with_caps(problem, caps), algorithm)
+            cold = ENGINES[algorithm](_with_caps(problem, caps))
             warm = engine.result
             # exact Fraction equality, no tolerance
             assert warm.value == cold.value == engine.value
@@ -130,12 +132,13 @@ def random_networks(draw):
 
 
 class TestClassifyEquivalence:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     @given(ext=random_networks())
     @settings(max_examples=15, deadline=None)
     def test_warm_classify_equals_cold_classify(self, algorithm, ext):
-        warm = classify_network(ext, algorithm=algorithm)
-        cold = classify_network_cold(ext, algorithm=algorithm)
+        warm = classify_network(ext)
+        with cold_engine(algorithm):
+            cold = classify_network_cold(ext)
         assert warm.network_class == cold.network_class
         assert warm.arrival_rate == cold.arrival_rate
         assert warm.max_flow_value == cold.max_flow_value
@@ -146,18 +149,19 @@ class TestClassifyEquivalence:
         assert list(warm.min_cut.arcs) == list(cold.min_cut.arcs)
         assert warm.min_cut.capacity == cold.min_cut.capacity
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     def test_no_injections_equals_cold(self, algorithm):
         g = gen.random_gnp(7, 0.5, seed=5, ensure_connected=True)
         ext = build_extended_graph(g, {}, {6: Fraction(3, 2)})
         # no parametric arcs: every read of the ladder is its λ = 0 base
-        ladder = _Ladder(ext, ext.in_rates, algorithm)
+        ladder = _Ladder(ext, ext.in_rates)
         base = ladder.rung(Fraction(0))
         assert ladder.rung(Fraction(1)) is base
         assert ladder.rung(ladder.lam_end) is base
         assert ladder.probes == 0
-        warm = classify_network(ext, algorithm=algorithm)
-        cold = classify_network_cold(ext, algorithm=algorithm)
+        warm = classify_network(ext)
+        with cold_engine(algorithm):
+            cold = classify_network_cold(ext)
         assert warm.network_class is cold.network_class is NetworkClass.UNSATURATED
         assert warm.certified_epsilon == cold.certified_epsilon == 1
         assert (warm.arrival_rate, warm.max_flow_value, warm.f_star) == (0, 0, 0)
@@ -173,13 +177,13 @@ class TestScale:
     """``ParametricMaxFlow.scale(k)``: every capacity, residual and the value
     times ``k > 0``, with the flow still maximum and every cut kept."""
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     @given(case=problems_with_schedules(), k=st.integers(1, 12))
     @settings(max_examples=15, deadline=None)
     def test_integer_scale_then_schedule_matches_cold(self, algorithm, case, k):
         problem, steps = case
-        engine = ParametricMaxFlow(problem, algorithm)
-        # one warm step first, so push-relabel carries heights into the scale
+        engine = ParametricMaxFlow(problem)
+        # one warm step first, so the scale meets a repaired, re-augmented flow
         engine.set_arc_capacities(steps[0])
         value = engine.value
         side = min_cut(engine.result).side.tolist()
@@ -192,7 +196,7 @@ class TestScale:
             updates = {j: k * c for j, c in updates.items()}
             caps = [updates.get(j, c) for j, c in enumerate(caps)]
             engine.set_arc_capacities(updates)
-            cold = max_flow(_with_caps(problem, caps), algorithm)
+            cold = ENGINES[algorithm](_with_caps(problem, caps))
             warm = engine.result
             assert warm.value == cold.value
             warm.check()
@@ -239,10 +243,6 @@ class TestEngineBasics:
             capacities=(Fraction(2), Fraction(2), Fraction(2), Fraction(2)),
             source=0, sink=3,
         )
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(FlowError, match="unknown algorithm"):
-            ParametricMaxFlow(self._problem(), "simplex")
 
     def test_arc_index_out_of_range(self):
         engine = ParametricMaxFlow(self._problem())
@@ -347,31 +347,38 @@ class TestOneColdSolveGuard:
     the f* read are parametric forks of the trivial λ = 0 base, not fresh
     solves — ``repro_flow_solves_total`` (only incremented by the cold
     entry points) must advance by exactly 1 per classify call, while the
-    warm-step counter advances instead.
+    warm-step counter advances instead.  Both count under the one
+    engine's ``algorithm`` label.
     """
 
     def _total(self, name):
         counter = get_registry().counter(name, "", ("algorithm",))
         return sum(inst.value for _labels, inst in counter._series())
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_classify_is_one_cold_solve(self, algorithm):
+    def _count(self, name, label):
+        counter = get_registry().counter(name, "", ("algorithm",))
+        return counter.labels(algorithm=label).value
+
+    @pytest.mark.parametrize("label", ["dinic"])
+    def test_classify_is_one_cold_solve(self, label):
         g = gen.random_gnp(10, 0.4, seed=11, ensure_connected=True)
         ext = build_extended_graph(g, {0: Fraction(3, 2), 1: Fraction(1)},
                                    {8: Fraction(2), 9: Fraction(2)})
+        names = ("repro_flow_solves_total", "repro_flow_warm_solves_total")
         prev = obs.configure(metrics=True)
         try:
             for _call in range(3):
-                before_cold = self._total("repro_flow_solves_total")
-                before_warm = self._total("repro_flow_warm_solves_total")
-                report = classify_network(ext, algorithm=algorithm)
+                totals = [self._total(name) for name in names]
+                labelled = [self._count(name, label) for name in names]
+                report = classify_network(ext)
                 # λ = 1 is a warm fork of the λ = 0 base; feasible
                 # networks then take the ε-probe and f* rungs, an
                 # infeasible one goes straight to f*
-                expected_warm = 3 if report.feasible else 2
-                assert self._total("repro_flow_solves_total") - before_cold == 1
-                assert (self._total("repro_flow_warm_solves_total")
-                        - before_warm) == expected_warm
+                expected = [1, 3 if report.feasible else 2]
+                assert [self._total(name) - before
+                        for name, before in zip(names, totals)] == expected
+                assert [self._count(name, label) - before
+                        for name, before in zip(names, labelled)] == expected
         finally:
             obs.configure(**prev)
 
@@ -380,7 +387,7 @@ class TestOneColdSolveGuard:
         ext = build_extended_graph(g, {0: 2}, {7: 3})
         prev = obs.configure(metrics=True)
         try:
-            classify_network(ext, algorithm="dinic")
+            classify_network(ext)
             reg = get_registry()
             warm = reg.counter("repro_flow_warm_solves_total", "", ("algorithm",))
             assert warm.labels(algorithm="dinic").value >= 1

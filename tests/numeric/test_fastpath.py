@@ -12,8 +12,8 @@ exact equality across randomized instances:
 * LGG: random connected graphs x integer rates x both deterministic
   tie-breaks x optional initial queues x optional queue recording, single
   runs (``R = 1``) and ensembles, full trajectory equality;
-* flow: all-integral and mixed-denominator capacity specs x every
-  registered algorithm, full report equality, with the engagement
+* flow: all-integral and mixed-denominator capacity specs x every cold
+  oracle engine (``tests/flow/engines.py``), full report equality, with the engagement
   counters asserting *zero* Fraction fallbacks on scalable specs and a
   recorded fallback (still exact) when a pathological denominator trips
   the magnitude guard.
@@ -33,7 +33,7 @@ from repro.core.tiebreak import TieBreak
 from repro.errors import SimulationError
 from repro.exp.workloads import bottleneck_spec
 import repro.flow.parametric as parametric
-from repro.flow import ALGORITHMS, FlowProblem, max_flow
+from repro.flow import FlowProblem
 from repro.flow.feasibility import classify_network, classify_network_cold
 from repro.flow.parametric import _Ladder, breakpoint_envelope
 from repro.graphs import build_extended_graph
@@ -45,6 +45,7 @@ from repro.numeric import (
     reset_counters,
 )
 from repro.obs.metrics import get_registry
+from tests.flow.engines import ENGINES, cold_engine
 
 DETERMINISTIC_TIEBREAKS = [TieBreak.QUEUE_THEN_ID, TieBreak.QUEUE_THEN_REVERSED_ID]
 
@@ -204,10 +205,10 @@ def _cold_value(ext, lam, algorithm):
     """v(lam) along the nominal ray by a cold solve on ``Fraction`` caps."""
     p = FlowProblem.from_extended(ext, source_cap_override={
         v: lam * Fraction(r) for v, r in ext.in_rates.items()})
-    return max_flow(FlowProblem(
+    return ENGINES[algorithm](FlowProblem(
         n=p.n, tails=p.tails, heads=p.heads,
         capacities=[Fraction(c) for c in p.capacities],
-        source=p.source, sink=p.sink), algorithm).value
+        source=p.source, sink=p.sink)).value
 
 
 def _assert_envelope_exact(ext, env, algorithm):
@@ -227,7 +228,7 @@ def _envelope_facts(env):
 
 
 class TestClassifyVsFractionOracle:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     @pytest.mark.parametrize("denominators,label", [
         ((1,), "integral"),
         ((2, 3, 5), "mixed-denominator"),
@@ -238,14 +239,15 @@ class TestClassifyVsFractionOracle:
         for seed in (0, 1, 2):
             ext = _flow_instance(seed, denominators)
             reset_counters()
-            warm = classify_network(ext, algorithm)
+            warm = classify_network(ext)
             assert fraction_fallbacks_total() == 0, (
                 f"{label} spec must stay on the integer path"
             )
-            cold = classify_network_cold(ext, algorithm)
+            with cold_engine(algorithm):
+                cold = classify_network_cold(ext)
             assert report_facts(warm) == report_facts(cold)
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     def test_magnitude_guard_falls_back_exactly(self, algorithm):
         # a denominator past INT_SCALE_LIMIT defeats common-denominator
         # scaling; the classifier must decline, count it, and stay exact
@@ -257,51 +259,55 @@ class TestClassifyVsFractionOracle:
         out_rates = {int(nodes[2]): 3}
         ext = build_extended_graph(g, in_rates, out_rates)
         reset_counters()
-        warm = classify_network(ext, algorithm)
+        warm = classify_network(ext)
         assert fraction_fallbacks_total() == 1
-        cold = classify_network_cold(ext, algorithm)
+        with cold_engine(algorithm):
+            cold = classify_network_cold(ext)
         assert report_facts(warm) == report_facts(cold)
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     def test_envelope_stays_on_integers_and_exact(self, algorithm):
         for seed in (0, 1, 2):
             ext = _flow_instance(seed, (2, 3, 5))
             reset_counters()
-            env = breakpoint_envelope(ext, algorithm=algorithm)
+            env = breakpoint_envelope(ext)
             assert fraction_fallbacks_total() == 0
             assert env.probes > 0
             _assert_envelope_exact(ext, env, algorithm)
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     def test_envelope_guard_trips_mid_ladder(self, algorithm, monkeypatch):
         # the λ = 0 base still scales (its batch is far below the real
         # guard); a guard of 1000 is then outgrown by the probes' scales,
         # and every probe of these instances leaves the integer path
         for seed in (0, 1, 2):
             ext = _flow_instance(seed, (2, 3, 5))
-            reference = breakpoint_envelope(ext, algorithm=algorithm)
+            reference = breakpoint_envelope(ext)
             with monkeypatch.context() as m:
                 m.setattr(parametric, "INT_SCALE_LIMIT", 1000)
                 reset_counters()
-                env = breakpoint_envelope(ext, algorithm=algorithm)
+                env = breakpoint_envelope(ext)
                 assert fraction_fallbacks_total() == 1
             assert _envelope_facts(env) == _envelope_facts(reference)
             _assert_envelope_exact(ext, env, algorithm)
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ENGINES))
     def test_ladder_rungs_leave_the_integer_path_once(self, algorithm, monkeypatch):
         # path 0 - 1 - 2, in(0) = 1, out(2) = 1: v(λ) = min(λ, 1), D = 1
         ext = build_extended_graph(gen.path(3), {0: 1}, {2: 1})
         monkeypatch.setattr(parametric, "INT_SCALE_LIMIT", 5)
         reset_counters()
-        ladder = _Ladder(ext, ext.in_rates, algorithm)
+        ladder = _Ladder(ext, ext.in_rates)
         nominal = ladder.rung(Fraction(1))          # scale 1: integer
         seventh = ladder.rung(Fraction(1, 7))       # scale 7 > 5: leaves
         two_sevenths = ladder.rung(Fraction(2, 7))  # forked from 1/7: Fraction
         three = ladder.rung(Fraction(3))            # forked from 1: integer
         assert [r.scale for r in (nominal, seventh, two_sevenths, three)] == [1, None, None, 1]
         assert type(two_sevenths.engine.value) is Fraction
-        assert [r.value for r in (nominal, seventh, two_sevenths, three)] == [
-            1, Fraction(1, 7), Fraction(2, 7), 1]
+        lams = (Fraction(1), Fraction(1, 7), Fraction(2, 7), Fraction(3))
+        values = [r.value for r in (nominal, seventh, two_sevenths, three)]
+        assert values == [1, Fraction(1, 7), Fraction(2, 7), 1]
         assert fraction_fallbacks_total() == 1
         assert ladder.probes == 4
+        # each warm rung equals a cold solve by the oracle engine
+        assert values == [_cold_value(ext, lam, algorithm) for lam in lams]

@@ -215,8 +215,8 @@ class TestCacheMetrics:
 class TestFlowMetrics:
     def test_solver_counters_by_algorithm(self):
         from repro.flow.dinic import dinic
-        from repro.flow.edmonds_karp import edmonds_karp
-        from repro.flow.push_relabel import push_relabel
+        from tests.flow.edmonds_karp import edmonds_karp
+        from tests.flow.push_relabel import push_relabel
 
         prob = FlowProblem(
             n=4,

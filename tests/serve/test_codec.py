@@ -44,6 +44,12 @@ class TestParseSpecGenerated:
         ({"topology": "complete", "n": 400}, "capped"),
         ({"topology": "grid", "rows": 100, "cols": 100}, "exceeds"),
         ("not-a-dict", "JSON object"),
+        # an explicit null is not "absent" where the default is a number,
+        # and a negative seed is not a seed
+        ({"topology": "path", "n": None}, "'n'"),
+        ({"topology": "path", "n": 6, "in_rate": None}, "'in_rate'"),
+        ({"topology": "gnp", "n": 6, "seed": -1}, "'seed'"),
+        ({"topology": "gnp", "n": 6, "seed": None}, "'seed'"),
     ])
     def test_rejects_with_serve_error(self, payload, fragment):
         with pytest.raises(ServeError) as exc_info:
@@ -100,10 +106,15 @@ class TestParseSimulateRequest:
         {"spec": PATH_SPEC, "loss_p": 2.0},
         {"spec": PATH_SPEC, "seed": "zero"},
         {"spec": PATH_SPEC, "horizon": True},
+        {"spec": PATH_SPEC, "horizon": None},
+        {"spec": PATH_SPEC, "seed": -5},
+        {"spec": PATH_SPEC, "seed": None},
+        {"spec": {"topology": "gnp", "n": 6, "seed": -1}},
     ])
     def test_rejects(self, payload):
-        with pytest.raises(ServeError):
+        with pytest.raises(ServeError) as exc_info:
             parse_simulate_request(payload)
+        assert exc_info.value.status == 400
 
 
 class TestResponses:

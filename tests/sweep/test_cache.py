@@ -155,13 +155,21 @@ class TestFeasibilityCache:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.size == 1
 
-    def test_algorithm_is_part_of_the_key(self):
+    def test_classify_ray_and_region_entries_stay_disjoint(self):
+        """One spec, three kinds of entry: none answers for another, and
+        the region entry is built from the banked ray entry."""
         cache = FeasibilityCache()
         spec = _line_spec()
-        a = cache.classify(spec, "dinic")
-        b = cache.classify(spec, "edmonds_karp")
-        assert cache.misses == 2 and cache.hits == 0
-        assert _report_fields(a)[:5] == _report_fields(b)[:5]
+        report = cache.classify(spec)
+        envelope = cache.envelope(spec)
+        region = cache.region(spec)
+        assert (cache.size, cache.misses, cache.hits) == (3, 3, 1)
+        assert region.envelope is envelope
+        assert region.network_class is report.network_class
+        assert cache.classify(spec) is report
+        assert cache.envelope(spec) is envelope
+        assert cache.region(spec) is region
+        assert (cache.size, cache.misses, cache.hits) == (3, 3, 4)
 
     def test_clear_and_stats(self):
         cache = FeasibilityCache()

@@ -37,7 +37,7 @@ PUBLIC_API = {
         "TokenBucketArrivals", "TraceArrivals", "RecordingArrivals", "dominates",
     ),
     "repro.core": (
-        "TieBreak", "lgg_select_reference", "HalfEdges", "TransmissionPolicy", "LGGPolicy",
+        "TieBreak", "HalfEdges", "TransmissionPolicy", "LGGPolicy",
         "FlowRoutingPolicy", "BackpressurePolicy", "RandomForwardingPolicy",
         "ShortestPathPolicy", "DEFAULT_PIPELINE", "STAGE_NAMES", "Stage", "StagePipeline",
         "StageTiming", "StepState", "ExtractionMode", "LinkCapacityMode",
@@ -53,7 +53,7 @@ PUBLIC_API = {
         "REGISTRY", "ExperimentResult", "get_experiment", "render",
     ),
     "repro.flow": (
-        "FlowProblem", "FlowResult", "max_flow", "ALGORITHMS", "min_cut", "CutKind",
+        "FlowProblem", "FlowResult", "max_flow", "min_cut", "CutKind",
         "MinCut", "classify_cut", "is_unique_min_cut", "is_sd_cut", "FeasibilityReport",
         "NetworkClass", "RegionReport", "classify_network", "classify_region", "f_star",
         "feasible_flow", "max_unsaturation_margin", "BreakpointEnvelope",

@@ -30,13 +30,10 @@ EXACT_CORE_GLOBS = [
     "numeric/*.py",
     "flow/residual.py",
     "flow/dinic.py",
-    "flow/edmonds_karp.py",
-    "flow/push_relabel.py",
     "flow/warmstart.py",
     "flow/parametric.py",
     "flow/feasibility.py",
     "core/fastpath.py",
-    "core/lgg.py",
     "core/lgg_fast.py",
 ]
 
