@@ -11,11 +11,12 @@ All stochastic generators take an explicit ``seed`` and are reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
-from repro._rng import SeedLike, as_generator
+from repro._rng import SeedLike, as_generator, scalar_draws
 from repro.errors import GraphError
 from repro.graphs.multigraph import MultiGraph
 
@@ -139,13 +140,17 @@ def random_gnp(n: int, p: float, seed: SeedLike = None, *, ensure_connected: boo
         tree = np.column_stack((order[1:], order[rng.integers(0, np.arange(1, n))]))
     edges = [tree]
     if p > 0:
-        iu, jv = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        # the tree's pairs are edges already: clear them at their index in
-        # the row-major upper triangle
+        # pair (a, b), a < b, sits at index starts[a] + b - a - 1 of the
+        # row-major upper triangle
+        starts = np.arange(n)
+        starts = starts * (2 * n - starts - 1) // 2
+        mask = rng.random(n * (n - 1) // 2) < p
+        # the tree's pairs are edges already
         a, b = tree.min(axis=1), tree.max(axis=1)
-        mask[a * (2 * n - a - 1) // 2 + b - a - 1] = False
-        edges.append(np.column_stack((iu[mask], jv[mask])))
+        mask[starts[a] + b - a - 1] = False
+        kept = np.flatnonzero(mask)
+        rows = np.searchsorted(starts, kept, side="right") - 1
+        edges.append(np.column_stack((rows, kept - starts[rows] + rows + 1)))
     return MultiGraph.from_edges(n, np.concatenate(edges))
 
 
@@ -319,14 +324,11 @@ def random_multigraph(n: int, m: int, seed: SeedLike = None) -> MultiGraph:
     _require(n >= 2, f"need >= 2 nodes, got {n}")
     _require(m >= 0, f"need >= 0 edges, got {m}")
     rng = as_generator(seed)
-    g = MultiGraph(n)
-    for _ in range(m):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n - 1))
-        if v >= u:
-            v += 1
-        g.add_edge(u, v)
-    return g
+    # one broadcast draw makes the draws of a per-edge loop, in its order:
+    # u among n nodes, then v among the other n - 1
+    uv = rng.integers(0, np.tile((n, n - 1), m)).reshape(m, 2)
+    uv[:, 1] += uv[:, 1] >= uv[:, 0]
+    return MultiGraph.from_edges(n, uv)
 
 
 def barbell(clique: int, bridge: int) -> MultiGraph:
@@ -536,7 +538,7 @@ def barabasi_albert(n: int, m_attach: int, seed: SeedLike = None) -> MultiGraph:
     _require(m_attach >= 1, f"need m_attach >= 1, got {m_attach}")
     _require(n >= m_attach + 1,
              f"need n >= m_attach + 1 nodes, got n={n}, m_attach={m_attach}")
-    rng = as_generator(seed)
+    _, integers = scalar_draws(as_generator(seed))
     # the edge list flattened, one entry per half-edge: sampling uniformly
     # from it is degree-biased.  It starts as the star on nodes
     # 0..m_attach with hub 0.
@@ -544,13 +546,11 @@ def barabasi_albert(n: int, m_attach: int, seed: SeedLike = None) -> MultiGraph:
     for leaf in range(1, m_attach + 1):
         repeated += (0, leaf)
     for new in range(m_attach + 1, n):
-        targets: list[int] = []
-        seen: set[int] = set()
+        half_edges = len(repeated)
+        # distinct picks in the order first drawn (a dict keeps that order)
+        targets: dict[int, None] = {}
         while len(targets) < m_attach:
-            pick = repeated[int(rng.integers(0, len(repeated)))]
-            if pick not in seen:
-                seen.add(pick)
-                targets.append(pick)
+            targets[repeated[integers(half_edges)]] = None
         for t in targets:
             repeated += (new, t)
     return MultiGraph.from_edges(n, np.array(repeated, dtype=np.int64).reshape(-1, 2))
@@ -568,25 +568,26 @@ def watts_strogatz(n: int, k: int, beta: float, seed: SeedLike = None) -> MultiG
     _require(k >= 2 and k % 2 == 0, f"k must be a positive even integer, got {k}")
     _require(k < n, f"need k < n, got k={k}, n={n}")
     _require(0.0 <= beta <= 1.0, f"beta must be in [0, 1], got {beta}")
-    rng = as_generator(seed)
-    present: set[tuple[int, int]] = set()
-    for u in range(n):
-        for hop in range(1, k // 2 + 1):
-            v = (u + hop) % n
-            present.add((min(u, v), max(u, v)))
-    edges = sorted(present)
-    for idx, (u, v) in enumerate(edges):
-        if beta > 0 and rng.random() < beta:
-            # rewire the far endpoint, keeping u; reject loops/duplicates
-            for _ in range(4 * n):
-                w = int(rng.integers(0, n))
-                key = (min(u, w), max(u, w))
-                if w != u and key not in present:
-                    present.discard((u, v) if u < v else (v, u))
-                    present.add(key)
-                    edges[idx] = key
-                    break
-    return MultiGraph.from_edges(n, edges)
+    n = operator.index(n)  # the draws' bound must be a Python int
+    # the ring lattice in sorted order: a pair (u, v), u < v, is a lattice
+    # edge when v - u or n - (v - u) is at most k/2
+    hops = (*range(1, k // 2 + 1), *range(n - k // 2, n))
+    edges = [(u, u + h) for u in range(n) for h in hops if u + h < n]
+    if beta > 0:
+        random, integers = scalar_draws(as_generator(seed))
+        present = set(edges)
+        for idx, (u, v) in enumerate(edges):
+            if random() < beta:
+                # rewire the far endpoint, keeping u; reject loops/duplicates
+                for _ in range(4 * n):
+                    w = integers(n)
+                    key = (u, w) if u < w else (w, u)
+                    if w != u and key not in present:
+                        present.discard((u, v))
+                        present.add(key)
+                        edges[idx] = key
+                        break
+    return MultiGraph.from_edges(n, np.array(edges, dtype=np.int64))
 
 
 #: Default Kronecker initiator: a 3-node path with self-loops — the
@@ -674,12 +675,12 @@ def connect_components(g: MultiGraph, seed: SeedLike = None) -> MultiGraph:
     """
     if g.n <= 1:
         return g
-    rng = as_generator(seed)
+    _, integers = scalar_draws(as_generator(seed))
     comps = g.components()
     giant = list(comps[0])
     for comp in comps[1:]:
-        u = giant[int(rng.integers(0, len(giant)))]
-        v = comp[int(rng.integers(0, len(comp)))]
+        u = giant[integers(len(giant))]
+        v = comp[integers(len(comp))]
         g.add_edge(u, v)
         giant.extend(comp)
     return g

@@ -24,11 +24,9 @@ import urllib.request
 from typing import Any, Mapping, Optional
 
 from repro.errors import ServeError
+from repro.serve.headers import TRACE_HEADER
 
 __all__ = ["ServeClient"]
-
-#: Response (and accepted request) header carrying the request's trace id.
-TRACE_HEADER = "X-Repro-Trace-Id"
 
 
 class ServeClient:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.errors import ReproError, ServeError
 from repro.network.spec import NetworkSpec, RevelationPolicy
-from repro.serve.client import TRACE_HEADER
+from repro.serve.headers import TRACE_HEADER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import SimulationResult
@@ -65,6 +65,13 @@ TOPOLOGIES = ("path", "cycle", "grid", "complete", "gnp")
 #: single request no matter what the payload asks for.
 MAX_NODES = 4096
 MAX_HORIZON = 50_000
+#: A gnp body may expect no more edges (n(n-1)p/2) than an explicit body
+#: can list: the server reads at most 1 MiB, about 2**17 ``[u, v], ``
+#: pairs.  Larger graphs cost the event loop seconds and hundreds of MB.
+MAX_GNP_EDGES = 1 << 17
+#: Digits a side of a rational direction string (``"p"`` or ``"p/q"``).
+RATE_DIGITS = 64
+_RATE_RE = re.compile(rf"[0-9]{{1,{RATE_DIGITS}}}(?:/[0-9]{{1,{RATE_DIGITS}}})?")
 
 
 def _bad(detail: str) -> ServeError:
@@ -150,6 +157,10 @@ def _generated_graph(payload: Mapping[str, Any]):
     p = payload.get("p", 0.3)
     if not isinstance(p, (int, float)) or isinstance(p, bool) or not (0.0 <= p <= 1.0):
         raise _bad(f"'p' must be a probability in [0, 1], got {p!r}")
+    expected = n * (n - 1) * p / 2
+    if expected > MAX_GNP_EDGES:
+        raise _bad(f"gnp with n={n}, p={p} expects {expected:.0f} edges, over "
+                   f"the {MAX_GNP_EDGES}-edge limit")
     seed = _get_int(payload, "seed", 0, lo=0)
     return gen.random_gnp(n, float(p), seed=seed, ensure_connected=True)
 
@@ -247,9 +258,11 @@ def parse_region_request(payload: Mapping[str, Any]):
 
     The spec uses either standard shape, inline or nested under
     ``"spec"``; ``direction`` is an optional top-level object mapping
-    injection-node ids to non-negative rates — integers or exact rational
-    strings (``"3/2"``).  ``None`` means the nominal injection ray (the
-    spec's ``in_rates``).
+    injection-node ids to non-negative rates — JSON integers or exact
+    rational strings ``"p"`` / ``"p/q"`` of at most :data:`RATE_DIGITS`
+    ASCII digits a side (``"3/2"``; no sign, space, decimal point or
+    exponent, whose expansion would cost the event loop).  ``None``
+    means the nominal injection ray (the spec's ``in_rates``).
     """
     spec_payload = payload.get("spec", payload)
     if not isinstance(spec_payload, Mapping):
@@ -266,12 +279,16 @@ def parse_region_request(payload: Mapping[str, Any]):
             v = int(node)
         except (TypeError, ValueError):
             raise _bad(f"'direction' has non-integer node key {node!r}") from None
-        if isinstance(rate, bool) or not isinstance(rate, (int, str)):
-            raise _bad(f"direction[{node}] = {rate!r} must be an integer or "
-                       "an exact rational string like '3/2'")
+        if isinstance(rate, bool) or not (
+                isinstance(rate, int)
+                or isinstance(rate, str) and _RATE_RE.fullmatch(rate)):
+            shown = rate[:80] if isinstance(rate, str) else rate
+            raise _bad(f"direction[{node}] = {shown!r} must be an integer or "
+                       f"an exact rational string like '3/2', at most "
+                       f"{RATE_DIGITS} digits a side")
         try:
             d = Fraction(rate)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise _bad(f"direction[{node}] = {rate!r} is not a valid rational") from None
         if d < 0:
             raise _bad(f"direction[{node}] = {rate!r} must be nonnegative")

@@ -7,7 +7,10 @@ digests were recorded before the generators assembled their edge lists
 as arrays, and while the store was still three Python lists; they hold
 both rewrites (``random_gnp``'s spanning-tree draws in one call
 included) to the graphs of the per-edge construction, on whatever numpy
-runs the suite.
+runs the suite.  ``KNOB_GOLDEN`` and ``MULTIGRAPH_GOLDEN`` pin the
+non-default knobs of the Barabási–Albert and Watts–Strogatz families and
+``random_multigraph``; they were recorded while those generators still
+made one numpy call per draw.
 """
 
 import hashlib
@@ -109,3 +112,56 @@ def test_bridged_geometric(seed):
     g = gen.random_geometric(60, 0.08, seed, ensure_connected=True)
     assert g.is_connected()
     assert digest(g) == BRIDGED_GEOMETRIC_GOLDEN[seed]
+
+
+#: non-default knobs of the per-draw families, with ``KNOBS``' node count
+#: and ``TERMINALS``: (family, knob, value, seed) -> digest
+KNOB_GOLDEN = {
+    ("ba", "m_attach", 1, 0):
+        "7a65a95c60233d8e958fd36132d1197a348002f42ab13679271d44f25b32667e",
+    ("ba", "m_attach", 1, 1_000_010):
+        "17cc5d84bcea578c8181b9dba67ec636b593bd422d7cbe477f88912be017f942",
+    ("ba", "m_attach", 3, 0):
+        "f8bea72c1606d1d60fd061be7ef87e602ba911c3cc53bc3e08487a6b9d4ac6ab",
+    ("ba", "m_attach", 3, 1_000_010):
+        "53a7318538d7528ace459ea518e53868af10ce09964397975e977162a9269cf6",
+    ("ws", "k", 2, 0):
+        "18896e3c8bcf39e8794b2a3385ccc6981c6af84b1b8f21f2ea75da836e777c04",
+    ("ws", "k", 2, 1_000_010):
+        "4a1fcd319d2b253f22b4b2e311866755126c9ed032df302d314f743f0cae2ab8",
+    ("ws", "k", 6, 0):
+        "f276d9b8709e28fa1b45130f020516ce1eac9284d00e69d12ba337cbbfe2cc47",
+    ("ws", "k", 6, 1_000_010):
+        "931f935ff3867ddbbbe14d73e93096befdf293160e9798a06d31119370a69745",
+    ("ws", "beta", 0.0, 0):
+        "8f4a0ebd93cddd21d0feb6d4604e2dcc4f07f0fbc0b09058e3790d056084316f",
+    ("ws", "beta", 0.0, 1_000_010):
+        "d0b3d53f8032f378cfa643fab8f63388727767988dda42cc16cde89a00567437",
+    ("ws", "beta", 0.5, 0):
+        "dab329902b1fc30ff54fbf8b158b1c598d019f1d3c791eab5601ca517e084121",
+    ("ws", "beta", 0.5, 1_000_010):
+        "45ba2ad885970e36ba5c3e3f424a0b35b24240c40e2afa76495fb30f2ed96ae7",
+    ("ws", "beta", 1.0, 0):
+        "dfcaa74ab7e9254b99fc52ec9fdab094546fba70808e1682c7485d950ae4b1eb",
+    ("ws", "beta", 1.0, 1_000_010):
+        "b8e0069f9a8f92d48406a54f9b25701ddc9a42a2df132462a800e9b513cb2605",
+}
+
+#: ``random_multigraph(20, 60, seed)``
+MULTIGRAPH_GOLDEN = {
+    0: "61f278ff307799fcf709eb7e977cfd8ebddc93d7d8070d657fcbf5fbab6eb5e9",
+    7: "00340920eb42b4d7d1d9cfc33109fe1f946a08f24ccd2dfddcdef4bbe55fb4d6",
+}
+
+
+@pytest.mark.parametrize("family,knob,value,seed", sorted(KNOB_GOLDEN))
+def test_non_default_knobs(family, knob, value, seed):
+    params = {"family": family, **KNOBS[family], knob: value, **TERMINALS}
+    spec = random_instance_spec(params, seed)
+    got = digest(spec.graph, spec.in_rates, spec.out_rates)
+    assert got == KNOB_GOLDEN[family, knob, value, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(MULTIGRAPH_GOLDEN))
+def test_random_multigraph(seed):
+    assert digest(gen.random_multigraph(20, 60, seed)) == MULTIGRAPH_GOLDEN[seed]

@@ -1,12 +1,15 @@
 """Wire-format validation: every malformed payload is a structured 400."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from repro.errors import ServeError
 from repro.flow import classify_network
 from repro.serve import parse_simulate_request, parse_spec, report_to_json
+from repro.serve.codec import RATE_DIGITS, parse_region_request
 
 
 PATH_SPEC = {"topology": "path", "n": 6, "in_rate": 1, "out_rate": 2}
@@ -50,6 +53,8 @@ class TestParseSpecGenerated:
         ({"topology": "path", "n": 6, "in_rate": None}, "'in_rate'"),
         ({"topology": "gnp", "n": 6, "seed": -1}, "'seed'"),
         ({"topology": "gnp", "n": 6, "seed": None}, "'seed'"),
+        # ~8.4M expected edges: more than a 1 MiB explicit body can list
+        ({"topology": "gnp", "n": 4096, "p": 1.0}, "edge limit"),
     ])
     def test_rejects_with_serve_error(self, payload, fragment):
         with pytest.raises(ServeError) as exc_info:
@@ -115,6 +120,47 @@ class TestParseSimulateRequest:
         with pytest.raises(ServeError) as exc_info:
             parse_simulate_request(payload)
         assert exc_info.value.status == 400
+
+
+class TestParseRegionRequest:
+    def _direction(self, rate):
+        return parse_region_request({"spec": PATH_SPEC, "direction": {"0": rate}})[1]
+
+    @pytest.mark.parametrize("rate,want", [
+        ("3/2", Fraction(3, 2)),
+        (7, Fraction(7)),
+        ("12/8", Fraction(3, 2)),
+        ("9" * RATE_DIGITS + "/" + "7" * RATE_DIGITS,
+         Fraction(int("9" * RATE_DIGITS), int("7" * RATE_DIGITS))),
+    ])
+    def test_parses(self, rate, want):
+        assert self._direction(rate) == {0: want}
+
+    def test_zero_parses_beside_a_positive_rate(self):
+        spec = {"nodes": 3, "edges": [[0, 2], [1, 2]],
+                "in_rates": {"0": 1, "1": 1}, "out_rates": {"2": 2}}
+        _, direction = parse_region_request(
+            {"spec": spec, "direction": {"0": "0", "1": 1}})
+        assert direction == {0: 0, 1: 1}
+
+    @pytest.mark.parametrize("rate", [
+        "1e1000000",                      # Fraction would expand the exponent
+        "1E5", "1_000", " 3", "3 ", "3/ 2", "3\n", "1.5", ".5",
+        "-1", "+1", "-3/2",
+        "1" * (RATE_DIGITS + 1), "1/" + "2" * (RATE_DIGITS + 1),
+        "7" * 100_000,
+        "", "/", "3/", "٣",               # empty halves, a non-ASCII digit
+        "3/0",
+        True, 1.5, None, [3], {"p": 3},
+    ])
+    def test_rejects_fast(self, rate):
+        parse_spec(PATH_SPEC)  # warm the spec path off the clock
+        t0 = time.perf_counter()
+        with pytest.raises(ServeError) as exc_info:
+            self._direction(rate)
+        assert time.perf_counter() - t0 < 0.05
+        assert exc_info.value.status == 400
+        assert len(str(exc_info.value)) < 400  # an overlong string is cut
 
 
 class TestResponses:

@@ -2,7 +2,10 @@
 
 Each example starts from a valid payload and deletes or replaces one or
 two of its fields (spec fields, rate-map entries, the simulate/region
-outer fields) with an arbitrary JSON value.  Whatever comes in, the
+outer fields) with an arbitrary JSON value.  A region payload's
+direction rate starts as a rational-looking string: digit runs up to
+past the 64-digit limit, joined by slashes, points, exponents,
+underscores, signs and spaces.  Whatever comes in, the
 three parsers must either return or raise :class:`ServeError` with
 status 400; any other exception would be a 500 at the server.
 """
@@ -39,6 +42,12 @@ LEAVES = st.one_of(
     st.floats(),
     st.text(max_size=6),
 )
+RATE_STRINGS = st.lists(
+    st.one_of(st.text("0123456789", min_size=1, max_size=70),
+              st.sampled_from(["/", ".", "e", "E", "e1000000", "_", "-", "+",
+                               " ", "\n"])),
+    min_size=1, max_size=4,
+).map("".join)
 VALUES = st.recursive(
     LEAVES,
     lambda inner: st.one_of(st.lists(inner, max_size=3),
@@ -103,6 +112,7 @@ class TestFuzzedPayloads:
     @settings(max_examples=200, deadline=None)
     def test_parse_region_request(self, data):
         spec = data.draw(st.sampled_from(SPECS))
-        base = {"spec": spec, "direction": {"0": "3/2"}}
+        rate = data.draw(st.one_of(st.just("3/2"), RATE_STRINGS))
+        base = {"spec": spec, "direction": {"0": rate}}
         _returns_or_400(parse_region_request,
                         data.draw(mutated(base, ("spec",))))

@@ -15,8 +15,8 @@ packages that the flow, mobility and sweep paths use import without it.
 The package ``__init__`` files import nothing themselves: each name loads
 its module on first access (``repro._exports``).  So ``import repro`` is
 free, the serve client and the load generator stay stdlib-only (a load
-generator process never loads numpy), and the wire codec loads no
-simulation engine.
+generator process never loads numpy), and the wire codec loads neither
+the simulation engine nor the client's HTTP stack.
 """
 
 import os
@@ -74,10 +74,13 @@ print("numpy" in sys.modules,
       sorted({m.split(".")[1] for m in sys.modules if m.startswith("repro.")}))
 """
 
+# the codec reads the trace header's name from repro.serve.headers, not
+# from the client, which would load the HTTP stack into every worker
 CODEC_PROBE = """
 import sys
 import repro.serve.codec
-print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "core"]))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "core"]
+             or m in ("http.client", "urllib.request", "repro.serve.client")))
 """
 
 
