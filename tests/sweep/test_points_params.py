@@ -76,6 +76,15 @@ class TestRandomInstanceSpecPins:
         with pytest.raises(SweepError, match="rate ceilings"):
             random_instance_spec({"out_rate": 0}, seed=1)
 
+    def test_negative_sinks_rejected(self):
+        # sources=3, sinks=-1 passes the placement check on 2 nodes; the
+        # broadcast rate draw then handed the 2 nodes 3 rates and kept 2
+        with pytest.raises(SweepError, match="sinks >= 0"):
+            random_instance_spec({"family": "gnp", "n": 2, "sources": 3,
+                                  "sinks": -1}, seed=0)
+        with pytest.raises(SweepError, match="sinks >= 0"):
+            random_instance_spec({"sinks": -1}, seed=1)
+
     def test_n_zero_hits_n_guard(self):
         with pytest.raises(SweepError, match="n >= 2"):
             random_instance_spec({"n": 0}, seed=1)
