@@ -80,8 +80,8 @@ class TestClassifyThroughputScaling:
                         "report": report,
                         "wall": wall,
                         "worker_tasks": (dict(pool.completed)
-                                         if pool is not None else None),
-                        "restarts": pool.restarts if pool is not None else 0,
+                                         if workers > 0 else None),
+                        "restarts": pool.restarts if workers > 0 else 0,
                     }
                 finally:
                     srv.stop()

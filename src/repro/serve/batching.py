@@ -17,11 +17,12 @@ is bit-identical, per replica, to single ``Simulator`` runs seeded
 caller gets back — :func:`direct_simulate`, one unbatched run, is what the
 server's responses must (and do) match exactly.
 
-The batch executes off the event loop — on a worker thread by default,
-or on a :class:`~repro.serve.workers.WorkerPool` *process* when the
-server runs a multi-process tier (same arguments, same bit-identical
-responses, but under a different GIL) — and a batch that fails delivers
-the same exception to every member rather than hanging any of them.
+The batch executes off the event loop as one ``simulate_batch`` task of
+the server's compute tier — a :class:`~repro.serve.workers.WorkerPool`
+process, or a :class:`~repro.serve.workers.ThreadTier` thread when the
+server runs no worker processes; both run the same handler — and a batch
+that fails delivers the same exception to every member rather than
+hanging any of them.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import itertools
-from concurrent.futures import Executor
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.engine import SimulationConfig, Simulator
 from repro.errors import ServeError
@@ -41,7 +41,7 @@ from repro.serve.codec import simulation_response
 from repro.sweep.cache import canonical_spec_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.workers import WorkerPool
+    from repro.serve.workers import ThreadTier, WorkerPool
 
 __all__ = ["MicroBatcher", "direct_simulate"]
 
@@ -68,7 +68,8 @@ def direct_simulate(spec: NetworkSpec, horizon: int, seed: int,
 
 def _run_batch(spec: NetworkSpec, horizon: int, loss_p: float,
                seeds: list[int]) -> list[dict]:
-    """Executor-side body: one ensemble run, one response dict per seed."""
+    """The ``simulate_batch`` task: one ensemble run, one response dict
+    per seed."""
     from repro.core.ensemble import EnsembleSimulator
 
     ens = EnsembleSimulator(
@@ -77,16 +78,6 @@ def _run_batch(spec: NetworkSpec, horizon: int, loss_p: float,
     )
     result = ens.run(horizon)
     return [simulation_response(result.replica(r)) for r in range(len(seeds))]
-
-
-def _run_batch_spanned(spec: NetworkSpec, horizon: int, loss_p: float,
-                       seeds: list[int], trace_ctx: tuple) -> list[dict]:
-    """Thread-pool twin of the worker-process span wrapper: opens the
-    ``worker`` span *in the executor thread*, so the contextvar parents
-    the nested ``sim.run`` span correctly."""
-    with span("worker", parent=trace_ctx, remote_suffix="local",
-              worker="local", kind="simulate_batch"):
-        return _run_batch(spec, horizon, loss_p, seeds)
 
 
 class _Batch:
@@ -111,40 +102,32 @@ class MicroBatcher:
 
     Parameters
     ----------
-    executor:
-        Where batches run (a :class:`~concurrent.futures.ThreadPoolExecutor`
-        owned by the server).  ``None`` uses the loop's default executor.
+    tier:
+        Where batches run: the server's compute tier, a started
+        :class:`~repro.serve.workers.WorkerPool` or a
+        :class:`~repro.serve.workers.ThreadTier`.  Batches are submitted
+        with their fingerprint as the shard key, so on a pool a hot
+        config keeps hitting the same worker.
     window:
         Seconds the first request of a fingerprint waits for company.
         ``0`` disables coalescing (every request is a batch of one).
     max_batch:
         A full batch flushes immediately instead of waiting out the window.
-    pool:
-        A started :class:`~repro.serve.workers.WorkerPool`; when set,
-        batches run on worker *processes* (sharded by fingerprint, so a
-        hot config keeps hitting the same worker) instead of ``executor``
-        threads.
     """
 
-    def __init__(self, *, executor: Optional[Executor] = None,
-                 window: float = 0.01, max_batch: int = 64,
-                 pool: Optional["WorkerPool"] = None) -> None:
+    def __init__(self, tier: Union["WorkerPool", "ThreadTier"], *,
+                 window: float = 0.01, max_batch: int = 64) -> None:
         if window < 0:
             raise ServeError(f"window must be >= 0, got {window}",
                              status=500, error="bad-config")
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {max_batch}",
                              status=500, error="bad-config")
-        self.executor = executor
+        self.tier = tier
         self.window = window
         self.max_batch = max_batch
-        self.pool = pool
         self._pending: dict[str, _Batch] = {}
         self._seq = itertools.count(1)
-        #: append-only in-process log of executed batches — the audit trail
-        #: that differential tests read to prove coalescing happened:
-        #: ``(seq, fingerprint, size)`` per executed ensemble run.
-        self.batch_log: list[tuple[int, str, int]] = []
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -206,12 +189,10 @@ class MicroBatcher:
             return  # already flushed (window raced a max_batch fill)
         if batch.timer is not None:
             batch.timer.cancel()
-        loop.create_task(self._execute(loop, key, batch))
+        loop.create_task(self._execute(key, batch))
 
-    async def _execute(self, loop: asyncio.AbstractEventLoop, key: str,
-                       batch: _Batch) -> None:
+    async def _execute(self, key: str, batch: _Batch) -> None:
         size = len(batch.seeds)
-        self.batch_log.append((batch.seq, key, size))
         reg = get_registry()
         if reg.enabled:
             reg.counter("repro_serve_batches_total",
@@ -227,25 +208,11 @@ class MicroBatcher:
             with span("batch.exec", parent=trace_ctx, size=size,
                       seq=batch.seq) as sp:
                 ctx = sp.context() if sp.span_id is not None else None
-                if self.pool is not None:
-                    responses = await asyncio.wrap_future(self.pool.submit(
-                        "simulate_batch",
-                        (batch.spec, batch.horizon, batch.loss_p,
-                         list(batch.seeds)),
-                        shard_key=key, trace=ctx,
-                    ))
-                elif ctx is not None:
-                    responses = await loop.run_in_executor(
-                        self.executor, _run_batch_spanned,
-                        batch.spec, batch.horizon, batch.loss_p,
-                        list(batch.seeds), ctx,
-                    )
-                else:
-                    responses = await loop.run_in_executor(
-                        self.executor, _run_batch,
-                        batch.spec, batch.horizon, batch.loss_p,
-                        list(batch.seeds),
-                    )
+                responses = await asyncio.wrap_future(self.tier.submit(
+                    "simulate_batch",
+                    (batch.spec, batch.horizon, batch.loss_p, list(batch.seeds)),
+                    shard_key=key, trace=ctx,
+                ))
         except Exception as exc:  # deliver the failure to every member
             for fut in batch.futures:
                 if not fut.done():

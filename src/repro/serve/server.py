@@ -11,17 +11,19 @@ Endpoints
 
 Request flow: the asyncio loop parses HTTP and JSON, the
 :class:`~repro.serve.admission.AdmissionController` admits or sheds, and
-all numeric work runs off the loop — ``/v1/simulate`` through the
-:class:`~repro.serve.batching.MicroBatcher` (concurrent identical
-configs fold into one ensemble batch), ``/v1/classify`` through a shared
-lock-guarded :class:`~repro.sweep.cache.FeasibilityCache`.  With
-``workers=0`` (the default) compute runs on a small in-process thread
-pool; with ``workers=N`` it runs on a
-:class:`~repro.serve.workers.WorkerPool` of ``N`` worker *processes* —
-batches and classifies execute under separate GILs, classify requests
-are routed to the worker owning their fingerprint shard (per-worker
-:class:`FeasibilityCache` ownership), and a worker death is absorbed by
-requeue + respawn.  Sweep jobs go to the
+all numeric work runs off the loop as tasks of one compute tier —
+``/v1/simulate`` through the :class:`~repro.serve.batching.MicroBatcher`
+(concurrent identical configs fold into one ensemble batch),
+``/v1/classify`` and ``/v1/region`` through a
+:class:`~repro.sweep.cache.FeasibilityCache`.  With ``workers=N`` the
+tier is a :class:`~repro.serve.workers.WorkerPool` of ``N`` worker
+*processes* — tasks execute under separate GILs, classify and region
+requests are routed to the worker owning their fingerprint shard
+(per-worker cache ownership), and a worker death is absorbed by
+requeue + respawn.  With ``workers=0`` (the default) it is a
+:class:`~repro.serve.workers.ThreadTier`: the same task handlers on the
+server's ``threads`` executor threads, over one lock-guarded cache.
+Sweep jobs go to the
 :class:`~repro.serve.jobs.JobManager`'s worker thread and persist
 through crash-safe JSONL checkpoints, so a restarted server resumes them.
 
@@ -54,13 +56,11 @@ from repro.serve.codec import (
     parse_region_request,
     parse_simulate_request,
     parse_spec,
-    region_response,
-    report_to_json,
     valid_trace_id,
 )
 from repro.serve.jobs import JobManager
-from repro.serve.workers import WorkerPool
-from repro.sweep.cache import FeasibilityCache, canonical_ray_key, canonical_spec_key
+from repro.serve.workers import ThreadTier, WorkerPool
+from repro.sweep.cache import canonical_ray_key, canonical_spec_key
 
 __all__ = ["ReproServer", "BackgroundServer"]
 
@@ -127,18 +127,17 @@ class ReproServer:
         self.executor = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix="repro-serve"
         )
-        self.pool: Optional[WorkerPool] = (
-            WorkerPool(workers, cache_entries=cache_entries)
-            if workers > 0 else None
+        #: the compute tier: every classify, region and simulate task runs
+        #: here, on worker processes or on the executor's threads
+        self.pool: WorkerPool | ThreadTier = (
+            WorkerPool(workers, cache_entries=cache_entries) if workers > 0
+            else ThreadTier(self.executor, cache_entries=cache_entries)
         )
-        self.batcher = MicroBatcher(
-            executor=self.executor, window=batch_window, max_batch=max_batch,
-            pool=self.pool,
-        )
+        self.batcher = MicroBatcher(self.pool, window=batch_window,
+                                    max_batch=max_batch)
         self.admission = AdmissionController(
             max_inflight=queue_limit, rate=rate, burst=burst
         )
-        self.cache = FeasibilityCache(max_entries=cache_entries)
         self.jobs: Optional[JobManager] = (
             JobManager(jobs_dir) if jobs_dir is not None else None
         )
@@ -170,10 +169,9 @@ class ReproServer:
             limit=_MAX_HEADER,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.pool is not None:
-            # blocking, but deliberate: no connection is accepted until
-            # serve_forever(), and readiness must mean "can compute"
-            self.pool.start()
+        # blocking, but deliberate: no connection is accepted until
+        # serve_forever(), and readiness must mean "can compute"
+        self.pool.start()
         if self.jobs is not None:
             self.jobs.recover()
 
@@ -188,8 +186,7 @@ class ReproServer:
             await self._server.wait_closed()
             self._server = None
         self.batcher.close()
-        if self.pool is not None:
-            self.pool.close()
+        self.pool.close()
         if self.jobs is not None:
             self.jobs.shutdown()
         self.executor.shutdown(wait=False)
@@ -250,7 +247,7 @@ class ReproServer:
             headers[TRACE_HEADER] = tid
             await self._respond(writer, status, payload, headers)
         except (ConnectionResetError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, BrokenPipeError):
+                BrokenPipeError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
             try:
@@ -264,6 +261,11 @@ class ReproServer:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError:
             return None  # connection closed before a full request arrived
+        except asyncio.LimitOverrunError:
+            await _skip_head(reader)
+            raise ServeError(f"request head exceeds the {_MAX_HEADER}-byte "
+                             f"limit", status=431,
+                             error="headers-too-large") from None
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
@@ -299,13 +301,18 @@ class ReproServer:
                              f"{_MAX_BODY}-byte limit",
                              status=413, error="payload-too-large")
         body = await reader.readexactly(length) if length else b""
-        return _HttpRequest(method.upper(), target, headers, body)
+        try:
+            return _HttpRequest(method.upper(), target, headers, body)
+        except ValueError as exc:  # urlsplit: e.g. an unclosed "[" host
+            raise ServeError(f"malformed request target: {exc}", status=400,
+                             error="bad-request") from None
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload, extra_headers: Optional[dict] = None) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                    404: "Not Found", 405: "Method Not Allowed",
                    413: "Payload Too Large", 429: "Too Many Requests",
+                   431: "Request Header Fields Too Large",
                    500: "Internal Server Error", 503: "Service Unavailable"}
         if isinstance(payload, (bytes, str)):
             body = payload.encode("utf-8") if isinstance(payload, str) else payload
@@ -392,11 +399,11 @@ class ReproServer:
         if path == "/v1/classify":
             if method != "POST":
                 raise _method_not_allowed(method, path)
-            return 200, await self._classify(request), {}
+            return 200, await self._compute(request, "classify"), {}
         if path == "/v1/region":
             if method != "POST":
                 raise _method_not_allowed(method, path)
-            return 200, await self._region(request), {}
+            return 200, await self._compute(request, "region"), {}
         if path == "/v1/simulate":
             if method != "POST":
                 raise _method_not_allowed(method, path)
@@ -424,8 +431,6 @@ class ReproServer:
             "status": "ok",
             "uptime_s": round(time.monotonic() - self._started, 3),
             "inflight": self.admission.inflight,
-            "cache": {"size": self.cache.size, "hits": self.cache.hits,
-                      "misses": self.cache.misses},
         }
         if self._span_ring is not None:
             # trace loss is an operator concern: a nonzero `dropped`
@@ -435,8 +440,14 @@ class ReproServer:
                 "spans": self._span_ring.emitted,
                 "dropped": self._span_ring.dropped,
             }
-        if self.pool is not None:
+        if isinstance(self.pool, WorkerPool):
             out["workers"] = self.pool.health()
+        else:
+            # only the thread tier computes through the server's own
+            # cache; the workers' caches show in /metrics by worker label
+            cache = self.pool.cache
+            out["cache"] = {"size": cache.size, "hits": cache.hits,
+                            "misses": cache.misses}
         if self.jobs is not None:
             out["jobs"] = self.jobs.counts()
         return out
@@ -448,7 +459,7 @@ class ReproServer:
         Parent series stay unlabeled, so a single-process deployment's
         page is byte-identical to the pre-merge format."""
         reg = get_registry()
-        if self.pool is None:
+        if not isinstance(self.pool, WorkerPool):
             return reg.render_prometheus()
         loop = asyncio.get_running_loop()
         workers = await loop.run_in_executor(
@@ -474,66 +485,34 @@ class ReproServer:
             "tree": span_tree(records),
         }
 
-    async def _classify(self, request: _HttpRequest) -> dict:
-        # Cache misses run classify_network's warm-started parametric chain
-        # (one cold solve + two incremental re-augmentations), so even an
-        # all-miss workload pays far less than three solves per request.
-        with span("admission"):
-            ticket = self.admission.try_admit()
-        with ticket:
-            payload = request.json()
-            if not isinstance(payload, dict):
-                raise ServeError("request body must be a JSON object")
-            spec = parse_spec(payload.get("spec", payload))
-            with span("batch", kind="classify") as sp:
-                ctx = sp.context() if sp.span_id is not None else None
-                if self.pool is not None:
-                    # shard-affine dispatch: the worker owning this key's
-                    # fingerprint range holds (or builds) its cache entry
-                    out, hit = await asyncio.wrap_future(self.pool.submit(
-                        "classify", (spec,),
-                        shard_key=canonical_spec_key(spec), trace=ctx,
-                    ))
-                    out["cache_hit"] = hit
-                    return out
-                before = self.cache.hits
-                loop = asyncio.get_running_loop()
-                report = await loop.run_in_executor(
-                    self.executor, _classify_in_worker, self.cache, spec, ctx
-                )
-                out = report_to_json(report)
-                out["cache_hit"] = self.cache.hits > before
-                return out
+    async def _compute(self, request: _HttpRequest, kind: str) -> dict:
+        """``/v1/classify`` and ``/v1/region``: one cached task each.
 
-    async def _region(self, request: _HttpRequest) -> dict:
-        # The exact stability frontier along a ray: one parametric
-        # envelope solve per (network, ray) fingerprint, banked in the
-        # same shard-affine FeasibilityCache the classify path uses, so
-        # repeat queries are pure lookups whichever endpoint warmed them.
+        A classify miss runs classify_network's warm-started parametric
+        chain (one cold solve plus incremental re-augmentations); a region
+        miss runs one parametric envelope solve per (network, ray).  Both
+        bank in the same shard-affine FeasibilityCache, so repeat queries
+        are lookups whichever endpoint warmed them, and on a worker pool
+        the task goes to the worker owning its key's shard.
+        """
         with span("admission"):
             ticket = self.admission.try_admit()
         with ticket:
             payload = request.json()
             if not isinstance(payload, dict):
                 raise ServeError("request body must be a JSON object")
-            spec, direction = parse_region_request(payload)
-            with span("batch", kind="region") as sp:
+            if kind == "classify":
+                args = (parse_spec(payload.get("spec", payload)),)
+                shard_key = canonical_spec_key(*args)
+            else:
+                args = parse_region_request(payload)
+                shard_key = canonical_ray_key(*args)
+            with span("batch", kind=kind) as sp:
                 ctx = sp.context() if sp.span_id is not None else None
-                if self.pool is not None:
-                    out, hit = await asyncio.wrap_future(self.pool.submit(
-                        "region", (spec, direction),
-                        shard_key=canonical_ray_key(spec, direction), trace=ctx,
-                    ))
-                    out["cache_hit"] = hit
-                    return out
-                before = self.cache.hits
-                loop = asyncio.get_running_loop()
-                out = await loop.run_in_executor(
-                    self.executor, _region_in_worker, self.cache, spec,
-                    direction, ctx
-                )
-                out["cache_hit"] = self.cache.hits > before
-                return out
+                out, hit = await asyncio.wrap_future(self.pool.submit(
+                    kind, args, shard_key=shard_key, trace=ctx))
+            out["cache_hit"] = hit
+            return out
 
     async def _simulate(self, request: _HttpRequest) -> dict:
         with span("admission"):
@@ -576,31 +555,16 @@ class ReproServer:
         return out
 
 
-def _classify_in_worker(cache: FeasibilityCache, spec, trace_ctx):
-    """Executor-thread body of the ``workers=0`` classify path: opens the
-    ``worker`` span in the thread that computes, so nested flow spans
-    parent correctly (the contextvar does not cross run_in_executor)."""
-    if trace_ctx is None:
-        return cache.classify(spec)
-    with span("worker", parent=trace_ctx, remote_suffix="local",
-              worker="local", kind="classify"):
-        return cache.classify(spec)
-
-
-def _region_in_worker(cache: FeasibilityCache, spec, direction, trace_ctx) -> dict:
-    """Executor-thread body of the ``workers=0`` region path (see
-    :func:`_classify_in_worker` for why the span opens here)."""
-    def compute() -> dict:
-        if direction is None:
-            report = cache.region(spec)
-            return region_response(report.envelope, report)
-        return region_response(cache.envelope(spec, direction))
-
-    if trace_ctx is None:
-        return compute()
-    with span("worker", parent=trace_ctx, remote_suffix="local",
-              worker="local", kind="region"):
-        return compute()
+async def _skip_head(reader: asyncio.StreamReader) -> None:
+    """Read past an oversized request head, up to ``_MAX_BODY`` bytes and
+    never buffered whole, so the client finishes its send and can read
+    the 431 instead of a reset."""
+    tail = b""
+    for _ in range(_MAX_BODY >> 16):
+        chunk = await reader.read(1 << 16)
+        if not chunk or b"\r\n\r\n" in tail + chunk:
+            return
+        tail = chunk[-3:]
 
 
 def _method_not_allowed(method: str, path: str) -> ServeError:

@@ -49,6 +49,13 @@ Design
 The pool is deliberately asyncio-agnostic (futures + threads only) so it
 can be driven from the server's event loop via ``asyncio.wrap_future``
 and from plain test code alike.
+
+A server without worker processes (``workers=0``) computes through
+:class:`ThreadTier` instead: the same :func:`run_task` on the server's
+threads, behind the same ``submit`` call, over one lock-guarded
+:class:`~repro.sweep.cache.FeasibilityCache`.  Both tiers run the same
+handlers and open the same ``worker`` span, so their response bodies and
+span trees are equal modulo worker identity.
 """
 
 from __future__ import annotations
@@ -59,17 +66,17 @@ import multiprocessing
 import multiprocessing.connection
 import threading
 import time
-from concurrent.futures import Future
-from typing import Any, Optional
+from concurrent.futures import Executor, Future
+from typing import Any, Optional, Union
 
 from repro.errors import ServeError
 from repro.obs.merge import add_snapshots
 from repro.obs.metrics import get_registry
 from repro.obs.spans import get_span_sink, span
-from repro.obs.trace import RingBufferSink
+from repro.obs.trace import RingBufferSink, TraceSink
 from repro.sweep.cache import FeasibilityCache, shard_index
 
-__all__ = ["WorkerPool", "TASK_KINDS"]
+__all__ = ["WorkerPool", "ThreadTier", "TASK_KINDS", "run_task"]
 
 #: Task kinds a worker knows how to execute, mapped to handler names.
 TASK_KINDS = ("classify", "region", "simulate_batch", "ping", "metrics_snapshot")
@@ -151,6 +158,33 @@ _HANDLERS = {
 }
 
 
+def run_task(cache: FeasibilityCache, kind: str, args: tuple,
+             trace: Optional[tuple] = None, *,
+             worker: Union[int, str] = "local",
+             sink: Optional[TraceSink] = None) -> Any:
+    """Run one task's handler: the compute body both tiers share.
+
+    With a ``trace`` context ``(trace_id, parent_span_id)`` the handler
+    runs under a ``worker`` span opened in the computing thread, so the
+    flow and simulation spans inside it parent correctly (the span
+    contextvar crosses neither a pipe nor an executor).  ``worker`` is
+    that span's ``worker`` attribute: a process index, whose span id ends
+    in ``w{index}``, or ``"local"`` for the thread tier.  The span and its
+    children go to ``sink``, or to the process-global span sink when it
+    is ``None``.
+    """
+    handler = _HANDLERS.get(kind)
+    if handler is None:
+        raise ServeError(f"worker got unknown task kind {kind!r}",
+                         status=500, error="internal")
+    if trace is None:
+        return handler(cache, *args)
+    suffix = f"w{worker}" if isinstance(worker, int) else worker
+    with span("worker", parent=tuple(trace), sink=sink, remote_suffix=suffix,
+              worker=worker, kind=kind):
+        return handler(cache, *args)
+
+
 def _worker_main(conn: multiprocessing.connection.Connection,
                  cache_entries: Optional[int],
                  index: int = 0,
@@ -177,29 +211,16 @@ def _worker_main(conn: multiprocessing.connection.Connection,
             conn.close()
             return
         task_id, kind, args, trace_ctx = message
-        handler = _HANDLERS.get(kind)
-        collector: Optional[RingBufferSink] = None
-        spans: list[dict] = []
+        # a traced task's spans are collected here (the worker span's
+        # children inherit its sink); the reply ships them back so the
+        # parent's ring sees one coherent trace
+        collector = RingBufferSink(capacity=1024) if trace_ctx is not None else None
         try:
-            if handler is None:
-                raise ServeError(f"worker got unknown task kind {kind!r}",
-                                 status=500, error="internal")
-            if trace_ctx is not None:
-                # collect this task's spans locally (the worker span's
-                # children inherit its sink); the reply ships them back
-                # so the parent's ring sees one coherent trace
-                collector = RingBufferSink(capacity=1024)
-                with span("worker", parent=tuple(trace_ctx), sink=collector,
-                          remote_suffix=f"w{index}", worker=index, kind=kind):
-                    result = handler(cache, *args)
-            else:
-                result = handler(cache, *args)
-            ok, payload = True, result
+            ok, payload = True, run_task(cache, kind, args, trace_ctx,
+                                         worker=index, sink=collector)
         except BaseException as exc:  # noqa: BLE001 - shipped to the caller
             ok, payload = False, _picklable_error(exc)
-        finally:
-            if collector is not None:
-                spans = collector.records
+        spans = collector.records if collector is not None else []
         snapshot = registry.snapshot() if registry.enabled else None
         try:
             conn.send((task_id, ok, payload, spans, snapshot))
@@ -297,9 +318,8 @@ class WorkerPool:
     Parameters
     ----------
     n_workers:
-        Process count; must be >= 1 (a pool of zero is spelled "no pool"
-        at the call site — :class:`~repro.serve.server.ReproServer`
-        keeps its in-process path for ``workers=0``).
+        Process count; must be >= 1 (a server with ``workers=0`` computes
+        through :class:`ThreadTier` instead).
     cache_entries:
         Per-worker :class:`FeasibilityCache` bound (each worker owns one
         shard of the fingerprint space).
@@ -665,3 +685,36 @@ class WorkerPool:
             ).inc()
             reg.gauge("repro_serve_workers_alive",
                       "Worker processes currently alive.").set(self.alive_count)
+
+
+# ----------------------------------------------------------------------
+# thread tier
+# ----------------------------------------------------------------------
+class ThreadTier:
+    """The ``workers=0`` compute tier: :func:`run_task` on the server's
+    threads, over one lock-guarded :class:`FeasibilityCache` that holds
+    every shard.
+
+    It has :class:`WorkerPool`'s ``submit``, ``start`` and ``close``, so
+    the server and the batcher hand compute to either tier in one call.
+    The executor belongs to the caller, which shuts it down.
+    """
+
+    def __init__(self, executor: Executor, *,
+                 cache_entries: Optional[int] = 1024) -> None:
+        self.executor = executor
+        self.cache = FeasibilityCache(max_entries=cache_entries)
+
+    def start(self) -> None:
+        """Nothing to spawn."""
+
+    def close(self) -> None:
+        """Nothing to reap."""
+
+    def submit(self, kind: str, args: tuple = (),
+               shard_key: Optional[str] = None, *,
+               trace: Optional[tuple] = None) -> Future:
+        """Run one task on an executor thread.  ``shard_key`` is accepted
+        for :meth:`WorkerPool.submit`'s signature and unused: the one
+        cache owns every shard."""
+        return self.executor.submit(run_task, self.cache, kind, args, trace)

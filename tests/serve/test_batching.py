@@ -7,16 +7,25 @@ batching changes scheduling, never results.
 """
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import MicroBatcher, direct_simulate, parse_spec
+from repro.serve.workers import ThreadTier
 
 
 PATH_SPEC = parse_spec({"topology": "path", "n": 6, "in_rate": 1, "out_rate": 2})
 GRID_SPEC = parse_spec({"topology": "grid", "rows": 3, "cols": 3,
                         "in_rate": 1, "out_rate": 2})
+
+
+@pytest.fixture
+def tier():
+    """The in-process compute tier a ``workers=0`` server batches on."""
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        yield ThreadTier(executor)
 
 
 def _strip(response):
@@ -25,30 +34,29 @@ def _strip(response):
 
 
 class TestDifferential:
-    def test_coalesced_batch_is_bit_identical_to_scalar_runs(self):
+    def test_coalesced_batch_is_bit_identical_to_scalar_runs(self, tier):
         """N concurrent same-config requests: one ensemble batch, every
         member equal to its own scalar Simulator run."""
         seeds = [3, 11, 7, 0, 42, 11, 9, 5]  # duplicates allowed
 
         async def scenario():
-            batcher = MicroBatcher(window=0.05, max_batch=64)
-            results = await asyncio.gather(*[
+            batcher = MicroBatcher(tier, window=0.05, max_batch=64)
+            return await asyncio.gather(*[
                 batcher.simulate(PATH_SPEC, 300, s) for s in seeds
             ])
-            return batcher, results
 
-        batcher, results = asyncio.run(scenario())
-        assert len(batcher.batch_log) == 1          # exactly one ensemble run
-        assert batcher.batch_log[0][2] == len(seeds)
+        results = asyncio.run(scenario())
+        # exactly one ensemble run
+        assert len({r["batch"]["seq"] for r in results}) == 1
         for seed, response in zip(seeds, results):
             assert _strip(response) == direct_simulate(PATH_SPEC, 300, seed)
         sizes = {r["batch"]["size"] for r in results}
         assert sizes == {len(seeds)}
         assert sorted(r["batch"]["index"] for r in results) == list(range(8))
 
-    def test_lossy_batch_matches_scalar_oracle(self):
+    def test_lossy_batch_matches_scalar_oracle(self, tier):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher(tier, window=0.05)
             return await asyncio.gather(*[
                 batcher.simulate(PATH_SPEC, 200, s, 0.2) for s in (1, 2, 3)
             ])
@@ -58,20 +66,21 @@ class TestDifferential:
 
 
 class TestCoalescingKeys:
-    def test_different_configs_never_share_a_batch(self):
+    def test_different_configs_never_share_a_batch(self, tier):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
-            await asyncio.gather(
+            batcher = MicroBatcher(tier, window=0.05)
+            return await asyncio.gather(
                 batcher.simulate(PATH_SPEC, 200, 1),
                 batcher.simulate(PATH_SPEC, 300, 1),   # different horizon
                 batcher.simulate(GRID_SPEC, 200, 1),   # different network
                 batcher.simulate(PATH_SPEC, 200, 2),   # same config: coalesces
             )
-            return batcher.batch_log
 
-        log = asyncio.run(scenario())
-        assert len(log) == 3
-        assert sorted(size for _, _, size in log) == [1, 1, 2]
+        results = asyncio.run(scenario())
+        sizes = {r["batch"]["seq"]: r["batch"]["size"] for r in results}
+        assert len(sizes) == 3
+        assert sorted(sizes.values()) == [1, 1, 2]
+        assert results[0]["batch"]["seq"] == results[3]["batch"]["seq"]
 
     def test_fingerprint_ignores_seed_but_not_loss(self):
         a = MicroBatcher.fingerprint(PATH_SPEC, 200, 0.0)
@@ -101,7 +110,7 @@ class TestCoalescingKeys:
             # ... but never the same batch
             assert MicroBatcher.fingerprint(spec, 200, 0.0) != a
 
-    def test_permuted_edge_lists_in_one_window_do_not_coalesce(self):
+    def test_permuted_edge_lists_in_one_window_do_not_coalesce(self, tier):
         """Two requests whose edge lists are permutations of each other,
         landing inside one coalescing window: each must be simulated on
         its *own* edge ordering and match its own scalar oracle."""
@@ -111,50 +120,49 @@ class TestCoalescingKeys:
                            "in_rates": {"0": 2}, "out_rates": {"3": 1}})
 
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
-            results = await asyncio.gather(
+            batcher = MicroBatcher(tier, window=0.05)
+            return await asyncio.gather(
                 batcher.simulate(base, 200, 3),
                 batcher.simulate(perm, 200, 11),
             )
-            return batcher, results
 
-        batcher, (r_base, r_perm) = asyncio.run(scenario())
-        assert len(batcher.batch_log) == 2
-        assert sorted(size for _, _, size in batcher.batch_log) == [1, 1]
+        r_base, r_perm = asyncio.run(scenario())
+        assert r_base["batch"]["seq"] != r_perm["batch"]["seq"]
+        assert r_base["batch"]["size"] == r_perm["batch"]["size"] == 1
         assert _strip(r_base) == direct_simulate(base, 200, 3)
         assert _strip(r_perm) == direct_simulate(perm, 200, 11)
 
 
 class TestFlushTriggers:
-    def test_max_batch_flushes_without_waiting_for_window(self):
+    def test_max_batch_flushes_without_waiting_for_window(self, tier):
         async def scenario():
-            batcher = MicroBatcher(window=30.0, max_batch=2)  # window never fires
-            results = await asyncio.wait_for(asyncio.gather(
+            batcher = MicroBatcher(tier, window=30.0, max_batch=2)  # window never fires
+            return await asyncio.wait_for(asyncio.gather(
                 batcher.simulate(PATH_SPEC, 150, 1),
                 batcher.simulate(PATH_SPEC, 150, 2),
             ), timeout=10.0)
-            return batcher, results
 
-        batcher, results = asyncio.run(scenario())
-        assert batcher.batch_log == [(1, batcher.batch_log[0][1], 2)]
+        results = asyncio.run(scenario())
+        assert [r["batch"] for r in results] == [
+            {"seq": 1, "size": 2, "index": 0}, {"seq": 1, "size": 2, "index": 1}]
         for seed, response in zip((1, 2), results):
             assert _strip(response) == direct_simulate(PATH_SPEC, 150, seed)
 
-    def test_zero_window_runs_singleton_batches(self):
+    def test_zero_window_runs_singleton_batches(self, tier):
         async def scenario():
-            batcher = MicroBatcher(window=0.0)
-            await asyncio.gather(
+            batcher = MicroBatcher(tier, window=0.0)
+            return await asyncio.gather(
                 batcher.simulate(PATH_SPEC, 150, 1),
                 batcher.simulate(PATH_SPEC, 150, 2),
             )
-            return batcher.batch_log
 
-        log = asyncio.run(scenario())
-        assert [size for _, _, size in log] == [1, 1]
+        first, second = asyncio.run(scenario())
+        assert first["batch"]["size"] == second["batch"]["size"] == 1
+        assert first["batch"]["seq"] != second["batch"]["seq"]
 
 
 class TestFailureDelivery:
-    def test_batch_failure_reaches_every_member(self, monkeypatch):
+    def test_batch_failure_reaches_every_member(self, monkeypatch, tier):
         import repro.serve.batching as batching
 
         def boom(*_args):
@@ -163,7 +171,7 @@ class TestFailureDelivery:
         monkeypatch.setattr(batching, "_run_batch", boom)
 
         async def scenario():
-            batcher = MicroBatcher(window=0.02)
+            batcher = MicroBatcher(tier, window=0.02)
             return await asyncio.gather(
                 batcher.simulate(PATH_SPEC, 150, 1),
                 batcher.simulate(PATH_SPEC, 150, 2),
@@ -174,9 +182,9 @@ class TestFailureDelivery:
         assert len(results) == 2
         assert all(isinstance(r, RuntimeError) for r in results)
 
-    def test_close_fails_pending_requests_with_503(self):
+    def test_close_fails_pending_requests_with_503(self, tier):
         async def scenario():
-            batcher = MicroBatcher(window=30.0)
+            batcher = MicroBatcher(tier, window=30.0)
             task = asyncio.ensure_future(batcher.simulate(PATH_SPEC, 150, 1))
             await asyncio.sleep(0)  # let the request enqueue
             batcher.close()
@@ -186,8 +194,8 @@ class TestFailureDelivery:
         assert isinstance(result, ServeError)
         assert result.status == 503
 
-    def test_bad_config_rejected(self):
+    def test_bad_config_rejected(self, tier):
         with pytest.raises(ServeError, match="window"):
-            MicroBatcher(window=-1.0)
+            MicroBatcher(tier, window=-1.0)
         with pytest.raises(ServeError, match="max_batch"):
-            MicroBatcher(max_batch=0)
+            MicroBatcher(tier, max_batch=0)

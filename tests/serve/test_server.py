@@ -21,10 +21,13 @@ import urllib.parse
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.obs.metrics import get_registry
 from repro.serve import BackgroundServer, ServeClient, direct_simulate, parse_spec
+from repro.serve.headers import TRACE_HEADER
 
 
 SPEC = {"topology": "path", "n": 6, "in_rate": 1, "out_rate": 2}
@@ -44,6 +47,73 @@ def server_factory():
     yield launch
     for srv in reversed(live):  # last started, first stopped
         srv.stop()
+
+
+def _counter(name):
+    """An unlabeled counter of the process-global registry (0 if unset)."""
+    family = get_registry().snapshot().get(name, {"series": []})
+    return sum(series["value"] for series in family["series"])
+
+
+def _exchange(url, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection, read the reply to EOF."""
+    parts = urllib.parse.urlsplit(url)
+    data = b""
+    with socket.create_connection((parts.hostname, parts.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(1 << 16):
+            data += chunk
+    return data
+
+
+# Start points of the framing fuzz, one per endpoint family that cannot be
+# made to run long: simulate stays out, so no mutation asks for a long run.
+_FUZZ_SEEDS = [
+    ("POST", "/v1/classify", json.dumps({"spec": SPEC})),
+    ("GET", "/healthz", ""),
+    ("GET", "/v1/trace/0123456789abcdef", ""),
+    ("GET", "/v1/sweeps/swp-unknown?records=1", ""),
+]
+# Spliced into a request: URL delimiters (urlsplit rejects a host with an
+# unbalanced bracket), separators, controls and other latin-1 bytes.
+# Never "\n" in the head, so the head still ends at its final CRLFCRLF.
+_HEAD_PIECES = st.one_of(
+    st.sampled_from(["", "[", "]", "/", "?", "#", "%", ":", "@", " ", "\r"]),
+    st.text(st.characters(max_codepoint=0xFF, exclude_characters="\n"),
+            max_size=4),
+)
+_BODY_PIECES = st.text(st.characters(max_codepoint=0xFF), max_size=4)
+
+
+@st.composite
+def _mutated(draw, text, max_edits, pieces=_HEAD_PIECES):
+    """``text`` with up to ``max_edits`` slices of up to 4 characters each
+    replaced by a drawn piece (an insert, a delete or a substitution)."""
+    for _ in range(draw(st.integers(0, max_edits))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(pieces) + text[j:]
+    return text
+
+
+@st.composite
+def _complete_requests(draw):
+    """A mutated request whose head ends in CRLFCRLF and whose body is as
+    long as its Content-Length."""
+    method, path, body = draw(st.sampled_from(_FUZZ_SEEDS))
+    # an absolute-form target puts a host where urlsplit parses brackets
+    scheme = draw(st.sampled_from(["", "//", "http://"]))
+    host = draw(_mutated("[::1]", 2)) if scheme else ""
+    line = draw(_mutated(f"{method} {scheme}{host}{path} HTTP/1.1", 2))
+    headers = [f"{draw(_mutated(name, 1))}: {draw(_mutated(value, 2))}"
+               for name, value in (("Host", "t"), (TRACE_HEADER, "fuzz-1"))]
+    # around and past the server's 16 KiB head limit
+    pad = draw(st.sampled_from([0, 0, 1 << 10, (1 << 14) - 100, 1 << 14, 1 << 16]))
+    payload = draw(_mutated(body, 2, _BODY_PIECES)).encode("latin-1")
+    head = [line, *headers, f"X-Pad: {'a' * pad}",
+            f"Content-Length: {len(payload)}"]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
 
 
 def _raw(url, method="GET", body=None):
@@ -76,6 +146,8 @@ class TestBasicEndpoints:
         assert {k: v for k, v in first.items() if k != "cache_hit"} == direct
         assert first["cache_hit"] is False
         assert client.classify(SPEC)["cache_hit"] is True
+        # the in-process tier computes through the cache /healthz reports
+        assert client.healthz()["cache"] == {"size": 1, "hits": 1, "misses": 1}
 
     def test_simulate_roundtrip(self, server_factory):
         url, _ = server_factory()
@@ -131,19 +203,59 @@ class TestStructuredErrors:
         HTTP: a garbage (or negative) header must yield the structured 400
         contract, not a dropped connection."""
         url, _ = server_factory()
-        parts = urllib.parse.urlsplit(url)
-        with socket.create_connection((parts.hostname, parts.port),
-                                      timeout=10) as sock:
-            sock.sendall((f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
-                          f"Content-Length: {value}\r\n\r\n").encode("ascii"))
-            data = b""
-            while chunk := sock.recv(1 << 16):
-                data += chunk
+        data = _exchange(url, (f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
+                               f"Content-Length: {value}\r\n\r\n").encode("ascii"))
         head, _, body = data.partition(b"\r\n\r\n")
         assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
         parsed = json.loads(body)
         assert parsed["error"] == "bad-request"
         assert "Content-Length" in parsed["detail"]
+
+    def test_unparseable_request_target_is_structured_400(self, server_factory):
+        """urlsplit rejects a host with an unclosed bracket: the server
+        must answer a structured 400, not drop the connection."""
+        url, _ = server_factory()
+        data = _exchange(url, b"GET http://[::1 HTTP/1.1\r\nHost: t\r\n\r\n")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        parsed = json.loads(body)
+        assert parsed["error"] == "bad-request"
+        assert "request target" in parsed["detail"]
+
+    @pytest.mark.parametrize("pad", [1 << 14, 1 << 18])
+    def test_oversized_head_is_structured_431(self, server_factory, pad):
+        """A head past the 16 KiB limit gets a structured 431; the server
+        reads past it (up to 1 MiB), so even a 256 KiB head ends in a
+        clean close rather than a reset."""
+        url, _ = server_factory()
+        data = _exchange(url, (f"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                               f"X-Pad: {'a' * pad}\r\n\r\n").encode("ascii"))
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert (head.split(b"\r\n", 1)[0]
+                == b"HTTP/1.1 431 Request Header Fields Too Large")
+        parsed = json.loads(body)
+        assert set(parsed) == {"error", "detail"}
+        assert parsed["error"] == "headers-too-large"
+
+    def test_mutated_complete_requests_get_structured_answers(self, server_factory):
+        """Any complete request gets a status line and never a 500, and
+        every non-2xx reply is a structured ``{error, detail}`` body (the
+        503 ``jobs-disabled`` of the sweep-status start point included)."""
+        url, _ = server_factory()
+
+        @settings(max_examples=120, deadline=None)
+        @given(request=_complete_requests())
+        def check(request):
+            data = _exchange(url, request)
+            head, _, body = data.partition(b"\r\n\r\n")
+            status = head.split(b"\r\n", 1)[0]
+            assert status.startswith(b"HTTP/1.1 "), (request[:120], data[:120])
+            code = int(status.split()[1])
+            assert code != 500, body
+            if not 200 <= code < 300:
+                assert set(json.loads(body)) == {"error", "detail"}, body
+
+        check()
 
     def test_oversized_body_is_413(self, server_factory):
         url, _ = server_factory()
@@ -163,8 +275,10 @@ class TestConcurrentDifferential:
     def test_identical_burst_is_bit_identical_and_coalesced(self, server_factory):
         """The ISSUE's differential criterion, over real HTTP."""
         n = 8
-        url, server = server_factory(batch_window=0.25, threads=2)
+        url, _ = server_factory(batch_window=0.25, threads=2)
         client = ServeClient(url)
+        batches_before = _counter("repro_serve_batches_total")
+        batched_before = _counter("repro_serve_batched_requests_total")
         results: dict[int, dict] = {}
         errors: list[Exception] = []
         barrier = threading.Barrier(n)
@@ -191,8 +305,8 @@ class TestConcurrentDifferential:
 
         batches = {body["batch"]["seq"] for body in results.values()}
         assert len(batches) < n  # served from fewer than N ensemble runs
-        assert len(server.batcher.batch_log) == len(batches)
-        assert sum(size for _, _, size in server.batcher.batch_log) == n
+        assert _counter("repro_serve_batches_total") - batches_before == len(batches)
+        assert _counter("repro_serve_batched_requests_total") - batched_before == n
 
 
 class TestShedding:

@@ -85,6 +85,8 @@ class TestResponseMatrix:
         assert pooled.healthz()["workers"]["configured"] == 2
         assert pooled.healthz()["workers"]["alive"] == 2
         assert "workers" not in inproc.healthz()
+        # the workers' caches show in /metrics; the server builds none
+        assert "cache" not in pooled.healthz()
 
     def test_pooled_metrics_count_worker_tasks(self, twins):
         pooled, _, _ = twins
