@@ -5,8 +5,10 @@ sweep, ``k = 1..8`` unit sources over a 4-wide bottleneck at horizon 6000,
 and the divergence-rate sweep, ``λ = 5..8`` at horizon 8000) the
 pure-integer kernel (:mod:`repro.core.fastpath`) beats the forced stage
 pipeline (``numeric_fastpath=False``) by >= 5x aggregate wall-clock —
-the observed ratio is ~12x, with stable configurations hitting the
-step-transition memo at 30–45x and divergent ones running memo-free.
+the observed ratio is ~9–10x on 2 shared cores: the kernel's cycle check
+catches the recurring queue vector of every stable configuration and
+tiles the rest of its horizon (135–185x), while divergent ones never
+recur and step every step (6–9x).
 
 Exact agreement of every trajectory series, final queue vector and
 stability verdict between the two paths is asserted unconditionally —

@@ -205,6 +205,9 @@ class Engine:
     def run(self, horizon: Optional[int] = None):
         """Advance ``horizon`` steps (default from config) and assess.
 
+        The ``sim.run`` span records which ``engine`` stepped the run
+        (``"kernel"`` or ``"pipeline"``) and, when the kernel found the
+        queue vector recurring and tiled the rest, its ``period``.
         With ``config.trace`` enabled the ``sim.run`` span carries a
         ``run_start`` event (config fingerprint, seed, boundary state at
         t = 0), one ``step`` event per step and a ``run_end`` event
@@ -234,11 +237,14 @@ class Engine:
                 )
                 self._event_span = sp
             try:
-                if not fastpath.maybe_run(self, steps):
+                kernel = fastpath.maybe_run(self, steps)
+                if kernel is None:
                     for _ in range(steps):
                         self._step()
             finally:
                 self._event_span = None
+            for key, value in (kernel or {"engine": "pipeline"}).items():
+                sp.set(key, value)
             result = self.result()
             if traced:
                 verdicts = [result.verdict] if single else result.verdicts

@@ -11,11 +11,14 @@ This module runs the recurrence in plain Python integers instead:
   stable sort on the queue alone therefore reproduces the full composite
   order), and re-sorted per step only when the sender's packet budget
   actually truncates the eligible list;
-* whole step transitions are memoized on the boundary queue vector:
-  deterministic runs either fall into a cycle (every step after the
-  transient is a dictionary hit) or diverge, in which case the memo shuts
-  itself off after :data:`MISS_STREAK_LIMIT` consecutive misses so
-  divergent runs do not keep paying for dead lookups.
+* a run is a deterministic map of its boundary queue vector, so it is
+  bounded exactly when that vector recurs.  Brent's cycle check saves the
+  vector at steps 0, 1, 2, 4, ... and compares every later one with the
+  last save; a match at step ``t`` against the save at ``s`` proves the
+  run periodic with the minimal period ``t - s``, and the rest of the
+  horizon is tiled from the last period instead of stepped.  The check
+  costs one saved vector and one list comparison per step and never
+  switches off; a divergent run simply never matches.
 
 Bit-exactness against the stage pipeline is the contract: the differential
 matrix in ``tests/numeric/test_fastpath.py`` asserts step-for-step
@@ -44,22 +47,9 @@ from repro.network.state import BIGINT_THRESHOLD
 from repro.numeric import note_fastpath_steps
 
 __all__ = [
-    "MEMO_CAP",
-    "MISS_STREAK_LIMIT",
     "ineligibility_reasons",
     "maybe_run",
 ]
-
-#: Step-transition memo size bound (entries are whole queue vectors).
-MEMO_CAP = 1 << 14
-
-#: Consecutive memo misses after which a run is declared divergent and the
-#: memo is dropped.  Must exceed the transient-plus-cycle length of stable
-#: runs (those re-hit within the cycle length, resetting the streak);
-#: divergent runs pay the memo's lookup+insert tax for exactly this many
-#: steps, so the limit trades stable-run coverage against divergent-run
-#: overhead.
-MISS_STREAK_LIMIT = 1 << 10
 
 _sumprod = getattr(math, "sumprod", None)
 if _sumprod is None:  # pragma: no cover - Python < 3.12
@@ -148,11 +138,12 @@ def _presorted_neighbors(half, reverse: bool) -> list[list[int]]:
 def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
     """Run ``steps`` classical LGG steps from ``q0`` in pure integers.
 
-    Returns ``(q_final, inj_total, pots, tots, mxs, txs, dels, snaps)``
-    where the five series are per-step lists matching the trajectory's
-    accounting (``lost`` is identically 0 and ``injected`` identically
-    ``inj_total`` on eligible runs) and ``snaps`` is the optional list of
-    post-step queue snapshots.
+    Returns ``(q_final, inj_total, pots, tots, mxs, txs, dels, snaps,
+    period)`` where the five series are per-step lists matching the
+    trajectory's accounting (``lost`` is identically 0 and ``injected``
+    identically ``inj_total`` on eligible runs), ``snaps`` is the optional
+    list of post-step queue snapshots and ``period`` is the minimal period
+    of the queue vector once it recurred (``None`` when it never did).
     """
     n = spec.n
     reverse = tiebreak is TieBreak.QUEUE_THEN_REVERSED_ID
@@ -170,27 +161,15 @@ def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
     dels: list[int] = []
     snaps: Optional[list[np.ndarray]] = [] if record_queues else None
 
-    memo: Optional[dict] = {}
-    miss_streak = 0
+    # Brent: the boundary saved at step 0, 1, 2, 4, ... is compared with
+    # every later boundary until the next save
+    saved, saved_at, save_next = q[:], 0, 1
+    period: Optional[int] = None
+    stop = steps
     sumprod = _sumprod
 
-    for _ in range(steps):
-        if memo is not None:
-            key = tuple(q)  # boundary state, before this step's injection
-            hit = memo.get(key)
-            if hit is not None:
-                q_next, tx, dv, tot, pot, mx = hit
-                q = list(q_next)
-                miss_streak = 0
-                pots.append(pot)
-                tots.append(tot)
-                mxs.append(mx)
-                txs.append(tx)
-                dels.append(dv)
-                if snaps is not None:
-                    snaps.append(np.array(q_next, dtype=np.int64))
-                continue
-
+    t = 0
+    while t < stop:
         # injection: exactly in(v), every step (classical Section II)
         for v, r in in_list:
             q[v] += r
@@ -224,41 +203,50 @@ def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
                 e = r if r < qv else qv
                 q[v] = qv - e
                 dv += e
-        tot = sum(q)
-        mx = max(q) if q else 0
-        pot = sumprod(q, q)
-        pots.append(pot)
-        tots.append(tot)
-        mxs.append(mx)
+        pots.append(sumprod(q, q))
+        tots.append(sum(q))
+        mxs.append(max(q) if q else 0)
         txs.append(tx)
         dels.append(dv)
         if snaps is not None:
             snaps.append(np.array(q, dtype=np.int64))
-        if memo is not None:
-            if len(memo) < MEMO_CAP:
-                memo[key] = (tuple(q), tx, dv, tot, pot, mx)
-            miss_streak += 1
-            if miss_streak >= MISS_STREAK_LIMIT:
-                memo = None  # divergent run: stop paying for dead lookups
+        t += 1
+        if period is None:
+            if q == saved:
+                # the step map is deterministic, so the run repeats its
+                # last ``period`` steps from here on: step to a whole
+                # number of periods before the horizon, tile the rest
+                period = t - saved_at
+                stop = t + (steps - t) % period
+            elif t == save_next:
+                saved, saved_at, save_next = q[:], t, 2 * t
 
-    return q, inj_total, pots, tots, mxs, txs, dels, snaps
+    if period is not None:
+        reps = (steps - stop) // period
+        for series in (pots, tots, mxs, txs, dels):
+            series.extend(series[-period:] * reps)
+        if snaps is not None:
+            snaps.extend(snaps[-period:] * reps)
+    return q, inj_total, pots, tots, mxs, txs, dels, snaps, period
 
 
 # ----------------------------------------------------------------------
 # the engine front end
 # ----------------------------------------------------------------------
-def maybe_run(engine, steps: int) -> bool:
+def maybe_run(engine, steps: int) -> Optional[dict]:
     """Advance an engine by ``steps`` via the kernel if eligible.
 
     Mutates ``engine.Q`` / ``engine.history`` / ``engine.t`` exactly as
     ``steps`` pipeline iterations would (including
-    :func:`network_state_rows`' int64-vs-bigint choice for ``P_t``);
-    returns ``False`` (and touches nothing) when the run is not
-    kernel-eligible.
+    :func:`network_state_rows`' int64-vs-bigint choice for ``P_t``) and
+    returns what the run's ``sim.run`` span records of it:
+    ``engine="kernel"``, plus ``period`` when the queue vector recurred
+    and the rest of the horizon was tiled.  Returns ``None`` (and touches
+    nothing) when the run is not kernel-eligible.
     """
     want = engine.config.numeric_fastpath
     if want is False or steps <= 0:
-        return False
+        return None
     reasons = ineligibility_reasons(engine)
     if reasons:
         if want is True:
@@ -266,9 +254,9 @@ def maybe_run(engine, steps: int) -> bool:
                 "numeric_fastpath=True but the run is not kernel-eligible: "
                 + "; ".join(reasons)
             )
-        return False
+        return None
     history = engine.history
-    q, inj_total, pots, tots, mxs, txs, dels, snaps = _simulate(
+    q, inj_total, pots, tots, mxs, txs, dels, snaps, period = _simulate(
         engine.spec, engine._half, engine.policy.tiebreak, engine.Q[0], steps,
         history.records_queues,
     )
@@ -285,4 +273,6 @@ def maybe_run(engine, steps: int) -> bool:
     engine.Q[:] = q
     engine.t += steps
     note_fastpath_steps(steps)
-    return True
+    if period is None:
+        return {"engine": "kernel"}
+    return {"engine": "kernel", "period": period}

@@ -16,10 +16,11 @@ parent-side half of the merge protocol:
 * :func:`merge_worker_snapshots` relabels each worker's series with a
   ``worker`` label and lays them alongside the parent's own (unlabeled)
   series;
-* :func:`render_snapshot` renders the merged dict as the same Prometheus
-  text-0.0.4 page :meth:`MetricsRegistry.render_prometheus` produces,
-  and :func:`parse_exposition` reads such a page back (the round-trip
-  test and the CI smoke's assertions).
+* :func:`render_snapshot` renders a snapshot dict, merged or not, as a
+  Prometheus text-0.0.4 page (:meth:`MetricsRegistry.render_prometheus`
+  is this renderer over the registry's own snapshot), and
+  :func:`parse_exposition` reads such a page back (the round-trip test
+  and the CI smoke's assertions).
 
 All functions take and return plain snapshot dicts — nothing here
 touches a live registry, so merging is safe from any thread.
@@ -30,7 +31,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import _fmt_labels, _fmt_value
 
 __all__ = [
     "add_snapshots",
@@ -159,13 +159,30 @@ def merge_worker_snapshots(parent: dict,
     return out
 
 
+def _escape(value: object) -> str:
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _fmt_labels(labels: tuple, extra: Optional[tuple] = None) -> str:
+    pairs = list(labels) + ([extra] if extra else [])
+    if not pairs:
+        return ""
+    return "{" + ",".join(f'{k}="{_escape(v)}"' for k, v in pairs) + "}"
+
+
+def _fmt_value(v: float) -> str:
+    if isinstance(v, float) and v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
 def render_snapshot(snapshot: dict) -> str:
     """Prometheus text exposition (0.0.4) from a snapshot-format dict.
 
-    Mirrors :meth:`MetricsRegistry.render_prometheus` line-for-line on an
-    unmerged snapshot (modulo snapshot()'s skip of empty unlabeled slots),
-    so the serve tier renders local and merged pages through one path.
-    Exemplars stay out — the page remains pure 0.0.4.
+    The one Prometheus renderer: :meth:`MetricsRegistry.render_prometheus`
+    calls it on the registry's snapshot, and the serve tier on the merged
+    one.  Series print sorted by their label pairs.  Exemplars stay out —
+    the page remains pure 0.0.4.
     """
     lines: list[str] = []
     for name in sorted(snapshot):

@@ -237,23 +237,6 @@ class Histogram(_Instrument):
                 self.exemplars[slot] = (str(exemplar), value)
 
 
-def _escape(value: object) -> str:
-    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _fmt_labels(labels: LabelValues, extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = list(labels) + ([extra] if extra else [])
-    if not pairs:
-        return ""
-    return "{" + ",".join(f'{k}="{_escape(v)}"' for k, v in pairs) + "}"
-
-
-def _fmt_value(v: float) -> str:
-    if isinstance(v, float) and v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
 class MetricsRegistry:
     """Named instrument table with a disabled fast path.
 
@@ -339,32 +322,9 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for name in sorted(self._instruments):
-            inst = self._instruments[name]
-            if inst.help:
-                lines.append(f"# HELP {name} {inst.help}")
-            lines.append(f"# TYPE {name} {inst.kind}")
-            for labels, slot in inst._series():
-                if isinstance(slot, Histogram):
-                    cum = _cumulative(slot.bucket_counts)
-                    for bound, c in zip(
-                        [str(b) for b in slot.bounds] + ["+Inf"], cum
-                    ):
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_fmt_labels(labels, ('le', bound))} {c}"
-                        )
-                    lines.append(f"{name}_sum{_fmt_labels(labels)} "
-                                 f"{_fmt_value(slot.sum)}")
-                    lines.append(f"{name}_count{_fmt_labels(labels)} {slot.count}")
-                else:
-                    if slot.value == 0 and labels == () and inst._children:
-                        continue  # a pure label family: parent slot unused
-                    lines.append(
-                        f"{name}{_fmt_labels(labels)} {_fmt_value(slot.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+        from repro.obs.merge import render_snapshot
+
+        return render_snapshot(self.snapshot())
 
     def reset(self) -> None:
         """Drop every instrument (tests; a fresh sweep's clean slate)."""

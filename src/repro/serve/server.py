@@ -29,7 +29,9 @@ through crash-safe JSONL checkpoints, so a restarted server resumes them.
 
 Every non-2xx response body is structured JSON ``{"error": slug,
 "detail": message}``; sheds additionally carry ``Retry-After``.  The
-server degrades by shedding, never by queueing unboundedly.
+server degrades by shedding, never by queueing unboundedly, and a
+request whose head and body have not arrived within ``_READ_TIMEOUT``
+gets a ``408`` instead of holding its connection.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = ["ReproServer", "BackgroundServer"]
 
 _MAX_BODY = 1 << 20      # 1 MiB of JSON is plenty for any spec
 _MAX_HEADER = 1 << 14
+_READ_TIMEOUT = 10.0     # seconds to receive a whole request, head and body
 
 _REQUEST_LATENCY_BUCKETS = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -226,7 +229,15 @@ class ReproServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                request = await self._read_request(reader)
+                request = await asyncio.wait_for(self._read_request(reader),
+                                                 _READ_TIMEOUT)
+            except asyncio.TimeoutError:
+                # a client that stops sending mid-request must not hold
+                # its connection and task for as long as it likes
+                await self._respond(writer, 408, {
+                    "error": "request-timeout",
+                    "detail": f"request not received within {_READ_TIMEOUT} s"})
+                return
             except ServeError as exc:
                 # parse-level rejects (malformed request line, oversized
                 # body) still get the structured JSON error contract
@@ -311,7 +322,8 @@ class ReproServer:
                        payload, extra_headers: Optional[dict] = None) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                    404: "Not Found", 405: "Method Not Allowed",
-                   413: "Payload Too Large", 429: "Too Many Requests",
+                   408: "Request Timeout", 413: "Payload Too Large",
+                   429: "Too Many Requests",
                    431: "Request Header Fields Too Large",
                    500: "Internal Server Error", 503: "Service Unavailable"}
         if isinstance(payload, (bytes, str)):
@@ -456,15 +468,15 @@ class ReproServer:
         """The scrape page: local registry, plus — when a worker tier is
         running — every worker's registry under a ``worker`` label.
 
-        Parent series stay unlabeled, so a single-process deployment's
-        page is byte-identical to the pre-merge format."""
-        reg = get_registry()
-        if not isinstance(self.pool, WorkerPool):
-            return reg.render_prometheus()
-        loop = asyncio.get_running_loop()
-        workers = await loop.run_in_executor(
-            self.executor, self.pool.metrics_snapshots)
-        return render_snapshot(merge_worker_snapshots(reg.snapshot(), workers))
+        Parent series stay unlabeled, and both tiers render through one
+        :func:`render_snapshot` call, so they order labels alike."""
+        workers: dict = {}
+        if isinstance(self.pool, WorkerPool):
+            loop = asyncio.get_running_loop()
+            workers = await loop.run_in_executor(
+                self.executor, self.pool.metrics_snapshots)
+        return render_snapshot(
+            merge_worker_snapshots(get_registry().snapshot(), workers))
 
     def _trace_status(self, request: _HttpRequest) -> dict:
         trace_id = request.path[len("/v1/trace/"):]

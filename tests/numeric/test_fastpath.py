@@ -12,6 +12,10 @@ exact equality across randomized instances:
 * LGG: random connected graphs x integer rates x both deterministic
   tie-breaks x optional initial queues x optional queue recording, single
   runs (``R = 1``) and ensembles, full trajectory equality;
+* the kernel's cycle check: the transient and minimal period read off
+  the pipeline's queue history fix the step at which the ``sim.run``
+  span must start reporting ``period``, and horizons around that step
+  must still equal the pipeline;
 * flow: all-integral and mixed-denominator capacity specs x every cold
   oracle engine (``tests/flow/engines.py``), full report equality, with the engagement
   counters asserting *zero* Fraction fallbacks on scalable specs and a
@@ -45,6 +49,8 @@ from repro.numeric import (
     reset_counters,
 )
 from repro.obs.metrics import get_registry
+from repro.obs.trace import RingBufferSink
+from repro.sweep.points import random_instance_spec
 from tests.flow.engines import ENGINES, cold_engine
 
 DETERMINISTIC_TIEBREAKS = [TieBreak.QUEUE_THEN_ID, TieBreak.QUEUE_THEN_REVERSED_ID]
@@ -179,6 +185,126 @@ class TestKernelVsPipeline:
             assert after - before == 25
         finally:
             obs.configure(**prev)
+
+
+# ----------------------------------------------------------------------
+# the kernel's cycle detector
+# ----------------------------------------------------------------------
+def spanned(engine, horizon):
+    """``engine.run(horizon)`` under a span ring: the ``sim.run`` attrs.
+
+    A run too short for the stability assessment (fewer than 8 samples)
+    still steps and records its span before the assessment raises."""
+    ring = RingBufferSink(capacity=16)
+    prev = obs.configure(spans=ring)
+    try:
+        if horizon < 7:
+            with pytest.raises(SimulationError, match="too short"):
+                engine.run(horizon)
+        else:
+            engine.run(horizon)
+    finally:
+        obs.configure(**prev)
+    [attrs] = [r["attrs"] for r in ring.records if r["name"] == "sim.run"]
+    return attrs
+
+
+def first_repeat(queue_history):
+    """``(mu, lam)`` of the first repeated row: the transient and the
+    minimal period of a deterministic run, or ``None`` if no row repeats."""
+    seen = {}
+    for t, row in enumerate(queue_history):
+        key = tuple(row.tolist())
+        if key in seen:
+            return seen[key], t - seen[key]
+        seen[key] = t
+    return None
+
+
+def detection_step(mu, lam):
+    """The step at which a check saving at 0, 1, 2, 4, ... first matches:
+    ``s + lam`` for the first save step ``s >= max(mu, lam)``, or 1 when
+    the start state is already a fixed point."""
+    if mu == 0 and lam == 1:
+        return 1
+    s = 1
+    while s < max(mu, lam):
+        s *= 2
+    return s + lam
+
+
+class TestCycleDetector:
+    def test_long_transient_run_is_tiled_exactly(self):
+        # transient 1182, period 20: the save at step 2048 matches at 2068
+        spec = random_instance_spec(
+            {"family": "gnp", "n": 64, "p": 0.1, "sources": 3, "sinks": 3,
+             "in_rate": 3, "out_rate": 3}, 14)
+        fast = Simulator(spec)
+        attrs = spanned(fast, 4000)
+        assert attrs["engine"] == "kernel" and attrs["period"] == 20
+        slow = Simulator(spec, config=SimulationConfig(numeric_fastpath=False))
+        slow_attrs = spanned(slow, 4000)
+        assert slow_attrs["engine"] == "pipeline" and "period" not in slow_attrs
+        fast, slow = fast.result(), slow.result()
+        assert traj_facts(fast.trajectory) == traj_facts(slow.trajectory)
+        assert (fast.final_queues == slow.final_queues).all()
+        assert fast.verdict == slow.verdict
+
+    @given(lgg_instances(), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_period_and_detection_step_match_the_oracle(self, inst, warm):
+        spec, tiebreak, _, q0, record = inst
+        oracle = Simulator(spec, initial_queues=q0, config=SimulationConfig(
+            tiebreak=tiebreak, record_queues=True, numeric_fastpath=False))
+        oracle.run(warm + 256)
+        # the kernel starts ``warm`` steps into the oracle's run, often
+        # inside its cycle, where the saves at steps 0, 1 and 2 decide
+        found = first_repeat(oracle.history.queue_history()[warm:, 0])
+        if found is None:
+            horizons, lam, detect = [256], None, None
+        else:
+            mu, lam = found
+            detect = detection_step(mu, lam)
+            horizons = [detect - 1, detect, detect + 1, detect + lam,
+                        detect + lam + 1]
+            if warm + horizons[-1] > oracle.t:
+                oracle.run(warm + horizons[-1] - oracle.t)
+        want = traj_facts(oracle.history.trajectory(0))
+        rows = oracle.history.queue_history()[warm:, 0]
+        cfg = SimulationConfig(tiebreak=tiebreak, record_queues=record)
+        for h in horizons:
+            if h < 1:
+                continue
+            engines = (Simulator(spec, config=cfg, initial_queues=rows[0]),
+                       EnsembleSimulator(spec, 2, seed=0, config=cfg,
+                                         initial_queues=rows[0]))
+            for engine in engines:
+                attrs = spanned(engine, h)
+                assert attrs["engine"] == "kernel"
+                tiled = detect is not None and h >= detect
+                assert attrs.get("period") == (lam if tiled else None), (h, found)
+                # a run of h steps is the oracle's next h steps; the first
+                # three facts are boundary series, one entry longer
+                for r in range(engine.R):
+                    got = traj_facts(engine.history.trajectory(r))
+                    assert got == tuple(
+                        series[warm:warm + h + 1] if i < 3
+                        else series[warm:warm + h]
+                        for i, series in enumerate(want))
+                assert (engine.Q == rows[h]).all()
+                if record:
+                    assert (engine.history.queue_history()
+                            == rows[:h + 1, None, :]).all()
+
+    def test_divergent_run_reports_no_period(self):
+        spec = bottleneck_spec(6)  # six unit sources into a 4-wide cut
+        fast = Simulator(spec)
+        attrs = spanned(fast, 400)
+        assert attrs["engine"] == "kernel" and "period" not in attrs
+        assert fast.result().verdict.divergent
+        slow = Simulator(spec, config=SimulationConfig(
+            horizon=400, numeric_fastpath=False)).run()
+        assert traj_facts(fast.result().trajectory) == traj_facts(slow.trajectory)
 
 
 # ----------------------------------------------------------------------

@@ -237,6 +237,24 @@ class TestStructuredErrors:
         assert set(parsed) == {"error", "detail"}
         assert parsed["error"] == "headers-too-large"
 
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\n",  # head without its blank line
+        (b"POST /v1/classify HTTP/1.1\r\nHost: t\r\nContent-Length: 40\r\n"
+         b"\r\n{\"spec\": "),                       # body short of its length
+    ], ids=["head", "body"])
+    def test_stalled_request_is_structured_408(self, server_factory,
+                                               monkeypatch, request_bytes):
+        """A client that stops sending mid-request gets a structured 408
+        once the read deadline passes, and the connection closes."""
+        monkeypatch.setattr("repro.serve.server._READ_TIMEOUT", 0.3)
+        url, _ = server_factory()
+        data = _exchange(url, request_bytes)
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 408 Request Timeout"
+        parsed = json.loads(body)
+        assert set(parsed) == {"error", "detail"}
+        assert parsed["error"] == "request-timeout"
+
     def test_mutated_complete_requests_get_structured_answers(self, server_factory):
         """Any complete request gets a status line and never a 500, and
         every non-2xx reply is a structured ``{error, detail}`` body (the
