@@ -80,7 +80,7 @@ def _instances():
 
 
 class TestRegionEnvelopeSpeedup:
-    def test_envelope_beats_per_scale_classify_3x(self, benchmark, perf_asserts):
+    def test_envelope_beats_per_scale_classify_3x(self, timed_pass, perf_asserts):
         instances = _instances()
 
         # warm-up: let both paths touch their code once, off the clock
@@ -117,8 +117,7 @@ class TestRegionEnvelopeSpeedup:
                 reports.append((report, row))
             return reports
 
-        benchmark.pedantic(envelope_pass, rounds=1, iterations=1)
-        envelope_s = benchmark.stats["mean"]
+        _, envelope_s = timed_pass(envelope_pass)
         speedup = point_s / envelope_s if envelope_s > 0 else float("inf")
 
         append_record(RESULTS, {

@@ -51,7 +51,7 @@ def _region_grid() -> GridSpec:
 
 
 class TestParallelSpeedup:
-    def test_workers4_vs_serial(self, benchmark, perf_asserts):
+    def test_workers4_vs_serial(self, timed_pass, perf_asserts):
         """>= 2x wall-clock at workers=4 over the inline serial path on a
         64-point grid — with bit-identical records as the precondition."""
         grid = _region_grid()
@@ -65,11 +65,8 @@ class TestParallelSpeedup:
         serial = run_sweep(grid, region_point, workers=0)
         serial_s = time.perf_counter() - t0
 
-        parallel = benchmark.pedantic(
-            lambda: run_sweep(grid, region_point, workers=WORKERS),
-            rounds=1, iterations=1,
-        )
-        parallel_s = benchmark.stats["mean"]
+        parallel, parallel_s = timed_pass(
+            lambda: run_sweep(grid, region_point, workers=WORKERS))
 
         # same sweep before comparing speed: the differential guarantee
         # must hold at benchmark scale, not just on toy grids
@@ -131,7 +128,7 @@ class TestCacheHitRate:
         print(f"\ncache: {_CACHE.hits} hits / {_CACHE.misses} misses "
               f"({_CACHE.hit_rate:.0%}) in {run.elapsed:.3f}s")
 
-    def test_cache_beats_cold_classification(self, benchmark, perf_asserts):
+    def test_cache_beats_cold_classification(self, timed_pass, perf_asserts):
         """The 60 cache hits must make the sweep faster than classifying
         every point cold (same grid, cache cleared per point)."""
         grid = (
@@ -152,8 +149,7 @@ class TestCacheHitRate:
 
             return run_sweep(grid, cold_point, workers=0)
 
-        cold_run = benchmark.pedantic(cold_sweep, rounds=1, iterations=1)
-        cold_s = benchmark.stats["mean"]
+        cold_run, cold_s = timed_pass(cold_sweep)
 
         assert cold_run.records == warm_run.records
         ratio = cold_s / warm_s

@@ -368,16 +368,6 @@ def _run_sweep_command(args) -> int:
           f"{', '.join(grid.axis_names)}")
     print(f"workers: {run.workers}  resumed: {run.resumed}  "
           f"elapsed: {run.elapsed:.2f}s")
-    if args.point == "region":
-        fb = sum(1 for r in rows if r["feasible"] and r["bounded"])
-        fd = sum(1 for r in rows if r["feasible"] and not r["bounded"])
-        ib = sum(1 for r in rows if not r["feasible"] and r["bounded"])
-        idv = sum(1 for r in rows if not r["feasible"] and not r["bounded"])
-        print(f"confusion: feasible/bounded={fb}  feasible/divergent={fd}  "
-              f"infeasible/bounded={ib}  infeasible/divergent={idv}")
-        off = fd + ib
-        print("Theorem 1 diagonal: "
-              + ("intact" if off == 0 else f"BROKEN ({off} off-diagonal)"))
     if args.point == "mobility":
         always = sum(1 for r in rows if r["always_feasible"])
         mean_frac = sum(r["feasible_fraction"] for r in rows) / len(rows)
@@ -387,11 +377,21 @@ def _run_sweep_command(args) -> int:
               f"mean feasible fraction: {mean_frac:.3f}")
         print(f"solves: {warm} warm / {cold} cold")
     else:
-        classes: dict[str, int] = {}
-        for r in rows:
-            classes[r["network_class"]] = classes.get(r["network_class"], 0) + 1
-        print("class counts: "
-              + "  ".join(f"{k}={v}" for k, v in sorted(classes.items())))
+        # the summary /v1/sweeps stores for a finished job
+        from repro.serve.jobs import summarize_rows
+
+        summary = summarize_rows(rows, args.point)
+        if args.point == "region":
+            q = summary["confusion"]
+            print(f"confusion: feasible/bounded={q['feasible_bounded']}  "
+                  f"feasible/divergent={q['feasible_divergent']}  "
+                  f"infeasible/bounded={q['infeasible_bounded']}  "
+                  f"infeasible/divergent={q['infeasible_divergent']}")
+            off = q["feasible_divergent"] + q["infeasible_bounded"]
+            print("Theorem 1 diagonal: "
+                  + ("intact" if off == 0 else f"BROKEN ({off} off-diagonal)"))
+        print("class counts: " + "  ".join(
+            f"{k}={v}" for k, v in sorted(summary["class_counts"].items())))
     cache = shared_cache()
     if run.workers == 0 and (cache.hits or cache.misses):
         print(f"feasibility cache: {cache.hits} hits / {cache.misses} misses "
@@ -591,26 +591,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "region":
             import json as _json
-            from fractions import Fraction
 
             from repro.flow import breakpoint_envelope, classify_region
-            from repro.serve.codec import region_response
+            from repro.serve.codec import parse_direction, region_response
 
             spec = _spec_from_args(args)
             direction = None
             if args.ray:
-                direction = {}
+                raw = {}
                 for part in args.ray.split(","):
                     node, sep, rate = part.partition("=")
-                    try:
-                        if not sep:
-                            raise ValueError(part)
-                        direction[int(node)] = Fraction(rate)
-                    except (ValueError, ZeroDivisionError):
+                    if not sep:
                         raise ReproError(
                             f"--ray entry {part!r} must be NODE=RATE with an "
-                            "integer node and a rational rate (e.g. 0=3/2)"
-                        ) from None
+                            "integer node and a rational rate (e.g. 0=3/2)")
+                    raw[node] = rate
+                # the rates /v1/region accepts, with its checks and messages
+                direction = parse_direction(raw, spec)
             ext = spec.extended()
             env = breakpoint_envelope(ext, direction)
             report = (classify_region(ext, envelope=env)

@@ -6,8 +6,9 @@ FeasibilityCache hits, warm-flow solves, and fastpath counters land in a
 process the frontend's ``/metrics`` cannot see.  This module is the
 parent-side half of the merge protocol:
 
-* workers ship :meth:`MetricsRegistry.snapshot` dicts (piggybacked on
-  task replies and answered on demand for a scrape — see
+* workers ship :meth:`MetricsRegistry.snapshot` dicts piggybacked on
+  every task reply, and a scrape reads the latest one per worker (a
+  worker's registry changes only while it runs a task — see
   :meth:`WorkerPool.metrics_snapshots`);
 * :func:`add_snapshots` folds a dead worker's last snapshot into the
   bank its successor builds on, keeping every counter monotone across a

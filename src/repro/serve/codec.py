@@ -38,6 +38,7 @@ __all__ = [
     "parse_spec",
     "parse_simulate_request",
     "parse_region_request",
+    "parse_direction",
     "region_response",
     "report_to_json",
     "simulation_response",
@@ -257,20 +258,28 @@ def parse_region_request(payload: Mapping[str, Any]):
     """Validate a ``/v1/region`` payload into ``(spec, direction)``.
 
     The spec uses either standard shape, inline or nested under
-    ``"spec"``; ``direction`` is an optional top-level object mapping
-    injection-node ids to non-negative rates — JSON integers or exact
-    rational strings ``"p"`` / ``"p/q"`` of at most :data:`RATE_DIGITS`
-    ASCII digits a side (``"3/2"``; no sign, space, decimal point or
-    exponent, whose expansion would cost the event loop).  ``None``
-    means the nominal injection ray (the spec's ``in_rates``).
+    ``"spec"``; ``direction`` is an optional top-level object read by
+    :func:`parse_direction`.  ``None`` means the nominal injection ray
+    (the spec's ``in_rates``).
     """
     spec_payload = payload.get("spec", payload)
     if not isinstance(spec_payload, Mapping):
         raise _bad("'spec' must be a JSON object")
     spec = parse_spec(spec_payload)
     raw = payload.get("direction")
-    if raw is None:
-        return spec, None
+    return spec, (None if raw is None else parse_direction(raw, spec))
+
+
+def parse_direction(raw: Any, spec: NetworkSpec) -> dict[int, Fraction]:
+    """Validate a region ray: a non-empty mapping of ``spec``'s
+    injection-node ids to non-negative rates, not all zero.
+
+    Rates are integers or exact rational strings ``"p"`` / ``"p/q"`` of
+    at most :data:`RATE_DIGITS` ASCII digits a side (``"3/2"``; no sign,
+    space, decimal point or exponent, whose expansion would cost the
+    event loop).  ``/v1/region`` and ``repro region --ray`` both read
+    rays here.
+    """
     if not isinstance(raw, Mapping) or not raw:
         raise _bad("'direction' must be a non-empty object mapping node -> rate")
     direction: dict[int, Fraction] = {}
@@ -298,7 +307,7 @@ def parse_region_request(payload: Mapping[str, Any]):
         direction[v] = d
     if all(d == 0 for d in direction.values()):
         raise _bad("'direction' needs at least one positive rate")
-    return spec, direction
+    return direction
 
 
 def region_response(envelope, report=None) -> dict:

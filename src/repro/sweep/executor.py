@@ -116,10 +116,10 @@ def _chunked(items: list, size: int) -> list[list]:
 class _Telemetry:
     """Sweep-side observability: registry instruments + the progress line.
 
-    All counters live in the process-global :mod:`repro.obs` registry —
-    the progress line is read back *from the registry*, so what the
-    operator sees on stderr and what a Prometheus scrape would report are
-    the same numbers by construction.
+    The ``repro_sweep_*`` instruments live in the process-global
+    :mod:`repro.obs` registry, which every sweep in the process feeds.
+    The progress line counts this sweep's own points, so two sweeps
+    running at once never count each other's.
     """
 
     def __init__(self, grid: GridSpec, total: int, resumed: int,
@@ -129,26 +129,21 @@ class _Telemetry:
         self.resumed = resumed
         self.progress = progress
         self.t0 = time.perf_counter()
-        self._base = 0.0
         self._last_print = 0.0
-        self._done = 0  # fallback when the registry is disabled
+        self._done = 0
         if self.reg.enabled:
             self.reg.gauge(
                 "repro_sweep_points_pending",
                 "Grid points not yet completed in the current sweep.",
             ).set(total - resumed)
-            self._base = self._points_counter().value
-
-    def _points_counter(self):
-        return self.reg.counter(
-            "repro_sweep_points_completed_total",
-            "Sweep grid points evaluated (excludes checkpoint-resumed).",
-        )
 
     def chunk_done(self, points: int, seconds: float) -> None:
         self._done += points
         if self.reg.enabled:
-            self._points_counter().inc(points)
+            self.reg.counter(
+                "repro_sweep_points_completed_total",
+                "Sweep grid points evaluated (excludes checkpoint-resumed).",
+            ).inc(points)
             self.reg.histogram(
                 "repro_sweep_chunk_seconds",
                 "Wall-clock latency of one sweep chunk (submit to commit).",
@@ -163,11 +158,6 @@ class _Telemetry:
                 "Sweep chunks that raised before completing.",
             ).inc()
 
-    def done_points(self) -> int:
-        if self.reg.enabled:
-            return int(self._points_counter().value - self._base)
-        return self._done
-
     def maybe_print(self, final: bool = False) -> None:
         if not self.progress:
             return
@@ -175,7 +165,7 @@ class _Telemetry:
         if not final and now - self._last_print < 0.2:
             return
         self._last_print = now
-        done = self.done_points()
+        done = self._done
         elapsed = max(now - self.t0, 1e-9)
         rate = done / elapsed
         left = self.total - self.resumed - done
@@ -233,7 +223,7 @@ def run_sweep(
         failure).
     progress:
         Print a live ``points done/total, rate, ETA, cache hit-rate``
-        telemetry line to stderr, read from the metrics registry.
+        telemetry line to stderr, counting this sweep's own points.
     """
     if workers < 0:
         raise SweepError(f"workers must be >= 0, got {workers}")

@@ -217,6 +217,24 @@ class TestMergedMetrics:
         after = worker_counters()
         assert counter_regressions(before, after) == []
 
+    def test_scrape_counts_exactly_and_runs_no_task(self, server_factory):
+        # the page is built from the snapshots on task replies: its sums
+        # are exact, and scraping adds nothing to the workers' task counts
+        url, _ = server_factory(workers=2)
+        client = ServeClient(url)
+        for seed in range(6):
+            client.classify({**SPEC, "seed": 200 + seed})
+        client.classify({**SPEC, "seed": 200})
+        samples = parse_exposition(client.metrics_text())["samples"]
+
+        def worker_sum(name):
+            return sum(value for sample, labels, value in samples
+                       if sample == name and "worker" in labels)
+
+        assert worker_sum("repro_feasibility_cache_misses_total") == 6
+        assert worker_sum("repro_feasibility_cache_hits_total") == 1
+        assert client.healthz()["workers"]["completed"] == {"classify": 7}
+
     def test_workers0_page_has_no_worker_labels(self, server_factory):
         # the in-process tier serves the registry's own page — no merge,
         # no worker dimension (back-compat with pre-pool scrapers)

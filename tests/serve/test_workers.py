@@ -190,6 +190,33 @@ class TestLifecycle:
                 assert exc.error == "shutdown"
         pool.close()  # idempotent
 
+    def test_scrape_reads_replies_and_never_waits(self):
+        # a worker's registry changes only inside a task, so the snapshot
+        # on its last reply is all a scrape can learn: reading it must not
+        # queue a task or wait for the one in flight
+        from repro import obs
+
+        prev = obs.configure(metrics=True)
+        try:
+            with WorkerPool(1, spawn_timeout=120.0) as solo:
+                spec = parse_spec({"topology": "path", "n": 40})
+                busy = solo.submit("simulate_batch", (spec, 10_000, 0.05, [0]))
+                time.sleep(0.2)
+                tick = time.monotonic()
+                early = solo.metrics_snapshots()
+                assert time.monotonic() - tick < 0.5
+                assert not busy.done()
+                assert early == {}  # still on its first task: no reply yet
+                busy.result(120)
+                (snap,) = solo.metrics_snapshots().values()
+                (sim_run,) = [
+                    s for s in snap["repro_obs_span_seconds"]["series"]
+                    if s["labels"] == {"name": "sim.run"}]
+                assert sim_run["count"] == 1
+                assert solo.completed == {"simulate_batch": 1}
+        finally:
+            obs.configure(**prev)
+
     def test_health_shape(self, pool):
         pool.submit("ping", (1,)).result(30)
         health = pool.health()

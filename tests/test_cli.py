@@ -60,6 +60,46 @@ class TestClassify:
         assert "epsilon" in out
 
 
+class TestRegion:
+    PATH4 = ["region", "--topology", "path", "--n", "4"]
+
+    def test_nominal_ray(self, capsys):
+        assert main(self.PATH4) == 0
+        out = capsys.readouterr().out
+        assert "lambda*: 1  (exact: lam·ray feasible iff lam <= lambda*)" in out
+        assert "class: saturated  margin: 0" in out
+
+    def test_rational_ray(self, capsys):
+        assert main(self.PATH4 + ["--ray", "0=3/2"]) == 0
+        out = capsys.readouterr().out
+        assert "ray: 0=3/2" in out
+        assert "lambda*: 2/3  (exact" in out
+        assert "class:" not in out  # off the nominal ray: no Definitions 3-4
+
+    def test_json_is_the_region_response(self, capsys):
+        import json
+
+        from repro.flow import breakpoint_envelope, classify_region
+        from repro.serve import parse_spec
+        from repro.serve.codec import region_response
+
+        assert main(self.PATH4 + ["--json"]) == 0
+        ext = parse_spec({"topology": "path", "n": 4}).extended()
+        env = breakpoint_envelope(ext, None)
+        report = classify_region(ext, envelope=env)
+        assert json.loads(capsys.readouterr().out) == region_response(env, report)
+
+    def test_exponent_rate_is_one_line_exit_2(self, capsys):
+        # the rates /v1/region accepts: an exponent is refused before it
+        # expands into a 100,000-digit integer
+        assert main(self.PATH4 + ["--ray", "0=1e100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: direction[0] = '1e100000' must be an integer or an exact "
+            "rational string like '3/2', at most 64 digits a side"]
+
+
 class TestEnsemble:
     def test_basic_ensemble(self, capsys):
         assert main(["ensemble", "--topology", "path", "--n", "5",

@@ -11,9 +11,10 @@ arithmetic) executes for real.
 The telemetry chain is exercised end to end as well: a classify request
 must return an ``X-Repro-Trace-Id`` whose ``/v1/trace/{id}`` span tree
 crosses every tier (ingress → admission → batch → worker → flow solve),
-and the frontend ``/metrics`` page must carry worker-labelled series
-merged over the pool control channel.  A sample of span records is
-written to ``$REPRO_SPAN_ARTIFACT`` (default
+and the frontend ``/metrics`` page must carry worker-labelled series,
+merged from the registry snapshots the workers' task replies carry (a
+scrape sends the workers no task of its own).  A sample of span records
+is written to ``$REPRO_SPAN_ARTIFACT`` (default
 ``test-traces/serve_spans.jsonl``) for CI upload.
 
 Run as a *file* (``python tools/serve_scale_smoke.py``), not via
@@ -122,6 +123,10 @@ def main() -> None:
         assert health["trace"]["ring_capacity"] > 0, health
         trace = _check_tracing(client)
         _check_merged_metrics(client)
+        # the page is read from the snapshots on task replies: scraping
+        # must not have sent the workers a task of its own
+        assert set(pool.completed) <= {"classify", "simulate_batch"}, \
+            dict(pool.completed)
         artifact = _write_span_artifact(trace)
     finally:
         srv.stop()
