@@ -7,7 +7,6 @@ batching changes scheduling, never results.
 """
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,8 +23,9 @@ GRID_SPEC = parse_spec({"topology": "grid", "rows": 3, "cols": 3,
 @pytest.fixture
 def tier():
     """The in-process compute tier a ``workers=0`` server batches on."""
-    with ThreadPoolExecutor(max_workers=2) as executor:
-        yield ThreadTier(executor)
+    tier = ThreadTier(2)
+    yield tier
+    tier.close()
 
 
 def _strip(response):
