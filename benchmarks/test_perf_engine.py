@@ -9,7 +9,7 @@ in the substrates are visible.
 import numpy as np
 import pytest
 
-from repro.core import HalfEdges, SimulationConfig, Simulator
+from repro.core import SimulationConfig, Simulator
 from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
@@ -32,9 +32,8 @@ def _grid_workload(side=20):
 class TestLGGStep:
     def test_lgg_fast_step(self, benchmark):
         g, _, queues = _grid_workload()
-        half = HalfEdges.from_graph(g)
         Q = queues[None, :]
-        benchmark(lgg_select_fast_batched, half, Q, Q)
+        benchmark(lgg_select_fast_batched, g.to_csr(), Q, Q)
 
     def test_lgg_reference_step(self, benchmark):
         g, _, queues = _grid_workload()

@@ -9,7 +9,7 @@ between the parametrized cases.
 import numpy as np
 import pytest
 
-from repro.core import HalfEdges, SimulationConfig, Simulator
+from repro.core import SimulationConfig, Simulator
 from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.core.packet_engine import PacketSimulator
 from repro.flow import max_flow
@@ -29,10 +29,9 @@ class TestLGGStepScaling:
     @pytest.mark.parametrize("side", [10, 20, 40])
     def test_fast_step(self, side, benchmark):
         g = gen.grid(side, side)
-        half = HalfEdges.from_graph(g)
         rng = np.random.default_rng(0)
         Q = rng.integers(0, 20, size=(1, g.n)).astype(np.int64)
-        benchmark(lgg_select_fast_batched, half, Q, Q)
+        benchmark(lgg_select_fast_batched, g.to_csr(), Q, Q)
 
 
 class TestEngineScaling:

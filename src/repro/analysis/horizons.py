@@ -21,7 +21,25 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.network.spec import NetworkSpec
 
-__all__ = ["max_source_sink_distance", "suggest_horizon"]
+__all__ = ["hop_distances_to_sinks", "max_source_sink_distance", "suggest_horizon"]
+
+
+def hop_distances_to_sinks(spec: NetworkSpec) -> np.ndarray:
+    """Hop distance from every node to its nearest sink (one multi-source
+    BFS from the sinks); ``-1`` where no sink is reachable."""
+    dist = np.full(spec.n, -1, dtype=np.int64)
+    dq = deque()
+    for d in spec.destinations:
+        dist[d] = 0
+        dq.append(d)
+    csr = spec.graph.to_csr()
+    while dq:
+        v = dq.popleft()
+        for w in csr.neighbors_of(v):
+            if dist[w] == -1:
+                dist[w] = dist[v] + 1
+                dq.append(int(w))
+    return dist
 
 
 def max_source_sink_distance(spec: NetworkSpec) -> int:
@@ -33,18 +51,7 @@ def max_source_sink_distance(spec: NetworkSpec) -> int:
     """
     if not spec.sources or not spec.destinations:
         return 0
-    dist = np.full(spec.n, -1, dtype=np.int64)
-    dq = deque()
-    for d in spec.destinations:
-        dist[d] = 0
-        dq.append(d)
-    adj = spec.graph.adjacency()
-    while dq:
-        v = dq.popleft()
-        for w in adj.neighbors_of(v):
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                dq.append(int(w))
+    dist = hop_distances_to_sinks(spec)
     worst = 0
     for s in spec.sources:
         if dist[s] == -1:

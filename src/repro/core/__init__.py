@@ -7,7 +7,6 @@ from repro._exports import lazy_exports
 
 _EXPORTS = {
     ".tiebreak": ("TieBreak",),
-    ".lgg_fast": ("HalfEdges",),
     ".policies": ("TransmissionPolicy", "LGGPolicy", "FlowRoutingPolicy",
                   "BackpressurePolicy", "RandomForwardingPolicy", "ShortestPathPolicy"),
     ".pipeline": ("DEFAULT_PIPELINE", "STAGE_NAMES", "Stage", "StagePipeline",

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro._rng import SeedLike, as_generator
 from repro.core import fastpath
-from repro.core.lgg_fast import HalfEdges
 from repro.core.pipeline import (
     DEFAULT_PIPELINE,
     ExtractionMode,
@@ -174,7 +173,7 @@ class Engine:
         for v in spec.terminals:
             self._terminal_mask[v] = True
         self._row = np.arange(self.R)[:, None]
-        self._half = HalfEdges.from_graph(spec.graph)
+        self._csr = spec.graph.to_csr()
         self.history = History(Q, record_queues=config.record_queues)
         self.events: list[StepEvents] = []
         self.stage_timings: dict[str, StageTiming] = {}

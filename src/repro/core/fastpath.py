@@ -118,12 +118,12 @@ def ineligibility_reasons(engine) -> list[str]:
 # ----------------------------------------------------------------------
 # the kernel
 # ----------------------------------------------------------------------
-def _presorted_neighbors(half, reverse: bool) -> list[list[int]]:
+def _presorted_neighbors(csr, reverse: bool) -> list[list[int]]:
     """Per-node receiver lists in tie-key order (one entry per half-edge)."""
-    indptr = half.indptr
-    recv = half.receivers
-    eids = half.edge_ids
-    stride = half.num_edge_slots + 1
+    indptr = csr.indptr
+    recv = csr.neighbors
+    eids = csr.edge_ids
+    stride = csr.num_edge_slots + 1
     nbrs: list[list[int]] = []
     for u in range(len(indptr) - 1):
         lo, hi = int(indptr[u]), int(indptr[u + 1])
@@ -135,7 +135,7 @@ def _presorted_neighbors(half, reverse: bool) -> list[list[int]]:
     return nbrs
 
 
-def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
+def _simulate(spec, csr, tiebreak, q0, steps: int, record_queues: bool):
     """Run ``steps`` classical LGG steps from ``q0`` in pure integers.
 
     Returns ``(q_final, inj_total, pots, tots, mxs, txs, dels, snaps,
@@ -147,7 +147,7 @@ def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
     """
     n = spec.n
     reverse = tiebreak is TieBreak.QUEUE_THEN_REVERSED_ID
-    nbrs = _presorted_neighbors(half, reverse)
+    nbrs = _presorted_neighbors(csr, reverse)
     active = [u for u in range(n) if nbrs[u]]
     in_list = list(spec.in_rates.items())
     out_list = list(spec.out_rates.items())
@@ -257,7 +257,7 @@ def maybe_run(engine, steps: int) -> Optional[dict]:
         return None
     history = engine.history
     q, inj_total, pots, tots, mxs, txs, dels, snaps, period = _simulate(
-        engine.spec, engine._half, engine.policy.tiebreak, engine.Q[0], steps,
+        engine.spec, engine._csr, engine.policy.tiebreak, engine.Q[0], steps,
         history.records_queues,
     )
     big = max(mxs) >= BIGINT_THRESHOLD

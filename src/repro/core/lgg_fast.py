@@ -1,9 +1,10 @@
 """Vectorized Algorithm 1 — the engine hot path, for ``R`` replicas at once.
 
 Per the hpc-parallel guidance (vectorize the bottleneck, keep a legible
-reference): one stable composite-key argsort over the half-edge arrays of
-an ``(R, n)`` queue matrix replaces per-node Python loops (the
-line-by-line transcription of Algorithm 1 is the tests' oracle,
+reference): one stable composite-key argsort over the half-edges of the
+topology epoch's :class:`~repro.graphs.csr.CSRTopology`, for an ``(R, n)``
+queue matrix, replaces per-node Python loops (the line-by-line
+transcription of Algorithm 1 is the tests' oracle,
 ``tests/core/lgg_reference.py``).  A single run is the ``R = 1`` case.
 
 Correctness argument: within one sender's block sorted by ascending
@@ -17,66 +18,25 @@ plus a handful of vector ops — no per-neighbour Python loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.tiebreak import TieBreak, tie_keys
 from repro.errors import SimulationError
-from repro.graphs.multigraph import MultiGraph
+from repro.graphs.csr import CSRTopology
 
-__all__ = ["HalfEdges", "SortKeys", "lgg_select_fast_batched"]
-
-
-@dataclass(frozen=True)
-class HalfEdges:
-    """Flattened directed half-edge arrays of a multigraph.
-
-    ``senders[i] -> receivers[i]`` over edge ``edge_ids[i]``; every
-    undirected edge contributes two half-edges.  Built once per topology
-    epoch and reused every step.
-    """
-
-    senders: np.ndarray
-    receivers: np.ndarray
-    edge_ids: np.ndarray
-    indptr: np.ndarray  # CSR offsets: half-edges of node u in [indptr[u], indptr[u+1])
-    num_edge_slots: int
-    _sort_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_graph(cls, graph: MultiGraph) -> "HalfEdges":
-        # Zero-copy view of the shared CSR topology: the arrays are frozen
-        # on the CSRTopology side, so aliasing is safe.
-        csr = graph.to_csr()
-        return cls(
-            senders=csr.senders,
-            receivers=csr.neighbors,
-            edge_ids=csr.edge_ids,
-            indptr=csr.indptr,
-            num_edge_slots=csr.num_edge_slots,
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.senders)
-
-    def sort_keys(self, tiebreak: TieBreak) -> "SortKeys":
-        """The selection kernel's constants for this topology, built once
-        per tie-break."""
-        keys = self._sort_keys.get(tiebreak)
-        if keys is None:
-            keys = self._sort_keys[tiebreak] = SortKeys.build(self, tiebreak)
-        return keys
+__all__ = ["SortKeys", "lgg_select_fast_batched"]
 
 
 @dataclass(frozen=True)
 class SortKeys:
     """The per-topology constants of :func:`lgg_select_fast_batched`.
 
-    Built once per topology epoch and tie-break
-    (:meth:`HalfEdges.sort_keys`).  Deterministic tie keys are ranked
+    Built once per topology epoch and tie-break, and memoised on the
+    epoch's :class:`~repro.graphs.csr.CSRTopology` (:meth:`of`), so every
+    engine on one graph shares them.  Deterministic tie keys are ranked
     densely, so the composite key's tie base ``b_tie`` is at most ``H``
     (the number of half-edges) instead of about ``n·(m + 1)``; only their
     order within a sender block matters, and ranking keeps it.  For
@@ -90,24 +50,32 @@ class SortKeys:
     position: np.ndarray        # arange(H): rank = position - block start
 
     @classmethod
-    def build(cls, half: HalfEdges, tiebreak: TieBreak) -> "SortKeys":
+    def of(cls, csr: CSRTopology, tiebreak: TieBreak) -> "SortKeys":
+        """The constants of ``csr`` under ``tiebreak``, built on first use."""
+        keys = csr.sort_keys.get(tiebreak)
+        if keys is None:
+            keys = csr.sort_keys[tiebreak] = cls.build(csr, tiebreak)
+        return keys
+
+    @classmethod
+    def build(cls, csr: CSRTopology, tiebreak: TieBreak) -> "SortKeys":
         if tiebreak is TieBreak.QUEUE_THEN_RANDOM:
-            tie, b_tie = None, half.num_edge_slots + 1
+            tie, b_tie = None, csr.num_edge_slots + 1
         else:
-            raw = tie_keys(tiebreak, half.receivers, half.edge_ids, None,
-                           num_edge_slots=half.num_edge_slots)
+            raw = tie_keys(tiebreak, csr.neighbors, csr.edge_ids, None,
+                           num_edge_slots=csr.num_edge_slots)
             uniq, tie = np.unique(raw, return_inverse=True)
             tie, b_tie = tie.astype(np.int64), max(len(uniq), 1)
         return cls(
             tie=tie,
             b_tie=b_tie,
-            n_senders=int(half.senders.max(initial=0)) + 1,
-            position=np.arange(half.size, dtype=np.int64),
+            n_senders=int(csr.senders.max(initial=0)) + 1,
+            position=np.arange(csr.num_half_edges, dtype=np.int64),
         )
 
 
 def lgg_select_fast_batched(
-    half: HalfEdges,
+    csr: CSRTopology,
     queues: np.ndarray,
     revealed: np.ndarray,
     *,
@@ -128,19 +96,19 @@ def lgg_select_fast_batched(
     Restricting row ``r`` to ``mask[r]`` yields replica ``r``'s selected
     transmissions in that order.
     """
-    H = half.size
+    H = csr.num_half_edges
     R = queues.shape[0]
     if H == 0:
         empty = np.empty((R, 0), dtype=np.int64)
         return empty, empty.copy(), empty.copy(), np.empty((R, 0), dtype=bool)
-    keys = half.sort_keys(tiebreak)
-    q_recv = revealed[:, half.receivers]  # (R, H) revealed receiver queues
+    keys = SortKeys.of(csr, tiebreak)
+    q_recv = revealed[:, csr.neighbors]  # (R, H) revealed receiver queues
     if keys.tie is None:
         if rngs is None:
             raise ValueError("QUEUE_THEN_RANDOM tie-break needs per-replica rngs")
         tie = np.stack([
-            tie_keys(tiebreak, half.receivers, half.edge_ids, g,
-                     num_edge_slots=half.num_edge_slots)
+            tie_keys(tiebreak, csr.neighbors, csr.edge_ids, g,
+                     num_edge_slots=csr.num_edge_slots)
             for g in rngs
         ])
     else:
@@ -149,12 +117,12 @@ def lgg_select_fast_batched(
     b_q = int(q_recv.max()) + 2
     if keys.n_senders * b_q * b_tie > 2**62:
         raise SimulationError("composite sort key would overflow int64")
-    composite = half.senders * (b_q * b_tie) + q_recv * b_tie + tie
+    composite = csr.senders * (b_q * b_tie) + q_recv * b_tie + tie
     order = np.argsort(composite, axis=1, kind="stable")
 
-    s_sorted = half.senders[order]                       # (R, H)
-    rank = keys.position - half.indptr[s_sorted]
+    s_sorted = csr.senders[order]                        # (R, H)
+    rank = keys.position - csr.indptr[s_sorted]
     qs = np.take_along_axis(queues, s_sorted, axis=1)    # true sender queues
     qr = np.take_along_axis(q_recv, order, axis=1)
     mask = (qs > qr) & (rank < qs)
-    return half.edge_ids[order], s_sorted, half.receivers[order], mask
+    return csr.edge_ids[order], s_sorted, csr.neighbors[order], mask

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
+from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.core.policies import StepContext
 from repro.errors import SimulationError, SpecError
 from repro.network.spec import RevelationPolicy
@@ -224,9 +224,9 @@ class TopologyStage(Stage):
 
     def run(self, host, st: StepState) -> None:
         if host.topology is not None and host.topology.apply(host.spec.graph, st.t):
-            # new half-edges come with their own selection-kernel constants
-            host._half = HalfEdges.from_graph(host.spec.graph)
-            host.policy.on_topology_change(host.spec, host._half)
+            # a new snapshot comes with its own selection-kernel constants
+            host._csr = host.spec.graph.to_csr()
+            host.policy.on_topology_change(host.spec)
 
 
 class InjectionStage(Stage):
@@ -319,14 +319,14 @@ class SelectionStage(Stage):
     def run(self, host, st: StepState) -> None:
         if host._lgg:
             st.eids, st.snd, st.rcv, st.sel_mask = lgg_select_fast_batched(
-                host._half, host.Q, st.revealed,
+                host._csr, host.Q, st.revealed,
                 tiebreak=host.policy.tiebreak, rngs=host.rngs,
             )
             return
         picks = []
         for r in range(host.R):
             ctx = StepContext(
-                spec=host.spec, half=host._half, queues=host.Q[r],
+                spec=host.spec, csr=host._csr, queues=host.Q[r],
                 revealed=st.revealed[r], t=st.t, rng=host.rngs[r],
             )
             picks.append([np.asarray(a, dtype=np.int64) for a in host.policy.select(ctx)])
@@ -573,7 +573,7 @@ class RecordingStage(Stage):
     @staticmethod
     def _distinct_edges(host, st: StepState) -> np.ndarray:
         """Per replica, the number of distinct links that carried a packet."""
-        slots = host._half.num_edge_slots
+        slots = host._csr.num_edge_slots
         carried = np.unique((host._row * slots + st.eids)[st.sel_mask])
         return np.bincount(carried // max(slots, 1), minlength=host.R)
 

@@ -2,8 +2,10 @@
 
 A policy answers one question per synchronous step: *which links transmit,
 and in which direction?*  The engine supplies a :class:`StepContext` with
-the post-injection queues, the revealed queue lengths, and the half-edge
-arrays; the policy returns ``(edge_ids, senders, receivers)``.
+the post-injection queues, the revealed queue lengths, and the topology
+epoch's :class:`~repro.graphs.csr.CSRTopology`; the policy returns
+``(edge_ids, senders, receivers)``.  Policies that precompute routes read
+``spec.graph.to_csr()`` and rebuild them in ``on_topology_change``.
 
 Implemented policies
 --------------------
@@ -29,8 +31,9 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
+from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.core.tiebreak import TieBreak
+from repro.graphs.csr import CSRTopology
 from repro.network.spec import NetworkSpec
 
 __all__ = [
@@ -52,7 +55,7 @@ class StepContext:
     """Everything a policy may look at when choosing transmissions."""
 
     spec: NetworkSpec
-    half: HalfEdges
+    csr: CSRTopology
     queues: np.ndarray      # true queue lengths, post-injection
     revealed: np.ndarray    # declared queue lengths (== queues when truthful)
     t: int
@@ -66,15 +69,15 @@ class TransmissionPolicy(Protocol):
         """Return ``(edge_ids, senders, receivers)`` for this step."""
         ...
 
-    def on_topology_change(self, spec: NetworkSpec, half: HalfEdges) -> None:
-        """Called when the topology (half-edge arrays) is rebuilt."""
+    def on_topology_change(self, spec: NetworkSpec) -> None:
+        """Called when the topology changed (``spec.graph`` was mutated)."""
         ...
 
 
 class _PolicyBase:
     """Shared no-op hooks."""
 
-    def on_topology_change(self, spec: NetworkSpec, half: HalfEdges) -> None:  # noqa: B027
+    def on_topology_change(self, spec: NetworkSpec) -> None:  # noqa: B027
         pass
 
 
@@ -86,7 +89,7 @@ class LGGPolicy(_PolicyBase):
 
     def select(self, ctx: StepContext) -> Selection:
         eids, snd, rcv, mask = lgg_select_fast_batched(
-            ctx.half, ctx.queues[None, :], ctx.revealed[None, :],
+            ctx.csr, ctx.queues[None, :], ctx.revealed[None, :],
             tiebreak=self.tiebreak, rngs=[ctx.rng],
         )
         m = mask[0]
@@ -125,7 +128,7 @@ class FlowRoutingPolicy(_PolicyBase):
         else:
             self._plan_edges = self._plan_senders = self._plan_receivers = _EMPTY
 
-    def on_topology_change(self, spec: NetworkSpec, half: HalfEdges) -> None:
+    def on_topology_change(self, spec: NetworkSpec) -> None:
         self._rebuild(spec)
 
     def select(self, ctx: StepContext) -> Selection:
@@ -158,17 +161,17 @@ class BackpressurePolicy(_PolicyBase):
     """
 
     def select(self, ctx: StepContext) -> Selection:
-        half = ctx.half
-        if half.size == 0:
+        csr = ctx.csr
+        if csr.num_half_edges == 0:
             return _EMPTY, _EMPTY, _EMPTY
-        diff = ctx.queues[half.senders] - ctx.revealed[half.receivers]
+        diff = ctx.queues[csr.senders] - ctx.revealed[csr.neighbors]
         # sort by sender, then steepest differential first
-        order = np.lexsort((half.edge_ids, -diff, half.senders))
-        s_sorted = half.senders[order]
-        rank = np.arange(half.size, dtype=np.int64) - half.indptr[s_sorted]
-        chosen = (diff[order] > 0) & (rank < ctx.queues[half.senders][order])
+        order = np.lexsort((csr.edge_ids, -diff, csr.senders))
+        s_sorted = csr.senders[order]
+        rank = np.arange(csr.num_half_edges, dtype=np.int64) - csr.indptr[s_sorted]
+        chosen = (diff[order] > 0) & (rank < ctx.queues[csr.senders][order])
         sel = order[chosen]
-        return half.edge_ids[sel], half.senders[sel], half.receivers[sel]
+        return csr.edge_ids[sel], csr.senders[sel], csr.neighbors[sel]
 
 
 @dataclass
@@ -179,23 +182,22 @@ class RandomForwardingPolicy(_PolicyBase):
     """
 
     def select(self, ctx: StepContext) -> Selection:
-        half = ctx.half
+        csr = ctx.csr
         spec = ctx.spec
         sink_mask = np.zeros(spec.n, dtype=bool)
         for d in spec.destinations:
             sink_mask[d] = True
         eids, snds, rcvs = [], [], []
-        adj = spec.graph.adjacency()
         for u in range(spec.n):
             if ctx.queues[u] <= 0 or sink_mask[u]:
                 continue
-            lo, hi = int(adj.indptr[u]), int(adj.indptr[u + 1])
+            lo, hi = int(csr.indptr[u]), int(csr.indptr[u + 1])
             if lo == hi:
                 continue
             pick = int(ctx.rng.integers(lo, hi))
-            eids.append(int(adj.edge_ids[pick]))
+            eids.append(int(csr.edge_ids[pick]))
             snds.append(u)
-            rcvs.append(int(adj.neighbors[pick]))
+            rcvs.append(int(csr.neighbors[pick]))
         if not eids:
             return _EMPTY, _EMPTY, _EMPTY
         return (
@@ -223,7 +225,7 @@ class ShortestPathPolicy(_PolicyBase):
         from collections import deque
 
         g = spec.graph
-        adj = g.adjacency()
+        csr = g.to_csr()
         dist = np.full(g.n, -1, dtype=np.int64)
         nxt_edge = np.full(g.n, -1, dtype=np.int64)
         nxt_node = np.full(g.n, -1, dtype=np.int64)
@@ -233,18 +235,18 @@ class ShortestPathPolicy(_PolicyBase):
             dq.append(d)
         while dq:
             v = dq.popleft()
-            lo, hi = int(adj.indptr[v]), int(adj.indptr[v + 1])
+            lo, hi = int(csr.indptr[v]), int(csr.indptr[v + 1])
             for i in range(lo, hi):
-                w = int(adj.neighbors[i])
+                w = int(csr.neighbors[i])
                 if dist[w] == -1:
                     dist[w] = dist[v] + 1
-                    nxt_edge[w] = int(adj.edge_ids[i])
+                    nxt_edge[w] = int(csr.edge_ids[i])
                     nxt_node[w] = v
                     dq.append(w)
         self._next_edge = nxt_edge
         self._next_node = nxt_node
 
-    def on_topology_change(self, spec: NetworkSpec, half: HalfEdges) -> None:
+    def on_topology_change(self, spec: NetworkSpec) -> None:
         self._rebuild(spec)
 
     def select(self, ctx: StepContext) -> Selection:

@@ -7,8 +7,8 @@ time (paper reference [5]).
 
 A schedule mutates the spec's multigraph in place (using the stable edge
 ids and the remove/restore tombstone mechanism) at the start of selected
-steps; the engine rebuilds its half-edge arrays and notifies the policy
-whenever a schedule reports a change.
+steps; the engine takes the graph's new CSR snapshot and notifies the
+policy whenever a schedule reports a change.
 """
 
 from __future__ import annotations

@@ -24,10 +24,9 @@ that are actually comparable:
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from repro.analysis.horizons import hop_distances_to_sinks
 from repro.core import SimulationConfig, Simulator
 from repro.exp.common import ExperimentResult, main_for, register
 from repro.flow.distributed_pr import distributed_push_relabel
@@ -35,22 +34,6 @@ from repro.flow.maxflow import max_flow
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
-
-
-def _hop_distance_to_sinks(spec: NetworkSpec) -> np.ndarray:
-    dist = np.full(spec.n, -1, dtype=np.int64)
-    dq = deque()
-    for d in spec.destinations:
-        dist[d] = 0
-        dq.append(d)
-    adj = spec.graph.adjacency()
-    while dq:
-        v = dq.popleft()
-        for w in adj.neighbors_of(v):
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                dq.append(int(w))
-    return dist
 
 
 def _workloads():
@@ -70,7 +53,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     all_ok = True
     for name, spec in _workloads():
-        dist = _hop_distance_to_sinks(spec)
+        dist = hop_distances_to_sinks(spec)
         horizon = 3000 if fast else max(8000, 10 * int(dist.max()) ** 2)
 
         cfg = SimulationConfig(horizon=horizon, seed=seed, record_events=True)

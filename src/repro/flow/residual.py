@@ -166,7 +166,7 @@ class Residual:
     positions in one flat list instead of chasing per-node sublists.
     """
 
-    __slots__ = ("problem", "to", "residual", "topology", "_adj")
+    __slots__ = ("problem", "to", "residual", "topology")
 
     def __init__(self, problem: FlowProblem) -> None:
         self.problem = problem
@@ -179,20 +179,6 @@ class Residual:
         for j in range(m):
             residual[2 * j] = caps[j]
         self.residual = residual
-        self._adj: list[list[int]] | None = None
-
-    @property
-    def adj(self) -> list[list[int]]:
-        """Per-node residual arc lists — lazy compatibility view.
-
-        Solver hot loops read :attr:`topology` directly; this materialises
-        the old list-of-lists shape for anything that still wants it.
-        """
-        if self._adj is None:
-            t = self.topology
-            indptr, arcs = t.indptr, t.arcs
-            self._adj = [arcs[indptr[u] : indptr[u + 1]] for u in range(t.n)]
-        return self._adj
 
     def push(self, arc: int, amount: Number) -> None:
         """Move ``amount`` units of residual capacity along ``arc``."""
@@ -212,7 +198,6 @@ class Residual:
         clone.problem = self.problem
         clone.to = self.to
         clone.topology = self.topology
-        clone._adj = self._adj
         clone.residual = list(self.residual)
         return clone
 

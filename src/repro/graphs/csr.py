@@ -3,11 +3,12 @@
 :class:`CSRTopology` is the one canonical flat representation of a
 :class:`~repro.graphs.multigraph.MultiGraph`'s live structure.  It is built
 once per topology epoch (cached on the graph, invalidated by mutation) and
-*aliased* — never copied — by every consumer that used to re-derive its own
-arrays: the engine's half-edge view (:class:`repro.core.lgg_fast.HalfEdges`),
-the adjacency view (:class:`repro.graphs.multigraph.Adjacency`), the
-extended-graph arc table, the sweep cache's canonical hashes, and the
-integer LGG kernel's neighbour lists.
+read directly — never copied or wrapped — by every layer: the graph's own
+degree and neighbour queries, the engine's selection kernel and policies,
+the integer LGG kernel's neighbour lists, the extended-graph arc table and
+the sweep cache's canonical hashes.  The selection kernel's per-tie-break
+constants are memoised on the snapshot, so engines on one graph share them
+and a mutation (which builds a new snapshot) drops them.
 
 Layout
 ------
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class CSRTopology:
     eids: np.ndarray             # (m,) int64 live edge ids, ascending
     us: np.ndarray               # (m,) int64 min endpoint per live edge
     vs: np.ndarray               # (m,) int64 max endpoint per live edge
+    # the selection kernel's SortKeys per tie-break (filled on first use)
+    sort_keys: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def m(self) -> int:
@@ -95,6 +99,14 @@ class CSRTopology:
     # ------------------------------------------------------------------
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def neighbors_of(self, v: int) -> np.ndarray:
+        """``Γ(v)`` with multiplicity: one entry per incident half-edge."""
+        return self.neighbors[self.indptr[v] : self.indptr[v + 1]]
+
+    def edges_of(self, v: int) -> np.ndarray:
+        """Ids of the edges incident to ``v``, aligned with :meth:`neighbors_of`."""
+        return self.edge_ids[self.indptr[v] : self.indptr[v + 1]]
 
     def canonical_edges(self) -> list[tuple[int, int]]:
         """The live-edge multiset as a sorted list of ``(min, max)`` pairs."""

@@ -17,9 +17,11 @@ Design notes
   stays below ``2**31``.  What the store hands out keeps its types:
   Python ints from ``edges()``, ``edge_endpoints()`` and
   ``components()``, int64 arrays from ``edge_array()``.
-* The hot path of the simulator reads the graph through a cached CSR-style
-  adjacency (:meth:`MultiGraph.adjacency`), three numpy arrays shared by all
-  engines.  Any mutation invalidates the cache.
+* Every reader of the structure — the graph's own degree and neighbour
+  queries, the simulator's hot path, the flow and sweep layers — reads one
+  cached :class:`~repro.graphs.csr.CSRTopology` snapshot
+  (:meth:`MultiGraph.to_csr`).  Any mutation drops it, and the next read
+  builds a new one.
 * Self-loops are rejected: a node transmitting to itself has no meaning in
   the paper's model, and Algorithm 1's strict-inequality test could never
   select one anyway.
@@ -27,7 +29,6 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,35 +36,10 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.csr import CSRTopology
 
-__all__ = ["MultiGraph", "Adjacency"]
+__all__ = ["MultiGraph"]
 
 #: int32 endpoints: the largest node count, so the largest node id is 2**31 - 2
 _MAX_NODES = np.iinfo(np.int32).max
-
-
-@dataclass(frozen=True)
-class Adjacency:
-    """CSR-style adjacency view of a :class:`MultiGraph`.
-
-    ``indptr`` has length ``n + 1``; the incident half-edges of node ``v``
-    occupy slots ``indptr[v]:indptr[v+1]`` of ``neighbors`` (the node at the
-    other endpoint) and ``edge_ids`` (the id of the connecting edge).
-    Parallel edges appear once per copy, so ``indptr[v+1] - indptr[v]`` is
-    exactly the paper's ``|Γ(v)|`` (degree counting multiplicity).
-    """
-
-    indptr: np.ndarray
-    neighbors: np.ndarray
-    edge_ids: np.ndarray
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.indptr[v] : self.indptr[v + 1]]
-
-    def edges_of(self, v: int) -> np.ndarray:
-        return self.edge_ids[self.indptr[v] : self.indptr[v + 1]]
 
 
 class MultiGraph:
@@ -78,8 +54,7 @@ class MultiGraph:
     2
     """
 
-    __slots__ = ("_n", "_eu", "_ev", "_alive", "_slots", "_m_alive",
-                 "_adj_cache", "_csr_cache")
+    __slots__ = ("_n", "_eu", "_ev", "_alive", "_slots", "_m_alive", "_csr_cache")
 
     def __init__(self, n: int = 0) -> None:
         if n < 0:
@@ -92,7 +67,6 @@ class MultiGraph:
         self._alive = np.zeros(0, dtype=bool)
         self._slots = 0
         self._m_alive = 0
-        self._adj_cache: Optional[Adjacency] = None
         self._csr_cache: Optional[CSRTopology] = None
 
     # ------------------------------------------------------------------
@@ -154,7 +128,6 @@ class MultiGraph:
             )
         first = self._n
         self._n += k
-        self._adj_cache = None
         self._csr_cache = None
         return range(first, self._n)
 
@@ -175,7 +148,6 @@ class MultiGraph:
         self._alive[eid] = True
         self._slots = eid + 1
         self._m_alive += 1
-        self._adj_cache = None
         self._csr_cache = None
         return eid
 
@@ -187,7 +159,6 @@ class MultiGraph:
         self._check_edge(eid)
         self._alive[eid] = False
         self._m_alive -= 1
-        self._adj_cache = None
         self._csr_cache = None
 
     def restore_edge(self, eid: int) -> None:
@@ -197,7 +168,6 @@ class MultiGraph:
         if not self._alive[eid]:
             self._alive[eid] = True
             self._m_alive += 1
-            self._adj_cache = None
             self._csr_cache = None
 
     # ------------------------------------------------------------------
@@ -246,13 +216,12 @@ class MultiGraph:
     def degree(self, v: int) -> int:
         """``|Γ(v)|`` counting parallel edges with multiplicity."""
         self._check_node(v)
-        adj = self.adjacency()
-        return adj.degree(v)
+        indptr = self.to_csr().indptr
+        return int(indptr[v + 1] - indptr[v])
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an int64 array."""
-        adj = self.adjacency()
-        return np.diff(adj.indptr)
+        return self.to_csr().degrees()
 
     def max_degree(self) -> int:
         """The paper's ``Δ`` (0 for an edgeless graph)."""
@@ -264,21 +233,20 @@ class MultiGraph:
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of ``v`` with multiplicity (one entry per parallel edge)."""
         self._check_node(v)
-        return self.adjacency().neighbors_of(v).tolist()
+        return self.to_csr().neighbors_of(v).tolist()
 
     def distinct_neighbors(self, v: int) -> list[int]:
         return sorted(set(self.neighbors(v)))
 
     def incident_edges(self, v: int) -> list[int]:
         self._check_node(v)
-        return self.adjacency().edges_of(v).tolist()
+        return self.to_csr().edges_of(v).tolist()
 
     def edge_multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges between ``u`` and ``v``."""
         self._check_node(u)
         self._check_node(v)
-        adj = self.adjacency()
-        return int(np.count_nonzero(adj.neighbors_of(u) == v))
+        return int(np.count_nonzero(self.to_csr().neighbors_of(u) == v))
 
     # ------------------------------------------------------------------
     # flat topology (cached, shared by all engines)
@@ -286,25 +254,15 @@ class MultiGraph:
     def to_csr(self) -> CSRTopology:
         """The flat struct-of-arrays topology over live edges.
 
-        Built once and cached until the next mutation; every consumer
-        (adjacency views, half-edge arrays, canonical hashes, the integer
-        LGG kernel) aliases these arrays instead of re-deriving its own.
+        Built once and cached until the next mutation; every consumer (the
+        queries above, the engine and its policies, canonical hashes, the
+        integer LGG kernel) reads these arrays instead of re-deriving its
+        own.  ``indptr[v]:indptr[v+1]`` spans node ``v``'s half-edges, one
+        per parallel copy, so its length is the paper's ``|Γ(v)|``.
         """
         if self._csr_cache is None:
             self._csr_cache = CSRTopology.from_multigraph(self)
         return self._csr_cache
-
-    def adjacency(self) -> Adjacency:
-        """CSR adjacency over live edges (cached until the next mutation).
-
-        A zero-copy view of :meth:`to_csr`'s arrays.
-        """
-        if self._adj_cache is None:
-            csr = self.to_csr()
-            self._adj_cache = Adjacency(
-                indptr=csr.indptr, neighbors=csr.neighbors, edge_ids=csr.edge_ids
-            )
-        return self._adj_cache
 
     # ------------------------------------------------------------------
     # connectivity / subgraphs

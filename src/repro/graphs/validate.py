@@ -42,13 +42,13 @@ def audit_graph(g: MultiGraph) -> None:
             raise GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
         if u == v:
             raise GraphError(f"edge {eid} is a self-loop")
-    adj = g.adjacency()
-    if int(np.diff(adj.indptr).sum()) != 2 * g.m:
+    csr = g.to_csr()
+    if int(csr.degrees().sum()) != 2 * g.m:
         raise GraphError("degree sum != 2m")
     # every live edge appears exactly once from each endpoint
     seen: dict[int, list[int]] = {}
     for v in range(g.n):
-        for eid in adj.edges_of(v):
+        for eid in csr.edges_of(v):
             seen.setdefault(int(eid), []).append(v)
     for eid, u, v in live:
         ends = sorted(seen.get(eid, []))
@@ -88,7 +88,7 @@ class ReachabilityReport:
 def reachability_report(spec: NetworkSpec) -> ReachabilityReport:
     """BFS reachability from every source to the sink set."""
     g = spec.graph
-    adj = g.adjacency()
+    csr = g.to_csr()
     sinks = set(spec.destinations)
     reach: dict[int, frozenset[int]] = {}
     reached_sinks: set[int] = set()
@@ -101,7 +101,7 @@ def reachability_report(spec: NetworkSpec) -> ReachabilityReport:
             v = dq.popleft()
             if v in sinks:
                 found.add(v)
-            for w in adj.neighbors_of(v):
+            for w in csr.neighbors_of(v):
                 if not seen[w]:
                     seen[w] = True
                     dq.append(int(w))

@@ -31,10 +31,10 @@ class DistanceTwoInterference:
 
     def __init__(self, graph: MultiGraph) -> None:
         self._closed: list[frozenset[int]] = []
-        adj = graph.adjacency()
+        csr = graph.to_csr()
         for v in range(graph.n):
             self._closed.append(
-                frozenset(int(w) for w in adj.neighbors_of(v)) | {v}
+                frozenset(int(w) for w in csr.neighbors_of(v)) | {v}
             )
 
     def filter(self, edge_ids, senders, receivers, queues, revealed, rng) -> np.ndarray:

@@ -118,8 +118,10 @@ class _Telemetry:
 
     The ``repro_sweep_*`` instruments live in the process-global
     :mod:`repro.obs` registry, which every sweep in the process feeds.
-    The progress line counts this sweep's own points, so two sweeps
-    running at once never count each other's.
+    Each sweep adds its pending points to the pending gauge at start and
+    takes back what is left of them in :meth:`close`, so the gauge is the
+    sum over running sweeps.  The progress line counts this sweep's own
+    points, so two sweeps running at once never count each other's.
     """
 
     def __init__(self, grid: GridSpec, total: int, resumed: int,
@@ -131,14 +133,16 @@ class _Telemetry:
         self.t0 = time.perf_counter()
         self._last_print = 0.0
         self._done = 0
-        if self.reg.enabled:
-            self.reg.gauge(
-                "repro_sweep_points_pending",
-                "Grid points not yet completed in the current sweep.",
-            ).set(total - resumed)
+        # held for the sweep's life, so what it adds it also takes back
+        self._pending = self.reg.gauge(
+            "repro_sweep_points_pending",
+            "Grid points not yet completed in running sweeps.",
+        )
+        self._pending.inc(total - resumed)
 
     def chunk_done(self, points: int, seconds: float) -> None:
         self._done += points
+        self._pending.dec(points)
         if self.reg.enabled:
             self.reg.counter(
                 "repro_sweep_points_completed_total",
@@ -148,8 +152,11 @@ class _Telemetry:
                 "repro_sweep_chunk_seconds",
                 "Wall-clock latency of one sweep chunk (submit to commit).",
             ).observe(seconds)
-            self.reg.gauge("repro_sweep_points_pending").dec(points)
         self.maybe_print()
+
+    def close(self) -> None:
+        """Take this sweep's points that never completed off the gauge."""
+        self._pending.dec(self.total - self.resumed - self._done)
 
     def chunk_failed(self) -> None:
         if self.reg.enabled:
@@ -254,9 +261,8 @@ def run_sweep(
     pending = [pt for pt in grid.points() if pt.index not in done]
     resumed = len(done)
     fingerprint = grid.fingerprint()
-    telemetry = _Telemetry(grid, len(grid), resumed, progress)
-
     sink = resolve_sink(trace, "trace")
+    telemetry = _Telemetry(grid, len(grid), resumed, progress)
     writer = None
     traced_span = None  # the sweep span, when this sweep writes events
 
@@ -329,6 +335,7 @@ def run_sweep(
                         raise
         telemetry.maybe_print(final=True)
     finally:
+        telemetry.close()
         if writer is not None:
             writer.close()
         if sink is not None and sink is not trace:

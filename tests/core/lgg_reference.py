@@ -65,7 +65,7 @@ def lgg_select_reference(
 
     Returns transmissions in deterministic (sender, tie-key) order.
     """
-    adj = graph.adjacency()
+    csr = graph.to_csr()
     n = graph.n
     selected: list[tuple[int, int, int]] = []
     num_slots = graph.num_edge_slots
@@ -73,18 +73,18 @@ def lgg_select_reference(
     # one tie-key array over all half-edges, shared across nodes — the
     # random strategy draws its single permutation here
     keys_all = tie_keys(
-        tiebreak, adj.neighbors, adj.edge_ids, rng, num_edge_slots=num_slots
+        tiebreak, csr.neighbors, csr.edge_ids, rng, num_edge_slots=num_slots
     )
 
     for u in range(n):
         budget = int(queues[u])
         if budget <= 0:
             continue
-        lo, hi = int(adj.indptr[u]), int(adj.indptr[u + 1])
+        lo, hi = int(csr.indptr[u]), int(csr.indptr[u + 1])
         if lo == hi:
             continue
-        nbrs = adj.neighbors[lo:hi]
-        eids = adj.edge_ids[lo:hi]
+        nbrs = csr.neighbors[lo:hi]
+        eids = csr.edge_ids[lo:hi]
         keys = keys_all[lo:hi]
         order = sorted(
             range(hi - lo), key=lambda i: (int(revealed[nbrs[i]]), int(keys[i]))

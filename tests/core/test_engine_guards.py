@@ -17,12 +17,12 @@ class OverdrawPolicy(_PolicyBase):
     """Sends two packets from a node holding one — must be rejected."""
 
     def select(self, ctx):
-        half = ctx.half
-        if ctx.queues[0] >= 1 and half.size:
-            i = int(np.nonzero(half.senders == 0)[0][0])
-            e = np.array([half.edge_ids[i], half.edge_ids[i]], dtype=np.int64)
+        csr = ctx.csr
+        if ctx.queues[0] >= 1 and csr.num_half_edges:
+            i = int(np.nonzero(csr.senders == 0)[0][0])
+            e = np.array([csr.edge_ids[i], csr.edge_ids[i]], dtype=np.int64)
             s = np.array([0, 0], dtype=np.int64)
-            r = np.array([half.receivers[i], half.receivers[i]], dtype=np.int64)
+            r = np.array([csr.neighbors[i], csr.neighbors[i]], dtype=np.int64)
             return e, s, r
         return _EMPTY, _EMPTY, _EMPTY
 

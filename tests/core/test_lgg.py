@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HalfEdges, SimulationConfig, Simulator, TieBreak
+from repro.core import SimulationConfig, Simulator, TieBreak
 from repro.core.fastpath import ineligibility_reasons
 from repro.core.lgg_fast import lgg_select_fast_batched
 from repro.graphs import MultiGraph
@@ -36,8 +36,7 @@ def compact(eids, snd, rcv, mask, r):
 def select_fast(graph, queues, revealed=None, *, rng=None, **kw):
     q = np.asarray(queues, dtype=np.int64)
     r = q if revealed is None else np.asarray(revealed, dtype=np.int64)
-    half = HalfEdges.from_graph(graph)
-    out = lgg_select_fast_batched(half, q[None, :], r[None, :], rngs=[rng], **kw)
+    out = lgg_select_fast_batched(graph.to_csr(), q[None, :], r[None, :], rngs=[rng], **kw)
     return compact(*out, 0)
 
 
@@ -207,7 +206,7 @@ class TestBatchedRowsMatchReference:
         Q, rev = self.rows(g, 10 + gi, lie=lie)
         seeds = [31, 32, 33]
         out = lgg_select_fast_batched(
-            HalfEdges.from_graph(g), Q, rev, tiebreak=tb,
+            g.to_csr(), Q, rev, tiebreak=tb,
             rngs=[np.random.default_rng(s) for s in seeds],
         )
         for r, s in enumerate(seeds):
@@ -222,7 +221,7 @@ class TestBatchedRowsMatchReference:
         twins = [np.random.default_rng(s) for s in (1, 2, 3)]
         for _ in range(4):  # successive steps keep the generators in step
             out = lgg_select_fast_batched(
-                HalfEdges.from_graph(g), Q, rev,
+                g.to_csr(), Q, rev,
                 tiebreak=TieBreak.QUEUE_THEN_RANDOM, rngs=rngs,
             )
             for r in range(self.R):

@@ -2,8 +2,11 @@
 claim in fast mode.
 
 These overlap with the benchmark harness on purpose — the benchmarks time
-the experiments, these gate correctness in the plain test suite.
+the experiments, these gate correctness in the plain test suite.  Each
+experiment runs once: the claim and rendering tests share its result.
 """
+
+import functools
 
 import pytest
 
@@ -11,6 +14,12 @@ from repro.errors import ExperimentError
 from repro.exp import REGISTRY, ExperimentResult, get_experiment, render
 
 ALL_IDS = sorted(REGISTRY)
+
+
+@functools.cache
+def fast_result(exp_id: str) -> ExperimentResult:
+    """The experiment's fast-mode run at seed 0, computed once per session."""
+    return get_experiment(exp_id)(fast=True, seed=0)
 
 
 class TestRegistry:
@@ -33,14 +42,14 @@ class TestRegistry:
 @pytest.mark.parametrize("exp_id", ALL_IDS)
 class TestEveryExperiment:
     def test_runs_and_claim_holds(self, exp_id):
-        result = get_experiment(exp_id)(fast=True, seed=0)
+        result = fast_result(exp_id)
         assert isinstance(result, ExperimentResult)
         assert result.exp_id == exp_id
         assert result.rows, "experiment produced no table rows"
         assert result.passed, f"{exp_id}: paper claim did not reproduce"
 
     def test_renders(self, exp_id):
-        result = get_experiment(exp_id)(fast=True, seed=0)
+        result = fast_result(exp_id)
         text = render(result)
         assert result.title in text
         assert "claim held: YES" in text

@@ -1,5 +1,9 @@
 """CSRTopology: the shared flat-array snapshot and its caching contract.
 
+Every layer reads the snapshot directly: the graph's degree and neighbour
+queries, and the engine, whose selection-kernel constants are memoised on
+the snapshot and shared by every engine on the graph.
+
 The snapshot is one stable sort of the half-edges; the per-edge cursor
 loop it replaced lives in ``tests/graphs/csr_reference.py`` and must
 give the same seven arrays, element for element, after any sequence of
@@ -14,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lgg_fast import HalfEdges
+from repro.core import SimulationConfig, Simulator, TieBreak
+from repro.core.lgg_fast import SortKeys
 from repro.graphs import CSRTopology, MultiGraph
 from repro.graphs import generators as gen
+from repro.network import NetworkSpec
 
 from tests.graphs.csr_reference import components_reference, csr_arrays_reference
 
@@ -35,15 +41,16 @@ class TestLayout:
     def test_halfedge_blocks_match_adjacency(self):
         g = diamond()
         csr = g.to_csr()
-        adj = g.adjacency()
         assert csr.num_half_edges == 2 * csr.m == 10
-        # the adjacency view aliases the same frozen arrays
-        assert adj.indptr is csr.indptr
-        assert adj.neighbors is csr.neighbors
-        assert adj.edge_ids is csr.edge_ids
         for u in range(g.n):
             lo, hi = int(csr.indptr[u]), int(csr.indptr[u + 1])
             assert (csr.senders[lo:hi] == u).all()
+            # the graph's queries read the same block of the snapshot
+            assert g.degree(u) == hi - lo
+            assert g.neighbors(u) == csr.neighbors_of(u).tolist() \
+                == csr.neighbors[lo:hi].tolist()
+            assert g.incident_edges(u) == csr.edges_of(u).tolist() \
+                == csr.edge_ids[lo:hi].tolist()
             got = sorted(zip(csr.neighbors[lo:hi].tolist(),
                              csr.edge_ids[lo:hi].tolist()))
             want = sorted((v, e) for e, a, v in
@@ -65,15 +72,33 @@ class TestLayout:
         with pytest.raises(ValueError):
             csr.neighbors[0] = 99
 
-    def test_halfedges_alias_csr(self):
+    def test_engines_share_sort_keys(self, monkeypatch):
+        built = []
+        build = SortKeys.build
+
+        def counting_build(csr, tiebreak):
+            built.append(tiebreak)
+            return build(csr, tiebreak)
+
+        monkeypatch.setattr(SortKeys, "build", counting_build)
         g = diamond()
+        spec = NetworkSpec.classical(g, {0: 2}, {3: 2})
         csr = g.to_csr()
-        half = HalfEdges.from_graph(g)
-        assert half.indptr is csr.indptr
-        assert half.receivers is csr.neighbors
-        assert half.senders is csr.senders
-        assert half.edge_ids is csr.edge_ids
-        assert half.num_edge_slots == csr.num_edge_slots
+        for tb in TieBreak:
+            config = SimulationConfig(horizon=20, seed=1, tiebreak=tb,
+                                      numeric_fastpath=False)
+            first, second = Simulator(spec, config=config), Simulator(spec, config=config)
+            assert first._csr is second._csr is csr
+            first.run()
+            keys = csr.sort_keys[tb]
+            second.run()
+            assert csr.sort_keys[tb] is keys
+        # one build per tie-break, shared by both engines
+        assert built == list(TieBreak)
+        # a mutation builds a new snapshot, which starts without keys
+        g.add_edge(0, 3)
+        assert g.to_csr() is not csr and g.to_csr().sort_keys == {}
+        assert set(csr.sort_keys) == set(TieBreak)
 
 
 class TestCaching:

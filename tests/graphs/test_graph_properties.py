@@ -48,10 +48,10 @@ class TestStructuralInvariants:
     @settings(max_examples=40, deadline=None)
     def test_adjacency_round_trip(self, go):
         g, _ = go
-        adj = g.adjacency()
+        csr = g.to_csr()
         # every half-edge must be mirrored at the other endpoint
         for v in range(g.n):
-            for nbr, eid in zip(adj.neighbors_of(v), adj.edges_of(v)):
+            for nbr, eid in zip(csr.neighbors_of(v), csr.edges_of(v)):
                 assert g.other_end(int(eid), v) == int(nbr)
                 assert int(eid) in g.incident_edges(int(nbr))
 

@@ -242,9 +242,9 @@ class TestAdjacencyCache:
 
     def test_adjacency_consistency(self):
         g = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
-        adj = g.adjacency()
+        csr = g.to_csr()
         for v in range(4):
-            for nbr, eid in zip(adj.neighbors_of(v), adj.edges_of(v)):
+            for nbr, eid in zip(csr.neighbors_of(v), csr.edges_of(v)):
                 assert g.other_end(int(eid), v) == int(nbr)
 
 
@@ -269,7 +269,6 @@ class TestConnectivity:
         assert g.components() == [[0, 1, 2], [3, 4]]
         assert not g.is_connected()
         assert g._csr_cache is None
-        assert g._adj_cache is None
 
 
 class TestSubgraphAndCopy:

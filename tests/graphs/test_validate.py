@@ -31,13 +31,13 @@ class TestAuditGraph:
     def test_detects_corrupted_edge_table(self):
         g = gen.path(3)
         g._eu[0] = 7  # corrupt an endpoint behind the API's back
-        g._adj_cache = None
+        g._csr_cache = None
         with pytest.raises(GraphError):
             audit_graph(g)
 
     def test_detects_stale_adjacency(self):
         g = gen.path(3)
-        g.adjacency()           # build the cache
+        g.to_csr()              # build the cache
         g._alive[0] = False     # kill an edge without invalidating
         g._m_alive -= 1
         with pytest.raises(GraphError):

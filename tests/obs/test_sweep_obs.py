@@ -157,6 +157,62 @@ class TestSweepMetrics:
             obs.configure(**prev)
 
 
+class TestPendingGauge:
+    """``repro_sweep_points_pending`` sums the sweeps that are running."""
+
+    def test_sums_concurrent_sweeps_and_returns_to_zero(self):
+        # both sweeps hold at their third point (two done, four pending
+        # each) until the gauge has been read
+        arrived = threading.Barrier(3, timeout=30)
+        release = threading.Event()
+
+        def held_point(params, seed):
+            if params["a"] == 2:
+                arrived.wait()
+                assert release.wait(30)
+            return {"y": params["a"]}
+
+        grid = GridSpec(seed=3).cartesian(a=list(range(6)))
+        prev = obs.configure(metrics=True)
+        try:
+            gauge = get_registry().gauge("repro_sweep_points_pending")
+            threads = [threading.Thread(
+                target=run_sweep, args=(grid, held_point),
+                kwargs={"workers": 0}) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            arrived.wait()
+            held = gauge.value
+            release.set()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert held == 4 + 4
+            assert gauge.value == 0
+            assert get_registry().counter(
+                "repro_sweep_points_completed_total").value == 12
+        finally:
+            release.set()
+            obs.configure(**prev)
+
+    def test_failed_sweep_takes_back_its_pending_points(self):
+        def third_point_raises(params, seed):
+            if params["a"] == 2:
+                raise ValueError("third point")
+            return {"y": params["a"]}
+
+        grid = GridSpec(seed=3).cartesian(a=list(range(6)))
+        prev = obs.configure(metrics=True)
+        try:
+            with pytest.raises(ValueError, match="third point"):
+                run_sweep(grid, third_point_raises, workers=0)
+            reg = get_registry()
+            assert reg.counter("repro_sweep_points_completed_total").value == 2
+            assert reg.gauge("repro_sweep_points_pending").value == 0
+        finally:
+            obs.configure(**prev)
+
+
 class TestProgressLine:
     def test_progress_writes_rate_and_eta(self, capsys):
         grid = GridSpec(seed=3).cartesian(a=[1, 2])

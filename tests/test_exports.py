@@ -37,7 +37,7 @@ PUBLIC_API = {
         "TokenBucketArrivals", "TraceArrivals", "RecordingArrivals", "dominates",
     ),
     "repro.core": (
-        "TieBreak", "HalfEdges", "TransmissionPolicy", "LGGPolicy",
+        "TieBreak", "TransmissionPolicy", "LGGPolicy",
         "FlowRoutingPolicy", "BackpressurePolicy", "RandomForwardingPolicy",
         "ShortestPathPolicy", "DEFAULT_PIPELINE", "STAGE_NAMES", "Stage", "StagePipeline",
         "StageTiming", "StepState", "ExtractionMode", "LinkCapacityMode",
