@@ -1,12 +1,14 @@
 """Observability overhead guard: instrumented engine vs an untraced twin.
 
 The zero-cost-when-off contract of :mod:`repro.obs`: with no trace sink
-and no metrics enabled, the instrumented hot path (one attribute check
-per step for the run's event span, inside the recording stage) must stay
-within **3%** of a pipeline with the trace seam physically removed.  The
-twin is built here — a ``RecordingStage`` subclass with the pre-obs step
-body — and both sides run the stage pipeline (``numeric_fastpath=False``),
-so the diff under test is exactly the seam.
+and no metrics enabled, the instrumented hot path (two attribute checks
+per step: the pipeline's stage-time table and the engine's event span
+for the ``step`` event) must stay within **3%** of an engine with the
+trace seam physically removed.  The twin is built here — an
+``EnsembleSimulator`` subclass whose ``_step`` is the pre-obs body, which
+runs the stages itself — and both sides run the stage pipeline
+(``numeric_fastpath=False``), so the diff under test is exactly the
+seam.
 
 Also asserts the ISSUE's replay acceptance oracle at benchmark scale:
 a traced ensemble run's JSONL reconstructs the exact P_t series and
@@ -32,8 +34,7 @@ import pytest
 from repro import obs
 from repro.core import SimulationConfig
 from repro.core.ensemble import EnsembleSimulator
-from repro.core.pipeline import DEFAULT_PIPELINE, RecordingStage, StagePipeline
-from repro.errors import SimulationError
+from repro.core.pipeline import StepState
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
 from repro.obs import RingBufferSink, replay_trace
@@ -51,25 +52,17 @@ def gadget_spec():
     )
 
 
-class BaselineRecording(RecordingStage):
-    """The recording stage with the trace seam removed (pre-obs body)."""
-
-    def run(self, host, st) -> None:
-        Q = host.Q
-        if host.config.validate_every_step and (Q < 0).any():
-            raise SimulationError("negative queue after step")
-        host.t += 1
-        host.history.append(Q, st.injected, st.transmitted, st.lost, st.delivered)
-
-
-BASELINE_PIPELINE = StagePipeline(tuple(
-    BaselineRecording() if stage.name == "recording" else stage
-    for stage in DEFAULT_PIPELINE.stages
-))
-
-
 class BaselineEnsemble(EnsembleSimulator):
-    pipeline = BASELINE_PIPELINE
+    """The engine with the trace seam removed: a step runs the stages
+    without the pipeline's stage-time check or the event-span check."""
+
+    def _step(self):
+        st = StepState(t=self.t)
+        if self.config.record_events:
+            st.q_start = self.Q[0].copy()
+        for stage in self.pipeline.stages:
+            stage.run(self, st)
+        return st
 
 
 def _run(cls, spec, config=None):

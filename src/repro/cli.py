@@ -63,10 +63,37 @@ def _spec_from_args(args) -> NetworkSpec:
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", action="store_true",
-                   help="print a per-stage wall-clock profile after the run")
+                   help="trace the run (in memory unless --trace) and print "
+                        "the waterfall of sim.run and its per-stage "
+                        "sim.stage spans")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a structured JSONL trace of the run "
                         "(replayable with repro.obs.replay_trace)")
+
+
+def _run_sink(args):
+    """The run's trace sink: the ``--trace`` file, else an in-memory ring
+    for ``--profile``, else ``None``."""
+    from repro.obs.trace import RingBufferSink, resolve_sink
+
+    sink = resolve_sink(args.trace, "--trace")
+    if sink is None and args.profile:
+        # the spans come last (the sim.stage rows as the run ends, then
+        # sim.run), so a short ring keeps them and drops the step events
+        sink = RingBufferSink(capacity=64)
+    return sink
+
+
+def _print_profile(args, sink) -> None:
+    """``--profile``: the waterfall of the run's ``sim.run`` span and its
+    ``sim.stage`` children, read back from the run's trace."""
+    from repro.obs import read_trace
+    from repro.obs.spans import render_waterfall
+
+    records = read_trace(args.trace) if args.trace else sink.records
+    print()
+    print(render_waterfall(
+        [r for r in records if r.get("name") in ("sim.run", "sim.stage")]))
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -250,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "classify requests shard by fingerprint across "
                             "workers, each owning a private feasibility cache")
     p_srv.add_argument("--threads", type=int, default=2,
-                       help="in-process compute threads (the only compute "
-                            "tier when --workers 0)")
+                       help="compute threads of the in-process tier; read "
+                            "only with --workers 0 (a worker pool builds no "
+                            "thread pool)")
     p_srv.add_argument("--jobs-dir", default=None, dest="jobs_dir",
                        metavar="DIR",
                        help="enable POST /v1/sweeps, persisting jobs here "
@@ -321,6 +349,8 @@ def _run_sweep_command(args) -> int:
     from repro.sweep import (GridSpec, classify_point, mobility_point,
                              region_point, run_sweep, shared_cache)
 
+    if args.samples < 1:
+        raise ReproError(f"--samples must be a positive integer, got {args.samples}")
     grid = GridSpec(seed=args.seed)
     for spec in args.axis:
         name, values = _parse_axis(spec)
@@ -329,7 +359,7 @@ def _run_sweep_command(args) -> int:
         axes = dict(_parse_axis(part) for part in group.split(";"))
         grid = grid.zipped(**axes)
     if args.samples > 1 or not grid.axis_names:
-        grid = grid.cartesian(sample=list(range(max(1, args.samples))))
+        grid = grid.cartesian(sample=list(range(args.samples)))
 
     point_fn = {"region": region_point, "classify": classify_point,
                 "mobility": mobility_point}[args.point]
@@ -512,16 +542,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "simulate":
             from repro.core import SimulationConfig, Simulator
             from repro.obs.spans import span
-            from repro.obs.trace import resolve_sink
 
             spec = _spec_from_args(args)
             # --trace writes the run's events and its spans to one file
-            sink = resolve_sink(args.trace, "--trace")
+            sink = _run_sink(args)
             try:
                 cfg = SimulationConfig(
                     horizon=args.horizon,
                     seed=args.seed,
-                    profile_stages=args.profile,
                     trace=sink,
                 )
                 sim = Simulator(spec, config=cfg)
@@ -538,8 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"(throughput {m.throughput:.3f}/step)")
             print(f"peak queue: {m.peak_total_queue}  tail mean: {m.tail_mean_queue:.1f}")
             if args.profile:
-                print()
-                print(sim.profile_report())
+                _print_profile(args, sink)
             if args.trace:
                 print(f"trace: {args.trace}")
             return 0
@@ -548,15 +575,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from repro.core import SimulationConfig
             from repro.core.ensemble import EnsembleSimulator
             from repro.obs.spans import span
-            from repro.obs.trace import resolve_sink
 
             spec = _spec_from_args(args)
-            sink = resolve_sink(args.trace, "--trace")
+            sink = _run_sink(args)
             try:
                 config = SimulationConfig(
                     extraction=ExtractionMode(args.extraction),
                     activation_prob=args.activation_prob,
-                    profile_stages=args.profile,
                     trace=sink,
                 )
                 ens = EnsembleSimulator(
@@ -583,8 +608,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"final total queue: min {final_totals.min()}  "
                   f"mean {final_totals.mean():.1f}  max {final_totals.max()}")
             if args.profile:
-                print()
-                print(ens.profile_report())
+                _print_profile(args, sink)
             if args.trace:
                 print(f"trace: {args.trace}")
             return 0

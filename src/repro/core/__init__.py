@@ -10,7 +10,7 @@ _EXPORTS = {
     ".policies": ("TransmissionPolicy", "LGGPolicy", "FlowRoutingPolicy",
                   "BackpressurePolicy", "RandomForwardingPolicy", "ShortestPathPolicy"),
     ".pipeline": ("DEFAULT_PIPELINE", "STAGE_NAMES", "Stage", "StagePipeline",
-                  "StageTiming", "StepState"),
+                  "StepState"),
     ".engine": ("ExtractionMode", "LinkCapacityMode", "SimulationConfig",
                 "SimulationResult", "Simulator", "simulate_lgg"),
     ".packet_engine": ("PacketSimulator", "PacketStats"),

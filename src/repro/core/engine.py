@@ -43,14 +43,13 @@ from repro.core.pipeline import (
     ExtractionMode,
     LinkCapacityMode,
     StagePipeline,
-    StageTiming,
     StepEvents,
     StepState,
 )
 from repro.core.policies import LGGPolicy, TransmissionPolicy
 from repro.core.stability import StabilityVerdict, assess_stability
 from repro.core.tiebreak import TieBreak
-from repro.errors import ObservabilityError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.spans import span
 from repro.obs.trace import _fingerprint_value, config_fingerprint, resolve_sink
 from repro.network.spec import NetworkSpec
@@ -87,11 +86,10 @@ class SimulationConfig:
     record_events: bool = False             # keep per-step StepEvents (Lyapunov analysis)
     activation_prob: float = 1.0            # P(node participates as sender per step);
                                             # < 1 models asynchronous / duty-cycled nodes
-    profile_stages: bool = False            # accumulate per-stage wall-clock timings
-    trace: Optional[object] = None          # TraceSink for this run's sim.run span
-                                            # and its run_start/step/run_end events
-                                            # (None → the inherited span sink, no
-                                            # events)
+    trace: Optional[object] = None          # TraceSink for this run's sim.run span,
+                                            # its run_start/step/run_end events and
+                                            # sim.stage child spans (None → the
+                                            # inherited span sink, no events)
     numeric_fastpath: Optional[bool] = None  # integer LGG kernel: None = auto
                                              # (use when eligible), False = always
                                              # run the stage pipeline, True =
@@ -176,14 +174,15 @@ class Engine:
         self._csr = spec.graph.to_csr()
         self.history = History(Q, record_queues=config.record_queues)
         self.events: list[StepEvents] = []
-        self.stage_timings: dict[str, StageTiming] = {}
         # the run's own trace sink, or None: sim.run then opens on the
         # inherited span sink and no events are written
         self.trace = resolve_sink(config.trace, "SimulationConfig.trace",
                                   paths=False)
-        # the sim.run span while a traced run() is stepping; the recording
-        # stage emits each step's event on it
+        # while a traced run() is stepping: the sim.run span, which gets
+        # each step's event, and the pipeline's stage name -> [calls,
+        # seconds] table, which becomes its sim.stage children
         self._event_span = None
+        self._stage_times: Optional[dict] = None
 
     def _out(self, values):
         """A per-replica array as an event reports it: a single run's
@@ -196,10 +195,31 @@ class Engine:
         st = StepState(t=self.t)
         if self.config.record_events:
             st.q_start = self.Q[0].copy()
-        return self.pipeline.run(
-            self, st,
-            timings=self.stage_timings if self.config.profile_stages else None,
-        )
+        self.pipeline.run(self, st)
+        sp = self._event_span
+        if sp is not None:
+            # after the stages: no stage's time includes the trace's own cost
+            pot, total, mx = self.history.boundary()
+            out = self._out
+            sp.event(
+                "step",
+                t=st.t,
+                injected=out(st.injected),
+                transmitted=out(st.transmitted),
+                lost=out(st.lost),
+                delivered=out(st.delivered),
+                potential=out(pot),
+                total_queued=out(total),
+                max_queue=out(mx),
+                active_edges=out(self._distinct_edges(st)),
+            )
+        return st
+
+    def _distinct_edges(self, st: StepState) -> np.ndarray:
+        """Per replica, the number of distinct links that carried a packet."""
+        slots = self._csr.num_edge_slots
+        carried = np.unique((self._row * slots + st.eids)[st.sel_mask])
+        return np.bincount(carried // max(slots, 1), minlength=self.R)
 
     def run(self, horizon: Optional[int] = None):
         """Advance ``horizon`` steps (default from config) and assess.
@@ -210,7 +230,9 @@ class Engine:
         With ``config.trace`` enabled the ``sim.run`` span carries a
         ``run_start`` event (config fingerprint, seed, boundary state at
         t = 0), one ``step`` event per step and a ``run_end`` event
-        (outcome).
+        (outcome), and, also when a stage raises, one ``sim.stage`` child
+        span per stage that ran (attrs ``kind`` = stage name, ``calls``;
+        ``duration_s`` is the stage's total time).
         """
         steps = self.config.horizon if horizon is None else horizon
         single = self.backend == "scalar"
@@ -234,14 +256,18 @@ class Engine:
                     total_queued0=self._out(total),
                     max_queue0=self._out(mx),
                 )
-                self._event_span = sp
+                self._event_span, self._stage_times = sp, {}
             try:
                 kernel = fastpath.maybe_run(self, steps)
                 if kernel is None:
                     for _ in range(steps):
                         self._step()
             finally:
+                times, self._stage_times = self._stage_times, None
                 self._event_span = None
+                if traced:
+                    for name, (calls, seconds) in times.items():
+                        sp.child("sim.stage", seconds, kind=name, calls=calls)
             for key, value in (kernel or {"engine": "pipeline"}).items():
                 sp.set(key, value)
             result = self.result()
@@ -256,17 +282,6 @@ class Engine:
                     outcome=self._out(np.where(bounded, "bounded", "divergent")),
                 )
         return result
-
-    def profile_report(self) -> str:
-        """Per-stage timing table (needs ``profile_stages=True``)."""
-        from repro.obs.profile import profile_report
-
-        if not self.stage_timings:
-            raise ObservabilityError(
-                "no stage timings recorded — run with "
-                "SimulationConfig(profile_stages=True)"
-            )
-        return profile_report(self.stage_timings, stage_order=self.pipeline.names)
 
 
 class Simulator(Engine):

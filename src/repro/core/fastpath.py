@@ -90,8 +90,6 @@ def ineligibility_reasons(engine) -> list[str]:
         reasons.append(f"activation_prob={cfg.activation_prob}")
     if cfg.record_events:
         reasons.append("per-step event records")
-    if cfg.profile_stages:
-        reasons.append("stage profiling")
     if cfg.validate_every_step:
         reasons.append("per-step validation")
     if engine.trace is not None and engine.trace.enabled:

@@ -47,7 +47,6 @@ class SortKeys:
     tie: Optional[np.ndarray]   # (H,) dense tie ranks, or None (drawn per step)
     b_tie: int
     n_senders: int              # max sender id + 1
-    position: np.ndarray        # arange(H): rank = position - block start
 
     @classmethod
     def of(cls, csr: CSRTopology, tiebreak: TieBreak) -> "SortKeys":
@@ -70,8 +69,22 @@ class SortKeys:
             tie=tie,
             b_tie=b_tie,
             n_senders=int(csr.senders.max(initial=0)) + 1,
-            position=np.arange(csr.num_half_edges, dtype=np.int64),
         )
+
+
+#: ``arange`` shared by every snapshot and step; grown on demand, read-only
+_POSITIONS = np.arange(0, dtype=np.int64)
+
+
+def _positions(h: int) -> np.ndarray:
+    """``arange(h)`` as a view of :data:`_POSITIONS` (grown when shorter)."""
+    global _POSITIONS
+    positions = _POSITIONS  # one read: a concurrent grow cannot shorten it
+    if len(positions) < h:
+        positions = np.arange(h, dtype=np.int64)
+        positions.flags.writeable = False
+        _POSITIONS = positions
+    return positions[:h]
 
 
 def lgg_select_fast_batched(
@@ -121,7 +134,7 @@ def lgg_select_fast_batched(
     order = np.argsort(composite, axis=1, kind="stable")
 
     s_sorted = csr.senders[order]                        # (R, H)
-    rank = keys.position - csr.indptr[s_sorted]
+    rank = _positions(H) - csr.indptr[s_sorted]  # position in sender block
     qs = np.take_along_axis(queues, s_sorted, axis=1)    # true sender queues
     qr = np.take_along_axis(q_recv, order, axis=1)
     mask = (qs > qr) & (rank < qs)

@@ -27,10 +27,11 @@ against a per-node reference stepper (``tests/core/reference_step.py``).
 
 Per-stage instrumentation
 -------------------------
-``StagePipeline.run`` accepts an optional timing sink: a dict mapping
-stage name → :class:`StageTiming` accumulated across steps.  Enable it
-with ``SimulationConfig(profile_stages=True)``; the host then exposes the
-sink as ``.stage_timings``.
+While a run is traced (``SimulationConfig(trace=...)``), the host holds a
+per-run table of stage name → ``[calls, seconds]`` and
+``StagePipeline.run`` adds each stage's wall time to it; the engine
+emits the totals as ``sim.stage`` child spans of ``sim.run`` when the
+run ends.  An untraced step pays one check for it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "LinkCapacityMode",
     "StepEvents",
     "StepState",
-    "StageTiming",
     "Stage",
     "StagePipeline",
     "DEFAULT_PIPELINE",
@@ -153,18 +153,6 @@ class StepState:
     transmitted: Optional[np.ndarray] = None
     lost: Optional[np.ndarray] = None
     delivered: Optional[np.ndarray] = None
-
-
-@dataclass
-class StageTiming:
-    """Accumulated wall-clock cost of one stage across steps."""
-
-    calls: int = 0
-    seconds: float = 0.0
-
-    @property
-    def mean_us(self) -> float:
-        return 1e6 * self.seconds / self.calls if self.calls else 0.0
 
 
 def link_capacity_keep(
@@ -528,8 +516,7 @@ class ExtractionStage(Stage):
 
 
 class RecordingStage(Stage):
-    """Book the step: invariants, event records, history rows, and the
-    ``step`` event of a traced run."""
+    """Book the step: invariants, event records and history rows."""
 
     name = "recording"
 
@@ -553,29 +540,6 @@ class RecordingStage(Stage):
             )
         host.t += 1
         host.history.append(Q, st.injected, st.transmitted, st.lost, st.delivered)
-        sp = host._event_span
-        if sp is not None:
-            pot, total, mx = host.history.boundary()
-            out = host._out
-            sp.event(
-                "step",
-                t=st.t,
-                injected=out(st.injected),
-                transmitted=out(st.transmitted),
-                lost=out(st.lost),
-                delivered=out(st.delivered),
-                potential=out(pot),
-                total_queued=out(total),
-                max_queue=out(mx),
-                active_edges=out(self._distinct_edges(host, st)),
-            )
-
-    @staticmethod
-    def _distinct_edges(host, st: StepState) -> np.ndarray:
-        """Per replica, the number of distinct links that carried a packet."""
-        slots = host._csr.num_edge_slots
-        carried = np.unique((host._row * slots + st.eids)[st.sel_mask])
-        return np.bincount(carried // max(slots, 1), minlength=host.R)
 
 
 # ----------------------------------------------------------------------
@@ -587,13 +551,15 @@ class StagePipeline:
 
     stages: tuple[Stage, ...]
 
-    def run(self, host, st: StepState, timings: Optional[dict] = None) -> StepState:
+    def run(self, host, st: StepState) -> StepState:
         """Execute every stage on ``st`` in order.
 
-        ``timings`` (name → :class:`StageTiming`) opts into per-stage
-        wall-clock accounting.
+        While the host's ``_stage_times`` table is set (a traced run), each
+        stage's call and wall time are added to its ``[calls, seconds]``
+        entry.
         """
-        if timings is None:
+        times = host._stage_times
+        if times is None:
             for stage in self.stages:
                 stage.run(host, st)
             return st
@@ -603,10 +569,10 @@ class StagePipeline:
                 stage.run(host, st)
             finally:
                 # book the (possibly partial) stage time even when the
-                # stage raises: profiles from failed runs stay truthful
-                timing = timings.setdefault(stage.name, StageTiming())
-                timing.calls += 1
-                timing.seconds += perf_counter() - tick
+                # stage raises: stage spans of failed runs stay truthful
+                entry = times.setdefault(stage.name, [0, 0.0])
+                entry[0] += 1
+                entry[1] += perf_counter() - tick
         return st
 
     @property

@@ -45,8 +45,7 @@ class ObservabilityError(ReproError):
     """The observability layer (tracing, metrics, profiling) was misused.
 
     Raised for emitting to a closed sink, registering one metric name
-    under two kinds, reading a corrupt or empty trace, and asking for a
-    profile that was never recorded.
+    under two kinds, and reading a corrupt or empty trace.
     """
 
 

@@ -1,30 +1,30 @@
 """repro.obs — the shared observability substrate.
 
-Four pieces, one package:
+Three pieces, one package:
 
 * **Spans and events** (:mod:`repro.obs.spans`) — the one event model.
-  Timed, parent-linked spans (``sim.run``, ``flow.solve``, ``sweep``,
-  the serve tier's ``ingress`` ... ``worker``), and events that happened
-  inside them (a run's ``run_start`` / ``step`` / ``run_end``, a sweep's
+  Timed, parent-linked spans (``sim.run`` and, in a traced run, its
+  per-stage ``sim.stage`` children; ``flow.solve``, ``sweep``, the serve
+  tier's ``ingress`` ... ``worker``), and events that happened inside
+  them (a run's ``run_start`` / ``step`` / ``run_end``, a sweep's
   ``sweep_start`` / ``point_done`` / ``chunk_failed``), written to a
   :class:`TraceSink` (:mod:`repro.obs.trace`: JSONL file, in-memory ring
-  buffer, or null).
+  buffer, or null).  The CLI's ``--profile`` prints a traced run's
+  ``sim.run`` and ``sim.stage`` spans as a waterfall.
 * **Metrics** (:mod:`repro.obs.metrics`) — a process-local registry of
   counters, gauges, and fixed-bucket histograms with labeled children,
   exportable as a dict snapshot or Prometheus text.
-* **Profiling** (:mod:`repro.obs.profile`) — the stage pipeline's timing
-  seam rendered as ``profile_report()`` tables (surfaced as ``--profile``
-  on the CLI).
 * **Replay** (:mod:`repro.obs.replay`) — a traced run's events
   reconstruct the exact ``P_t`` series and stability verdict.
 
 Zero cost when off
 ------------------
 Everything starts disabled: the global span sink is :data:`NULL_SINK`
-(``enabled = False``), the global registry is disabled, and profiling is
-opt-in per config.  The instrumented hot paths pay one attribute check
-per step; ``benchmarks/test_perf_obs.py`` guards the total at < 3%
-against an uninstrumented twin pipeline.
+(``enabled = False``), the global registry is disabled, and events and
+stage spans are opt-in per run (``SimulationConfig.trace``).  An
+untraced step pays two attribute checks (the pipeline's stage-time
+table and the engine's event span); ``benchmarks/test_perf_obs.py``
+guards the total at < 3% against an engine with both removed.
 
 ``configure()`` sets the process-global state — the one span sink and
 the registry — and round-trips::
@@ -54,7 +54,6 @@ _EXPORTS = {
                "span_tree", "normalized_tree", "render_waterfall"),
     ".merge": ("add_snapshots", "merge_worker_snapshots", "render_snapshot",
                "parse_exposition", "counter_regressions"),
-    ".profile": ("profile_report", "profile_rows"),
     ".replay": ("ReplayResult", "replay_trace"),
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -27,6 +27,12 @@ on ``sim.run``, the sweep's ``sweep_start`` / ``point_done`` /
 so the events of two runs in one file never mix.  Event attrs are plain
 JSON values, so a ring buffer and a JSONL file hold the same records.
 
+A traced run's per-stage wall time is a set of child spans too: when
+``sim.run`` ends, :meth:`Span.child` writes one ``sim.stage`` span per
+pipeline stage (attrs ``kind`` = stage name, ``calls``), whose
+``duration_s`` is the stage's total over the run.  These are sums, so
+``[ts - duration_s, ts]`` is not when the stage ran.
+
 Propagation is a :mod:`contextvars` variable inside one thread/task, and
 an explicit ``parent=(trace_id, parent_span_id)`` tuple across executor
 threads and :class:`~repro.serve.workers.WorkerPool` pipes (workers
@@ -152,6 +158,28 @@ class Span:
                 "trace_id": self.trace_id,
                 "span_id": self.span_id,
                 "attrs": attrs,
+                "ts": time.monotonic(),
+            })
+
+    def child(self, name: str, duration_s: float, **attrs) -> None:
+        """Emit one finished child ``span`` record, now, whose
+        ``duration_s`` was measured elsewhere (the engine's per-stage
+        ``sim.stage`` totals).
+
+        It goes to this span's sink only, not to the latency histogram.
+        Its ``ts`` is the time of emission, so ``ts`` stays monotone in
+        the stream; for a duration summed over many calls,
+        ``[ts - duration_s, ts]`` is not when the work ran.
+        """
+        if self.sink.enabled:
+            self.sink.emit({
+                "type": "span",
+                "name": name,
+                "trace_id": self.trace_id,
+                "span_id": self.child_id(),
+                "parent_id": self.span_id,
+                "attrs": attrs,
+                "duration_s": duration_s,
                 "ts": time.monotonic(),
             })
 

@@ -32,6 +32,8 @@ import hashlib
 import itertools
 from typing import TYPE_CHECKING, Optional, Union
 
+import numpy as np
+
 from repro.core.engine import SimulationConfig, Simulator
 from repro.errors import ServeError
 from repro.network.spec import NetworkSpec
@@ -144,9 +146,7 @@ class MicroBatcher:
         identical, so every member stays bit-identical to its own scalar
         oracle under any tie-break or per-edge loss model.
         """
-        edge_digest = hashlib.sha256()
-        for eid, u, v in spec.graph.edges():
-            edge_digest.update(f"{eid}:{u}>{v};".encode("ascii"))
+        edge_digest = hashlib.sha256(np.stack(spec.graph.edge_array()).tobytes())
         return (f"{canonical_spec_key(spec)}:eo={edge_digest.hexdigest()}"
                 f":h={horizon}:loss={loss_p!r}"
                 f":R={spec.retention}:rev={spec.revelation.value}"

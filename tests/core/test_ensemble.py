@@ -223,13 +223,20 @@ class TestResultReporting:
 
 class TestStageTimings:
     def test_profile_stages_collects_all_stage_names(self):
+        """A traced ensemble run spans every stage under its ``sim.run``."""
         from repro.core import STAGE_NAMES
+        from repro.obs import RingBufferSink
 
-        cfg = SimulationConfig(profile_stages=True)
-        ens = EnsembleSimulator(gadget_spec(), replicas=2, seed=0, config=cfg)
-        for _ in range(5):
-            ens.step()
-        assert set(ens.stage_timings) == set(STAGE_NAMES)
-        for timing in ens.stage_timings.values():
-            assert timing.calls == 5
-            assert timing.seconds >= 0.0
+        ring = RingBufferSink()
+        cfg = SimulationConfig(trace=ring)
+        # 10 steps: the verdict needs at least 8 boundary samples
+        EnsembleSimulator(gadget_spec(), replicas=2, seed=0, config=cfg).run(10)
+        (run,) = [r for r in ring.records
+                  if r["type"] == "span" and r["name"] == "sim.run"]
+        stages = [r for r in ring.records
+                  if r["type"] == "span" and r["name"] == "sim.stage"]
+        assert [s["attrs"]["kind"] for s in stages] == list(STAGE_NAMES)
+        for timing in stages:
+            assert timing["parent_id"] == run["span_id"]
+            assert timing["attrs"]["calls"] == 10
+            assert timing["duration_s"] >= 0.0

@@ -190,19 +190,31 @@ class TestPipelineStructure:
         assert sim.pipeline is DEFAULT_PIPELINE
 
     def test_scalar_stage_timings(self):
+        from repro.obs import RingBufferSink
+
         spec = make_spec(RevelationPolicy.TRUTHFUL)
-        sim = Simulator(spec, config=SimulationConfig(seed=0, profile_stages=True))
-        sim.run(10)
-        assert set(sim.stage_timings) == set(STAGE_NAMES)
-        timing = sim.stage_timings["application"]
-        assert timing.calls == 10
-        assert timing.mean_us >= 0.0
+        ring = RingBufferSink()
+        Simulator(spec, config=SimulationConfig(seed=0, trace=ring)).run(10)
+        stages = {r["attrs"]["kind"]: r for r in ring.records
+                  if r["type"] == "span" and r["name"] == "sim.stage"}
+        assert set(stages) == set(STAGE_NAMES)
+        timing = stages["application"]
+        assert timing["attrs"]["calls"] == 10
+        assert timing["duration_s"] >= 0.0
 
     def test_timings_off_by_default(self):
+        from repro import obs
+        from repro.obs import RingBufferSink
+
         spec = make_spec(RevelationPolicy.TRUTHFUL)
-        sim = Simulator(spec, config=SimulationConfig(seed=0))
-        sim.run(10)
-        assert sim.stage_timings == {}
+        ring = RingBufferSink()
+        prev = obs.configure(spans=ring)
+        try:
+            Simulator(spec, config=SimulationConfig(
+                seed=0, numeric_fastpath=False)).run(10)
+        finally:
+            obs.configure(**prev)
+        assert [r["name"] for r in ring.records] == ["sim.run"]
 
 
 class TestSampleBatchProtocol:

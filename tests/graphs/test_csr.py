@@ -100,6 +100,49 @@ class TestLayout:
         assert g.to_csr() is not csr and g.to_csr().sort_keys == {}
         assert set(csr.sort_keys) == set(TieBreak)
 
+    def test_shared_positions_grow_safely_across_threads(self, monkeypatch):
+        """Block ranks read one shared ``arange``, grown on demand: threads
+        (more than cores) growing it at once each get exactly ``arange(h)``,
+        read-only, even while the losers of grow races install shorter
+        arrays."""
+        import sys
+        import threading
+
+        from repro.core import lgg_fast
+
+        monkeypatch.setattr(lgg_fast, "_POSITIONS", np.arange(0, dtype=np.int64))
+        bad = []
+        stop = threading.Event()
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for h in rng.integers(1, 5_000, size=400).tolist():
+                got = lgg_fast._positions(h)
+                if (len(got) != h or got.flags.writeable
+                        or not np.array_equal(got, np.arange(h))):
+                    bad.append(h)
+
+        def shrink():
+            while not stop.is_set():
+                lgg_fast._POSITIONS = np.arange(1, dtype=np.int64)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        shrinker = threading.Thread(target=shrink)
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        try:
+            shrinker.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            shrinker.join(timeout=60)
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in [shrinker, *threads])
+        assert bad == []
+
 
 class TestCaching:
     def test_snapshot_is_cached(self):

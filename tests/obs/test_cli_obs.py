@@ -1,12 +1,15 @@
 """CLI observability: --profile, --trace, --progress, --metrics-out, and
 the ``obs trace`` reader."""
 
+import ast
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core import SimulationConfig, Simulator
 from repro.core.ensemble import EnsembleSimulator
+from repro.core.pipeline import STAGE_NAMES
 from repro.graphs import generators
 from repro.network import NetworkSpec
 from repro.obs import read_trace, replay_trace
@@ -16,15 +19,31 @@ def _names(records, kind):
     return [r["name"] for r in records if r["type"] == kind]
 
 
+def _stage_rows(out):
+    """The waterfall's ``sim.stage`` rows, one per pipeline stage, each
+    indented one level under its ``sim.run`` row."""
+    lines = out.splitlines()
+    (run,) = [i for i, line in enumerate(lines)
+              if line.lstrip().startswith("sim.run ")]
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    rows = lines[run + 1:run + 1 + len(STAGE_NAMES)]
+    assert all(row.startswith(" " * (indent + 2) + "sim.stage ") for row in rows)
+    kinds = [ast.literal_eval(row[row.index("{"):])["kind"] for row in rows]
+    assert kinds == list(STAGE_NAMES)
+    return rows
+
+
 class TestSimulateFlags:
     def test_profile_prints_stage_table(self, capsys):
         assert main(["simulate", "--topology", "grid", "--rows", "3",
                      "--cols", "3", "--out-rate", "2", "--horizon", "50",
                      "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "stage" in out and "share" in out
-        for stage in ("injection", "selection", "recording", "total"):
-            assert stage in out
+        assert "bounded: True" in out and "trace:" not in out
+        for row in _stage_rows(out):
+            assert "'calls': 50" in row
+        # the waterfall shows sim.run and its stages, not the CLI's span
+        assert "cli.simulate" not in out
 
     def test_trace_writes_replayable_jsonl(self, capsys, tmp_path):
         trace = tmp_path / "sim.jsonl"
@@ -36,7 +55,8 @@ class TestSimulateFlags:
         events = _names(records, "event")
         assert events == ["run_start"] + ["step"] * 60 + ["run_end"]
         # --trace also collects the spans into the same file
-        assert _names(records, "span") == ["sim.run", "cli.simulate"]
+        assert _names(records, "span") == (
+            ["sim.stage"] * len(STAGE_NAMES) + ["sim.run", "cli.simulate"])
         rr = replay_trace(trace)
         assert rr.verdict.bounded == ("bounded: True" in out)
         live = Simulator(NetworkSpec.classical(generators.path(5), {0: 1}, {4: 1}),
@@ -53,7 +73,8 @@ class TestEnsembleFlags:
                      "--replicas", "4", "--profile", "--trace",
                      str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "share" in out and "recording" in out
+        for row in _stage_rows(out):
+            assert "'calls': 40" in row
         rr = replay_trace(trace)
         assert rr.backend == "batched" and rr.replicas == 4
         spec = NetworkSpec.classical(generators.grid(3, 3), {0: 1}, {8: 2})
@@ -103,7 +124,8 @@ class TestObsTrace:
         assert main(["obs", "trace", str(sim_trace), "--list"]) == 0
         (line,) = capsys.readouterr().out.splitlines()
         (tid,) = {r["trace_id"] for r in read_trace(sim_trace)}
-        assert line == f"{tid}  2 spans"  # cli.simulate + sim.run, no events
+        # cli.simulate, sim.run and its 12 sim.stage spans; no events
+        assert line == f"{tid}  14 spans"
 
     def test_trace_id_renders_only_that_trace(self, sim_trace, tmp_path, capsys):
         other = tmp_path / "other.jsonl"
@@ -117,6 +139,7 @@ class TestObsTrace:
         out = capsys.readouterr().out
         assert out.count("trace ") == 1 and f"trace {tid}" in out
         assert "cli.simulate" in out and "sim.run" in out
+        assert out.count("sim.stage") == len(STAGE_NAMES)
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["obs", "trace", str(tmp_path / "absent.jsonl")]) == 2
@@ -132,7 +155,7 @@ class TestObsTrace:
         with open(sim_trace, "a", encoding="utf-8") as fh:
             fh.write('{"type":"span","na')
         assert main(["obs", "trace", str(sim_trace), "--list"]) == 0
-        assert "2 spans" in capsys.readouterr().out
+        assert "14 spans" in capsys.readouterr().out
 
     def test_corrupt_middle_line_exits_2(self, sim_trace, capsys):
         lines = sim_trace.read_text().splitlines()

@@ -1,21 +1,24 @@
-"""Per-stage profiling: coverage, report shape, and the failure seam.
+"""Per-stage wall time as spans: coverage, the failure seam, and who
+gets none.
 
-ISSUE satellites: every stage of ``DEFAULT_PIPELINE`` appears exactly
-once with ``calls == T`` on both backends, and a stage that *raises*
-still leaves its partial time in the profile (the pipeline records in a
-``finally``).
+A traced run (``SimulationConfig(trace=sink)``) emits, under its
+``sim.run`` span, one ``sim.stage`` child per pipeline stage with attrs
+``{"kind": <stage>, "calls": <count>}`` and the stage's total time as
+``duration_s``, on both backends; a stage that *raises* still leaves its
+partial time (the pipeline books in a ``finally``).  Untraced runs, and
+runs that only see a global span ring, emit none.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import SimulationConfig, Simulator
 from repro.core.ensemble import EnsembleSimulator
 from repro.core.pipeline import STAGE_NAMES
-from repro.errors import ObservabilityError
 from repro.graphs import generators
 from repro.network import NetworkSpec
-from repro.obs import profile_rows
+from repro.obs import RingBufferSink
 
 
 def _spec():
@@ -26,57 +29,72 @@ def _spec():
 HORIZON = 40
 
 
+def _spans(records, name):
+    return [r for r in records if r["type"] == "span" and r["name"] == name]
+
+
+def _stage_spans(records):
+    """``{stage name: sim.stage record}``, checked to hang off ``sim.run``."""
+    (run,) = _spans(records, "sim.run")
+    stages = _spans(records, "sim.stage")
+    assert all(s["parent_id"] == run["span_id"] for s in stages)
+    assert all(s["trace_id"] == run["trace_id"] for s in stages)
+    assert sum(s["duration_s"] for s in stages) <= run["duration_s"]
+    by_kind = {s["attrs"]["kind"]: s for s in stages}
+    assert len(by_kind) == len(stages)  # each stage once
+    return by_kind
+
+
 class TestStageCoverage:
     def test_scalar_every_stage_once_calls_eq_T(self):
-        sim = Simulator(_spec(), config=SimulationConfig(
-            horizon=HORIZON, seed=1, profile_stages=True))
-        sim.run()
-        assert sorted(sim.stage_timings) == sorted(STAGE_NAMES)
+        ring = RingBufferSink()
+        Simulator(_spec(), config=SimulationConfig(
+            horizon=HORIZON, seed=1, trace=ring)).run()
+        stages = _stage_spans(ring.records)
+        assert list(stages) == list(STAGE_NAMES)  # pipeline order
         for name in STAGE_NAMES:
-            assert sim.stage_timings[name].calls == HORIZON
-            assert sim.stage_timings[name].seconds >= 0.0
-        report = sim.profile_report()
-        for name in STAGE_NAMES:
-            assert report.count(f"\n{name} ") == 1 or report.startswith(f"{name} ")
+            assert stages[name]["attrs"] == {"kind": name, "calls": HORIZON}
+            assert stages[name]["duration_s"] >= 0.0
 
     def test_batched_every_stage_once_calls_eq_T(self):
-        ens = EnsembleSimulator(_spec(), 4, seed=1, config=SimulationConfig(
-            profile_stages=True))
-        ens.run(HORIZON)
-        assert sorted(ens.stage_timings) == sorted(STAGE_NAMES)
+        ring = RingBufferSink()
+        EnsembleSimulator(_spec(), 4, seed=1, config=SimulationConfig(
+            trace=ring)).run(HORIZON)
+        stages = _stage_spans(ring.records)
+        assert list(stages) == list(STAGE_NAMES)
         for name in STAGE_NAMES:
-            assert ens.stage_timings[name].calls == HORIZON
-        rows = profile_rows(ens.stage_timings, stage_order=STAGE_NAMES)
-        assert [r["stage"] for r in rows] == list(STAGE_NAMES)
+            assert stages[name]["attrs"]["calls"] == HORIZON
 
-    def test_disabled_profiling_records_nothing(self):
-        sim = Simulator(_spec(), config=SimulationConfig(horizon=10, seed=1))
-        sim.run()
-        assert sim.stage_timings == {}
-        with pytest.raises(ObservabilityError, match="profile_stages"):
-            sim.profile_report()
+    def test_disabled_profiling_records_nothing(self, monkeypatch):
+        """An untraced run on the pipeline times no stage and emits no
+        stage span."""
+        import repro.core.pipeline as pipeline
+        from repro.obs.spans import Span
 
-
-class TestProfileRows:
-    def test_rows_shape_and_shares_sum_to_one(self):
+        calls = []
+        monkeypatch.setattr(pipeline, "perf_counter",
+                            lambda: calls.append("tick") or 0.0)
+        monkeypatch.setattr(Span, "child",
+                            lambda self, *a, **kw: calls.append("child"))
         sim = Simulator(_spec(), config=SimulationConfig(
-            horizon=HORIZON, seed=1, profile_stages=True))
+            horizon=10, seed=1, numeric_fastpath=False))
         sim.run()
-        rows = profile_rows(sim.stage_timings, stage_order=STAGE_NAMES)
-        assert [r["stage"] for r in rows] == list(STAGE_NAMES)
-        assert sum(r["share"] for r in rows) == pytest.approx(1.0)
-        assert all(r["calls"] == HORIZON for r in rows)
+        assert calls == [] and sim._stage_times is None
 
-    def test_empty_timings_raise(self):
-        with pytest.raises(ObservabilityError, match="no stage timings"):
-            profile_rows({})
-
-    def test_unknown_stage_order_entries_skipped(self):
-        class T:
-            calls, seconds = 3, 0.5
-
-        rows = profile_rows({"a": T()}, stage_order=("zz", "a"))
-        assert [r["stage"] for r in rows] == ["a"]
+    def test_global_span_ring_gets_sim_run_and_no_stages(self):
+        """The server's ring and the e2e traced pass are such runs: spans
+        on, but no ``config.trace``, so no events and no stage spans."""
+        ring = RingBufferSink()
+        prev = obs.configure(spans=ring)
+        try:
+            Simulator(_spec(), config=SimulationConfig(
+                horizon=HORIZON, seed=1, numeric_fastpath=False)).run()
+            EnsembleSimulator(_spec(), 3, seed=1, config=SimulationConfig(
+                numeric_fastpath=False)).run(HORIZON)
+        finally:
+            obs.configure(**prev)
+        assert [r["name"] for r in ring.records] == ["sim.run", "sim.run"]
+        assert all(r["attrs"]["engine"] == "pipeline" for r in ring.records)
 
 
 class _BoomArrivals:
@@ -100,14 +118,18 @@ class TestFailureSeam:
         k = 5
         in_vec = np.zeros(spec.n, dtype=np.int64)
         in_vec[0] = 1
-        cfg = SimulationConfig(horizon=HORIZON, seed=1, profile_stages=True,
+        ring = RingBufferSink()
+        cfg = SimulationConfig(horizon=HORIZON, seed=1, trace=ring,
                                arrivals=_BoomArrivals(in_vec, boom_at=k))
         sim = Simulator(spec, config=cfg)
         with pytest.raises(RuntimeError, match="blew up"):
             sim.run()
-        timings = sim.stage_timings
-        assert timings["topology"].calls == k + 1
-        assert timings["injection"].calls == k + 1  # partial: it raised
-        assert timings["injection"].seconds >= 0.0
+        stages = _stage_spans(ring.records)
+        (run,) = _spans(ring.records, "sim.run")
+        assert run["attrs"]["error"] == "RuntimeError"
+        assert stages["topology"]["attrs"]["calls"] == k + 1
+        assert stages["injection"]["attrs"]["calls"] == k + 1  # partial: it raised
+        assert stages["injection"]["duration_s"] >= 0.0
         for name in STAGE_NAMES[2:]:
-            assert timings[name].calls == k, name
+            assert stages[name]["attrs"]["calls"] == k, name
+        assert sim._stage_times is None and sim._event_span is None

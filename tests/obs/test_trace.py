@@ -54,7 +54,8 @@ class TestDeterminism:
         a, b = (read_trace(p) for p in paths)
         assert _canonical_lines(a) == _canonical_lines(b)
         # and the stripped fields really were the only difference
-        assert len(a) == len(b) == 50 + 3  # steps, run_start, run_end, sim.run
+        # (steps, run_start, run_end, 12 sim.stage spans, sim.run)
+        assert len(a) == len(b) == 50 + 3 + 12
 
     def test_wall_clock_fields_are_monotone(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -173,8 +174,10 @@ class TestEventEnvelope:
     def test_events_name_the_sim_run_span(self):
         ring = RingBufferSink()
         _traced_run(ring, horizon=10)
-        *events, run = ring.records
-        assert run["type"] == "span" and run["name"] == "sim.run"
+        events = [r for r in ring.records if r["type"] == "event"]
+        *stages, run = [r for r in ring.records if r["type"] == "span"]
+        assert run["name"] == "sim.run"
+        assert {s["name"] for s in stages} == {"sim.stage"}
         assert [e["name"] for e in events] == (
             ["run_start"] + ["step"] * 10 + ["run_end"])
         for ev in events:

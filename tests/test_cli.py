@@ -1,5 +1,6 @@
 """CLI front-end tests."""
 
+import pytest
 
 from repro.cli import main
 
@@ -189,6 +190,15 @@ class TestExitCodes:
         lines = self._err_lines(capsys)
         assert len(lines) == 1
         assert "bad axis" in lines[0]
+
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_nonpositive_samples_is_one_line(self, capsys, samples):
+        # rejected whether or not an axis is given
+        for axes in ([], ["--axis", "n=6"]):
+            assert main(["sweep", "--point", "classify", *axes,
+                         f"--samples={samples}"]) == 2
+            assert self._err_lines(capsys) == [
+                f"error: --samples must be a positive integer, got {samples}"]
 
     def test_bad_float_axis_value(self, capsys):
         # p=x parses as the string "x"; the point function must reject it

@@ -40,7 +40,7 @@ PUBLIC_API = {
         "TieBreak", "TransmissionPolicy", "LGGPolicy",
         "FlowRoutingPolicy", "BackpressurePolicy", "RandomForwardingPolicy",
         "ShortestPathPolicy", "DEFAULT_PIPELINE", "STAGE_NAMES", "Stage", "StagePipeline",
-        "StageTiming", "StepState", "ExtractionMode", "LinkCapacityMode",
+        "StepState", "ExtractionMode", "LinkCapacityMode",
         "SimulationConfig", "SimulationResult", "Simulator", "simulate_lgg",
         "PacketSimulator", "PacketStats", "EnsembleSimulator", "EnsembleResult",
         "StabilityVerdict", "assess_stability", "bounds", "lyapunov",
@@ -103,8 +103,7 @@ PUBLIC_API = {
         "current_trace_id", "new_trace_id", "get_span_sink", "set_span_sink",
         "span_records", "span_tree", "normalized_tree", "render_waterfall",
         "add_snapshots", "merge_worker_snapshots", "render_snapshot", "parse_exposition",
-        "counter_regressions", "profile_report", "profile_rows", "ReplayResult",
-        "replay_trace",
+        "counter_regressions", "ReplayResult", "replay_trace",
     ),
     "repro.reduction": (
         "CutSplit", "interior_min_cut", "build_b_prime", "build_a_prime",
