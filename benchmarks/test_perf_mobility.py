@@ -2,10 +2,12 @@
 
 Trace generation: ``MobilityTrace.generate`` at the sizes of the e2e
 ``mobility_churn`` workload (n 32–48, 48 steps) applies the link rule once
-to each trace's ``(S, n, 2)`` positions stack and stores the links as
-flat pair keys.  Every snapshot's links are checked against
-:func:`radius_edges` on that snapshot's positions; generate seconds and
-link-storage bytes per trace are recorded, never gated.
+to each trace's ``(S, n, 2)`` positions stack and stores the links as one
+bit row per snapshot over the trace's link universe.  Every snapshot's
+links are checked against :func:`radius_edges` on that snapshot's
+positions; generate seconds and link-storage bytes per trace (the
+universe keys plus the rows, beside the 8 bytes per link that one pair
+key per link would cost) are recorded, never gated.
 
 The timeline claim: tracking feasibility through a mobility trace with one
 warm chain (:func:`feasibility_timeline` — one cold solve of snapshot 0 on
@@ -60,28 +62,35 @@ GENERATE_STEPS = 48
 
 class TestTraceGeneration:
     def test_generate_mobility_churn_sized_traces(self):
-        generate_s, link_bytes = [], []
+        generate_s, link_bytes, key_bytes = [], [], []
         for i, (n, radius, speed) in enumerate(GENERATE_SPECS):
             t0 = time.perf_counter()
             tr = MobilityTrace.generate(RandomWaypoint(speed=speed), n,
                                         radius=radius, steps=GENERATE_STEPS,
                                         seed=900 + i)
             generate_s.append(time.perf_counter() - t0)
-            link_bytes.append(tr.keys.nbytes + tr.offsets.nbytes)
+            link_bytes.append(tr.universe_keys.nbytes + tr.rows.nbytes)
+            links = 0
             for snap in tr:
                 assert list(snap.links) == radius_edges(snap.positions, tr.radius)
+                links += len(snap.keys)
+            key_bytes.append(8 * links)
         append_record(RESULTS, {
             "bench": "mobility_generate",
             "traces": len(GENERATE_SPECS),
             "steps": GENERATE_STEPS,
             "generate_s": [round(s, 5) for s in generate_s],
             "link_bytes": link_bytes,
+            "key_bytes": key_bytes,
             "generate_s_median": round(statistics.median(generate_s), 5),
             "link_bytes_median": statistics.median(link_bytes),
+            "key_bytes_median": statistics.median(key_bytes),
+            "link_to_key_bytes": round(sum(link_bytes) / sum(key_bytes), 4),
         })
         print(f"\n[mobility] generate {1e3 * statistics.median(generate_s):.2f} ms "
               f"per trace (median of {len(generate_s)}), "
-              f"links {statistics.median(link_bytes):.0f} bytes per trace")
+              f"links {statistics.median(link_bytes):.0f} bytes per trace "
+              f"({sum(link_bytes) / sum(key_bytes):.3f} of 8 bytes per link)")
 
 
 def _traces():

@@ -298,43 +298,41 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
                            tuple[Fraction, Fraction, tuple[int, ...]],
                            tuple[int, ...]]] = []
 
-        def emit(lo, hi, line, side):
-            pieces.append((lo, hi, line, side))
-
-        def refine(lo, line_lo, side_lo, hi, line_hi, side_hi):
-            """Resolve the envelope on [lo, hi] given tangents at the ends.
-
-            Concavity plus tangency does all the work: the two tangent
-            lines intersect at a unique λ_x in [lo, hi]; if the envelope
-            meets their pointwise minimum there, λ_x is a breakpoint and
-            each tangent is the envelope on its side (the envelope is
-            wedged between chord and tangent); otherwise the probe at λ_x
-            yields a strictly lower tangent and we recurse on both halves.
-            """
+        # Resolve the envelope on each interval [lo, hi] given tangents at
+        # its ends.  Concavity plus tangency does all the work: the two
+        # tangent lines intersect at a unique λ_x in [lo, hi]; if the
+        # envelope meets their pointwise minimum there, λ_x is a breakpoint
+        # and each tangent is the envelope on its side (the envelope is
+        # wedged between chord and tangent); otherwise the probe at λ_x
+        # yields a strictly lower tangent, and both halves are resolved in
+        # turn.  An explicit stack, left half on top, keeps the pieces in
+        # increasing λ (a self-calling closure would hold the ladder in a
+        # reference cycle until the cyclic collector ran).
+        stack = [(Fraction(0), line0, side0, lam_end, line_end, side_end)]
+        while stack:
+            lo, line_lo, side_lo, hi, line_hi, side_hi = stack.pop()
             if line_lo[0] == line_hi[0]:
                 # Equal slopes with both tangent ⇒ same line (concavity
                 # forbids two parallel tangents with different intercepts
                 # touching on one interval unless they coincide).
-                emit(lo, hi, line_lo, side_lo)
-                return
+                pieces.append((lo, hi, line_lo, side_lo))
+                continue
             lam_x = Fraction(line_hi[1] - line_lo[1], line_lo[0] - line_hi[0])
             if lam_x == lo:
-                emit(lo, hi, line_hi, side_hi)
-                return
+                pieces.append((lo, hi, line_hi, side_hi))
+                continue
             if lam_x == hi:
-                emit(lo, hi, line_lo, side_lo)
-                return
+                pieces.append((lo, hi, line_lo, side_lo))
+                continue
             v_x, side_x = ladder.probe(lam_x)
             if v_x == line_lo[0] * lam_x + line_lo[1]:
-                emit(lo, lam_x, line_lo, side_lo)
-                emit(lam_x, hi, line_hi, side_hi)
-                return
+                pieces.append((lo, lam_x, line_lo, side_lo))
+                pieces.append((lam_x, hi, line_hi, side_hi))
+                continue
             line_x = ladder.line_of(side_x)
             assert line_x[0] * lam_x + line_x[1] == v_x, "cut does not certify probe"
-            refine(lo, line_lo, side_lo, lam_x, line_x, side_x)
-            refine(lam_x, line_x, side_x, hi, line_hi, side_hi)
-
-        refine(Fraction(0), line0, side0, lam_end, line_end, side_end)
+            stack.append((lam_x, line_x, side_x, hi, line_hi, side_hi))
+            stack.append((lo, line_lo, side_lo, lam_x, line_x, side_x))
 
         # Merge adjacent pieces that carry the same line, then stretch the
         # final (slope-0 plateau) piece to +∞.

@@ -48,6 +48,7 @@ __all__ = [
     "configuration_model",
     "erdos_renyi_connected",
     "radius_edges",
+    "radius_hits",
     "radius_keys",
     "connect_components",
 ]
@@ -219,6 +220,26 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def radius_hits(points, radius: float):
+    """The geometric link rule on a ``(…, n, 2)`` stack of point sets, a
+    block of rows at a time.
+
+    Yields ``(i0, hit)`` per block, in row order: ``hit[s, a, c]`` says
+    whether the pair ``(i0 + a, i0 + 1 + c)`` links in point set ``s``
+    (leading axes flattened in C order); entries with ``c < a`` are never
+    set.  A pair links when its squared distance is ``<= radius²``
+    (inclusive).  A block holds at most :data:`PAIR_BLOCK` entries (one
+    row at least).
+    """
+    pts = _as_points(points)
+    _require(radius > 0, f"radius must be positive, got {radius}")
+    n = pts.shape[-2]
+    stack = pts.reshape(math.prod(pts.shape[:-2]), n, 2)
+    r2 = radius * radius
+    for i0, d2, upper in _distance_blocks(stack, PAIR_BLOCK):
+        yield i0, (d2 <= r2) & upper
+
+
 def radius_keys(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The geometric link rule on a ``(…, n, 2)`` stack of point sets, as
     flat integer arrays.
@@ -230,15 +251,12 @@ def radius_keys(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
     Storage is 8 bytes per link plus 8 per point set.
     """
     pts = _as_points(points)
-    _require(radius > 0, f"radius must be positive, got {radius}")
     n = pts.shape[-2]
     sets = math.prod(pts.shape[:-2])
-    stack = pts.reshape(sets, n, 2)
-    r2 = radius * radius
     owners: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for i0, d2, upper in _distance_blocks(stack, PAIR_BLOCK):
-        s, a, c = np.nonzero((d2 <= r2) & upper)
+    for i0, hit in radius_hits(pts, radius):
+        s, a, c = np.nonzero(hit)
         owners.append(s)
         keys.append((i0 + a) * n + (i0 + 1 + c))
     owner = np.concatenate(owners)
@@ -253,9 +271,9 @@ def radius_keys(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
 def radius_edges(points, radius: float):
     """The geometric link rule as pair lists: node pairs within Euclidean
     distance ``radius`` (inclusive), as sorted ``(u, v)`` pairs with
-    ``u < v``.  :func:`random_geometric` and the mobility layer
-    (:mod:`repro.mobility`) read the flat keys of :func:`radius_keys`
-    instead.
+    ``u < v``.  :func:`random_geometric` reads the flat keys of
+    :func:`radius_keys` instead, and the mobility layer
+    (:mod:`repro.mobility`) the hits of :func:`radius_hits`.
 
     ``points`` is one ``(n, 2)`` point set, or a ``(…, n, 2)`` stack of
     them; a stack gives nested lists, one pair list per point set.  One

@@ -122,9 +122,10 @@ class _UniverseProblem:
 
     Arc layout mirrors :class:`~repro.graphs.extended.ExtendedGraph`: two
     opposite unit arcs per universe pair (``2k`` / ``2k + 1`` for pair
-    ``k``), then the ``(s*, v)`` arcs, then the ``(v, d*)`` arcs.  Link
-    sets are arrays of universe positions: ``links[offsets[s]:offsets[s +
-    1]]`` are snapshot ``s``'s pairs, ascending.
+    ``k``), then the ``(s*, v)`` arcs, then the ``(v, d*)`` arcs.  A
+    snapshot's link set is its unpacked row of the trace
+    (:meth:`~repro.mobility.trace.MobilityTrace.linked`): one bool per
+    universe pair.
     """
 
     def __init__(self, trace: MobilityTrace,
@@ -134,12 +135,8 @@ class _UniverseProblem:
         self.in_rates = _coerce_rates(in_rates, n, "in")
         self.out_rates = _coerce_rates(out_rates, n, "out")
         self.arrival = sum(self.in_rates.values(), start=_ZERO)
-        universe = trace.universe_keys
-        self.size = len(universe)
-        self.links = np.searchsorted(universe, trace.keys)
-        self.offsets = trace.offsets.tolist()
         self.s_star, self.d_star = n, n + 1
-        lo, hi = np.divmod(universe, n)
+        lo, hi = np.divmod(trace.universe_keys, n)
         tails = np.column_stack((lo, hi)).ravel().tolist()
         heads = np.column_stack((hi, lo)).ravel().tolist()
         for v in self.in_rates:
@@ -153,18 +150,12 @@ class _UniverseProblem:
         self.heads = heads
         self.rate_caps = list(self.in_rates.values()) + list(self.out_rates.values())
 
-    def snapshot(self, s: int) -> np.ndarray:
-        """Universe positions of snapshot ``s``'s links, ascending."""
-        return self.links[self.offsets[s]:self.offsets[s + 1]]
-
     def problem(self, present: np.ndarray, unit, rate_caps) -> FlowProblem:
         """The instance whose edge arcs carry capacity ``unit`` on the
-        ``present`` pairs (universe positions) and 0 (of ``unit``'s type)
-        elsewhere."""
-        mask = np.zeros(self.size, dtype=bool)
-        mask[present] = True
+        pairs ``present`` marks (one bool per universe pair) and 0 (of
+        ``unit``'s type) elsewhere."""
         zero = unit - unit
-        caps = [unit if c else zero for c in np.repeat(mask, 2).tolist()]
+        caps = [unit if c else zero for c in np.repeat(present, 2).tolist()]
         caps.extend(rate_caps)
         return FlowProblem(
             n=self.n_star, tails=self.tails, heads=self.heads,
@@ -210,16 +201,12 @@ def feasibility_timeline(
     unit, rate_caps, arrival_d = values[0], values[1:-1], values[-1]
     entries: list[TimelineEntry] = []
     with span("mobility.timeline", snapshots=len(trace)):
-        links = uni.snapshot(0)
-        engine = ParametricMaxFlow(uni.problem(links, unit, rate_caps))
-        value, delta, mode = engine.value, len(links), "cold"
-        present = np.zeros(uni.size, dtype=bool)
-        present[links] = True
+        present = trace.linked(0)
+        engine = ParametricMaxFlow(uni.problem(present, unit, rate_caps))
+        value, delta, mode = engine.value, int(np.count_nonzero(present)), "cold"
         for s, t in enumerate(trace.times):
             if s:
-                links = uni.snapshot(s)
-                now = np.zeros(uni.size, dtype=bool)
-                now[links] = True
+                now = trace.linked(s)
                 changed = np.flatnonzero(now != present)
                 # a pair that left closes both its arcs, one that joined
                 # opens them; the engine repairs the flow of closed links
@@ -230,7 +217,7 @@ def feasibility_timeline(
                 delta, mode, present = len(changed), "warm", now
             _note_solve(mode)
             entries.append(TimelineEntry(
-                t=t, links=len(links), delta=delta, mode=mode,
+                t=t, links=int(np.count_nonzero(present)), delta=delta, mode=mode,
                 max_flow_value=unscale(value, den), feasible=(value == arrival_d),
             ))
     _note_steps(len(entries))
@@ -255,11 +242,12 @@ def feasibility_timeline_cold(
     arrival = uni.arrival
     entries: list[TimelineEntry] = []
     for s, t in enumerate(trace.times):
-        links = uni.snapshot(s)
-        value = max_flow(uni.problem(links, _ONE, uni.rate_caps)).value
+        present = trace.linked(s)
+        value = max_flow(uni.problem(present, _ONE, uni.rate_caps)).value
+        links = int(np.count_nonzero(present))
         _note_solve("cold")
         entries.append(TimelineEntry(
-            t=t, links=len(links), delta=len(links), mode="cold",
+            t=t, links=links, delta=links, mode="cold",
             max_flow_value=value, feasible=(value == arrival),
         ))
     _note_steps(len(entries))

@@ -9,11 +9,13 @@ same ``(model, n, radius, steps, seed)`` tuple always regenerates it
 bit-for-bit (:meth:`MobilityTrace.digest` is the proof the CI smoke step
 asserts).
 
-Storage is flat: one read-only ``(S, n, 2)`` stack of positions, and the
-links of every snapshot as one ascending run of integer pair keys
-``u * n + v`` in a single array indexed by per-snapshot offsets — so a
-trace costs 8 bytes per link, and the link rule runs once over the whole
-stack.  A snapshot's ``links`` tuple is a view built on demand.
+Storage is flat: one read-only ``(S, n, 2)`` stack of positions, the
+trace's link universe (every pair that is ever a link, as ascending
+integer pair keys ``u * n + v``), and one row of packed bits per
+snapshot over that universe — so a trace costs 8 bytes per universe pair
+plus one bit per pair per snapshot, and the link rule runs once over the
+whole stack.  A snapshot's ``keys`` and ``links`` are built from its row
+on demand.
 
 Two consumers:
 
@@ -32,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
 from repro.errors import SpecError
-from repro.graphs.generators import radius_keys
+from repro.graphs.generators import radius_hits
 from repro.graphs.multigraph import MultiGraph
 from repro.mobility.models import MobilityModel
 
@@ -52,11 +53,38 @@ def _pairs(keys: np.ndarray, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(u.tolist(), v.tolist()))
 
 
+def _link_rows(stack: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The link rule on an ``(S, n, 2)`` stack as ``(universe_keys, rows)``
+    (see :class:`MobilityTrace`).
+
+    Each block of :func:`radius_hits` adds the pairs that link in any
+    snapshot, in key order past every earlier block's, and packs their
+    columns of hits onto the rows; nothing is sorted.  Columns short of a
+    whole byte carry over to the next block, so no temporary outgrows a
+    block or the packed rows.
+    """
+    n, sets = stack.shape[1], len(stack)
+    pairs = [np.empty(0, dtype=np.int64)]
+    packed = [np.empty((sets, 0), dtype=np.uint8)]
+    carry = np.empty((sets, 0), dtype=bool)
+    for i0, hit in radius_hits(stack, radius):
+        ever = hit.any(axis=0)
+        a, c = np.nonzero(ever)
+        pairs.append((i0 + a) * n + (i0 + 1 + c))
+        columns = np.concatenate((carry, hit[:, ever]), axis=1)
+        whole = columns.shape[1] & ~7
+        packed.append(np.packbits(columns[:, :whole], axis=1))
+        carry = columns[:, whole:]
+    packed.append(np.packbits(carry, axis=1))
+    return np.concatenate(pairs), np.concatenate(packed, axis=1)
+
+
 @dataclass(frozen=True)
 class MobilitySnapshot:
     """One sampled instant: step index, positions, induced link set.
 
-    Both arrays are read-only views into the trace's flat storage.
+    ``positions`` is a read-only view into the trace's stack; ``keys`` is
+    built from the trace's row on access, ascending and read-only.
     """
 
     t: int
@@ -74,11 +102,24 @@ class MobilityTrace:
     """An immutable sequence of :class:`MobilitySnapshot` over flat arrays.
 
     ``positions`` is one read-only ``(S, n, 2)`` stack, one point set per
-    snapshot, sampled at steps ``times``.  The links of snapshot ``s`` are
-    ``keys[offsets[s]:offsets[s + 1]]``: ascending pair keys ``u * n + v``
-    (``u < v``), 8 bytes per link, computed by one pass of the link rule
-    over the whole stack.  Build with :meth:`generate`; index / iterate
-    like a sequence.
+    snapshot, sampled at steps ``times``.  The links are bits over the
+    trace's link universe: ``universe_keys`` holds the ``U`` pairs that are
+    ever a link, as ascending pair keys ``u * n + v`` (``u < v``), and
+    bit ``k`` of row ``s`` of the read-only ``(S, ⌈U/8⌉)`` uint8 matrix
+    ``rows`` (``np.packbits`` order) says whether universe pair ``k`` links
+    in snapshot ``s``.  One pass of the link rule over the whole stack
+    computes both.  Build with :meth:`generate`; index / iterate like a
+    sequence.
+
+    Storage is 8 bytes per universe pair plus one bit per pair per
+    snapshot, where one pair key per link would cost 8 bytes per link per
+    snapshot.  A row costs less than its snapshot's keys while at least
+    one universe pair in 64 links.  Uniform points in the unit square link
+    a fraction ``πr² − 8r³/3 + r⁴/2`` of all pairs at radius ``r``, so even
+    a universe of every pair costs about a tenth of the keys at radius
+    0.25 and a fiftieth at 0.75, the ends of the range this repository's
+    experiments and workloads use.  Below a radius of about 0.07, a long
+    trace whose universe nears all pairs can cost more than keys would.
     """
 
     def __init__(self, radius: float, times: Sequence[int],
@@ -91,15 +132,15 @@ class MobilityTrace:
                 f"positions of shape {stack.shape} do not fit {len(times)} "
                 f"snapshot times (want ({len(times)}, n, 2))"
             )
-        keys, offsets = radius_keys(stack, radius)
-        for arr in (stack, keys, offsets):
+        universe, rows = _link_rows(stack, radius)
+        for arr in (stack, universe, rows):
             arr.setflags(write=False)
         self.n = stack.shape[1]
         self.radius = float(radius)
         self.times = tuple(int(t) for t in times)
         self.positions = stack
-        self.keys = keys
-        self.offsets = offsets
+        self.universe_keys = universe
+        self.rows = rows
 
     @classmethod
     def generate(
@@ -148,21 +189,19 @@ class MobilityTrace:
 
     def __getitem__(self, i: int) -> MobilitySnapshot:
         i = range(len(self))[i]
-        return MobilitySnapshot(
-            t=self.times[i], positions=self.positions[i],
-            keys=self.keys[self.offsets[i]:self.offsets[i + 1]],
-        )
+        keys = self.universe_keys[self.linked(i)]
+        keys.setflags(write=False)
+        return MobilitySnapshot(t=self.times[i], positions=self.positions[i],
+                                keys=keys)
 
     def __iter__(self) -> Iterator[MobilitySnapshot]:
         return (self[i] for i in range(len(self)))
 
     # -- derived views --------------------------------------------------
-    @cached_property
-    def universe_keys(self) -> np.ndarray:
-        """Every pair key that is ever a link, ascending (read-only)."""
-        universe = np.unique(self.keys)
-        universe.setflags(write=False)
-        return universe
+    def linked(self, i: int) -> np.ndarray:
+        """Row ``i`` unpacked: one bool per universe pair, ``True`` where
+        the pair links in snapshot ``i``."""
+        return np.unpackbits(self.rows[i], count=len(self.universe_keys)).view(bool)
 
     def link_universe(self) -> tuple[tuple[int, int], ...]:
         """Every pair that is ever a link, sorted — the arc universe the
@@ -217,7 +256,7 @@ class MobilitySchedule:
     def __init__(self, trace: MobilityTrace) -> None:
         self._trace = trace
         self._by_time = {t: i for i, t in enumerate(trace.times)}
-        self._eids: dict[int, int] | None = None  # radio pair key -> edge id
+        self._eids: dict[int, int] | None = None  # universe slot -> edge id
         self._applied = -1  # index of the snapshot currently materialised
 
     def _bind(self, graph: MultiGraph) -> dict[int, int]:
@@ -226,13 +265,14 @@ class MobilitySchedule:
             raise SpecError(
                 f"graph has {graph.n} nodes but the trace moves {n}"
             )
-        universe = set(self._trace.universe_keys.tolist())
+        slots = {key: k for k, key in enumerate(self._trace.universe_keys.tolist())}
         eids: dict[int, int] = {}
         for eid, u, v in graph.edges():
             u, v = min(u, v), max(u, v)
             # non-radio (backbone) edges stay unmanaged
-            if v < n and u * n + v in universe:
-                eids.setdefault(u * n + v, eid)
+            k = slots.get(u * n + v) if v < n else None
+            if k is not None:
+                eids.setdefault(k, eid)
         return eids
 
     def apply(self, graph: MultiGraph, t: int) -> bool:
@@ -243,20 +283,20 @@ class MobilitySchedule:
             self._eids = self._bind(graph)
         if idx == self._applied:
             return False
-        n = self._trace.n
-        keys = self._trace[idx].keys.tolist()
-        want = set(keys)
+        n, universe = self._trace.n, self._trace.universe_keys
+        linked = self._trace.linked(idx)
+        want = linked.tolist()
         changed = False
         # drop radio links that moved out of range
-        for key, eid in self._eids.items():
-            if key not in want and graph.has_edge_id(eid):
+        for k, eid in self._eids.items():
+            if not want[k] and graph.has_edge_id(eid):
                 graph.remove_edge(eid)
                 changed = True
         # (re-)establish links now in range: restore a known id, else mint one
-        for key in keys:
-            eid = self._eids.get(key)
+        for k in np.flatnonzero(linked).tolist():
+            eid = self._eids.get(k)
             if eid is None:
-                self._eids[key] = graph.add_edge(*divmod(key, n))
+                self._eids[k] = graph.add_edge(*divmod(int(universe[k]), n))
                 changed = True
             elif not graph.has_edge_id(eid):
                 graph.restore_edge(eid)

@@ -16,6 +16,7 @@ against an independent oracle on random instances:
 * the one-cold-solve accounting is enforced through the obs counters.
 """
 
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,36 @@ class TestSolveAccounting:
             assert report.network_class is classify_network(ext).network_class
         finally:
             obs.configure(**prev)
+
+
+class TestLadderLifetime:
+    def test_region_map_leaves_no_reference_cycles(self):
+        """The envelope's ladder (every rung's engine, residual and flow
+        result) dies when the envelope returns, not when the cyclic
+        collector next runs."""
+        exts = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            g = gen.random_gnp(10, 0.4, seed=seed, ensure_connected=True)
+            nodes = rng.permutation(10)
+            exts.append(build_extended_graph(
+                g, {int(nodes[0]): Fraction(int(rng.integers(1, 4)), 2),
+                    int(nodes[1]): Fraction(int(rng.integers(1, 3)))},
+                {int(nodes[-1]): Fraction(int(rng.integers(2, 5)))}))
+        # two sources behind cuts of 1 and 3: v(λ) = min(λ, 1) + min(λ, 3)
+        # has two breakpoints, so the envelope splits an interval in two
+        g = MultiGraph.from_edges(4, [(0, 1), (2, 3), (2, 3), (2, 3)])
+        exts.append(build_extended_graph(g, {0: 1, 2: 1}, {1: 5, 3: 5}))
+        classify_region(exts[0])  # first-use imports and caches, off the count
+        gc.collect()
+        gc.disable()
+        try:
+            reports = [classify_region(ext) for ext in exts]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+        assert reports[-1].envelope.breakpoints == (1, 3)
 
 
 class TestRegionReport:

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SpecError
-from repro.graphs.generators import radius_edges
+from repro.graphs.generators import PAIR_BLOCK, radius_edges, radius_keys
 from repro.graphs.multigraph import MultiGraph
 from repro.graphs.validate import audit_graph
 from repro.mobility import (
@@ -14,7 +16,11 @@ from repro.mobility import (
     MobilitySchedule,
     MobilityTrace,
     RandomWaypoint,
+    feasibility_timeline,
+    feasibility_timeline_cold,
 )
+
+from tests.graphs.radius_reference import radius_edges_reference
 
 
 def _trace(**kw):
@@ -40,23 +46,36 @@ class TestGenerate:
         tr = _trace()
         with pytest.raises(ValueError):
             tr[0].positions[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            tr.keys[0] = 0
+        for arr in (tr.universe_keys, tr.rows, tr[0].keys):
+            assert len(arr)
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_flat_storage(self):
         tr = _trace(steps=10, snapshot_every=3)
+        universe = len(tr.universe_keys)
         assert tr.positions.shape == (4, tr.n, 2)
-        assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.keys)
+        assert tr.rows.shape == (4, -(-universe // 8)) and tr.rows.dtype == np.uint8
+        assert (np.diff(tr.universe_keys) > 0).all()
+        seen = np.zeros(universe, dtype=bool)
         for s, snap in enumerate(tr):
             assert np.shares_memory(snap.positions, tr.positions)
             assert (snap.positions == tr.positions[s]).all()
-            assert snap.links == tuple(divmod(int(k), tr.n) for k in snap.keys)
+            want = radius_edges_reference(snap.positions, tr.radius)
+            assert [divmod(int(k), tr.n) for k in snap.keys] == want
+            assert snap.links == tuple(want)
+            bits = np.unpackbits(tr.rows[s], count=universe).view(bool)
+            assert (tr.universe_keys[bits] == snap.keys).all()
+            seen |= bits
+        # the universe holds exactly the pairs that link somewhere
+        assert seen.all()
         assert tr[-1].t == tr[3].t == 9
 
     def test_storage_bounded_by_link_count(self):
         # an unblocked all-pairs pass over this (21, 1000, 2) stack would
-        # allocate over 0.5 GB of temporaries; the blocked pass peaks near
-        # 5 MB, and the links cost at most 16 bytes each
+        # allocate over 0.5 GB of temporaries; the blocked pass peaks under
+        # 4 MB.  The links cost 8 bytes per universe pair plus a bit per
+        # pair per snapshot, under the 8 bytes per link of one key each
         tracemalloc.start()
         try:
             tr = MobilityTrace.generate(RandomWaypoint(speed=0.02), 1000,
@@ -65,9 +84,12 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
-        links = len(tr.keys)
+        universe = len(tr.universe_keys)
+        links = sum(len(snap.keys) for snap in tr)
         assert links > 20_000
-        assert tr.keys.nbytes + tr.offsets.nbytes <= 16 * links
+        stored = tr.universe_keys.nbytes + tr.rows.nbytes
+        assert stored <= 8 * universe + len(tr) * -(-universe // 8) + 256
+        assert stored <= 8 * links
 
     def test_validation(self):
         with pytest.raises(SpecError):
@@ -78,6 +100,44 @@ class TestGenerate:
             _trace(snapshot_every=0)
         with pytest.raises(SpecError):
             _trace(radius=0)
+
+
+class TestRowsDifferential:
+    """Rows over the link universe against the sorted keys of the link rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 14), radius=st.floats(0.05, 1.5),
+           speed=st.floats(0.01, 0.3), pause=st.integers(0, 3),
+           steps=st.integers(0, 24), every=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_radius_keys(self, n, radius, speed, pause, steps,
+                                    every, seed):
+        tr = MobilityTrace.generate(RandomWaypoint(speed=speed, pause=pause), n,
+                                    radius=radius, steps=steps, seed=seed,
+                                    snapshot_every=every)
+        keys, offsets = radius_keys(tr.positions, radius)
+        assert np.array_equal(tr.universe_keys, np.unique(keys))
+        for s, snap in enumerate(tr):
+            assert snap.keys.tolist() == keys[offsets[s]:offsets[s + 1]].tolist()
+        rates = ({0: 1}, {n - 1: 2})
+        warm, cold = feasibility_timeline(tr, *rates), feasibility_timeline_cold(tr, *rates)
+        assert [(e.t, e.links, e.feasible, e.max_flow_value) for e in warm.entries] == \
+               [(e.t, e.links, e.feasible, e.max_flow_value) for e in cold.entries]
+        g, sched = tr.as_schedule()
+        for snap in tr:
+            sched.apply(g, snap.t)
+            assert {(min(u, v), max(u, v)) for _, u, v in g.edges()} == set(snap.links)
+
+    def test_rows_span_blocks(self):
+        # 40 snapshots of 120 points take six blocks of the pair budget,
+        # and four of them add a number of pairs that is no whole byte
+        stack = np.random.default_rng(4).random((40, 120, 2))
+        assert 40 * 119 * 119 > 4 * PAIR_BLOCK
+        tr = MobilityTrace(0.2, range(40), stack)
+        keys, offsets = radius_keys(stack, 0.2)
+        assert np.array_equal(tr.universe_keys, np.unique(keys))
+        for s, snap in enumerate(tr):
+            assert np.array_equal(snap.keys, keys[offsets[s]:offsets[s + 1]])
 
 
 class TestDigest:

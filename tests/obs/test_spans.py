@@ -192,6 +192,43 @@ class TestEmission:
         recs = obs.read_trace(path)
         assert [r["name"] for r in span_records(recs)] == ["to-file"]
 
+    def test_configure_closes_the_file_it_opened(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        restore = obs.configure(spans=path)
+        opened = get_span_sink()
+        obs.configure(**restore)
+        with pytest.raises(ObservabilityError, match="after close"):
+            opened.emit({"name": "late"})
+        # a sink the caller passed stays open: it is the caller's to close
+        mine = obs.JsonlSink(tmp_path / "mine.jsonl")
+        try:
+            obs.configure(**obs.configure(spans=mine))
+            mine.emit({"name": "still-open"})
+        finally:
+            mine.close()
+
+    def test_configure_nested_paths_round_trip(self, tmp_path):
+        # the outer file sink is closed while the inner one is installed,
+        # and the inner round trip brings it back, appending to its file
+        outer, inner = tmp_path / "outer.jsonl", tmp_path / "inner.jsonl"
+        first = obs.configure(spans=outer)
+        try:
+            with span("a"):
+                pass
+            second = obs.configure(spans=inner)
+            try:
+                with span("b"):
+                    pass
+            finally:
+                obs.configure(**second)
+            with span("c"):
+                pass
+        finally:
+            obs.configure(**first)
+        names = [[r["name"] for r in span_records(obs.read_trace(p))]
+                 for p in (outer, inner)]
+        assert names == [["a", "c"], ["b"]]
+
 
 class TestTreeAndRendering:
     def _make_records(self):
