@@ -2,11 +2,11 @@
 
 The claim: on a benchmark set of random S-D-networks, the warm-started
 feasibility stack — :func:`classify_network` (one cold solve, then the
-ε-probe and ``f*`` as parametric steps) plus the exact
-:func:`max_unsaturation_margin` (one parametric breakpoint envelope) —
+ε-probe and ``f*`` as parametric steps) plus the exact margin
+``classify_region(ext).margin`` (one parametric breakpoint envelope) —
 beats the cold-solve oracles (:func:`classify_network_cold` /
-:func:`max_unsaturation_margin_cold`, every probe a fresh solve) by
->= 3x wall-clock.
+``max_unsaturation_margin_cold`` from ``tests/flow/engines.py``, every
+probe a fresh solve) by >= 3x wall-clock.
 
 Correctness is asserted unconditionally — speed never buys away
 correctness: every classification equals the cold one exactly, and every
@@ -25,14 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.e2e.record import append_record
-from repro.flow.feasibility import (
-    classify_network,
-    classify_network_cold,
-    max_unsaturation_margin,
-    max_unsaturation_margin_cold,
-)
+from repro.flow.feasibility import classify_network, classify_network_cold, classify_region
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
+from tests.flow.engines import max_unsaturation_margin_cold
 
 # (n, gnp_p, sources, sinks, rate_lo, rate_hi) — three sizes, three
 # repeats each: big enough that solve time dominates instance set-up,
@@ -89,7 +85,7 @@ class TestWarmStartSpeedup:
         # warm-up: let both paths touch their code once, off the clock
         classify_network(exts[0])
         classify_network_cold(exts[0])
-        max_unsaturation_margin(exts[0])
+        classify_region(exts[0]).margin
         max_unsaturation_margin_cold(exts[0], tol=TOL)
 
         cold_facts, cold_margins = [], []
@@ -106,7 +102,7 @@ class TestWarmStartSpeedup:
             warm_margins.clear()
             for ext in exts:
                 warm_facts.append(_report_facts(classify_network(ext)))
-                warm_margins.append(max_unsaturation_margin(ext))
+                warm_margins.append(classify_region(ext).margin)
 
         _, warm_s = timed_pass(warm_pass)
         speedup = cold_s / warm_s if warm_s > 0 else float("inf")

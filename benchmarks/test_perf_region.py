@@ -14,7 +14,8 @@ O(log segments) lookup and the margin falls out exactly, not
 Consistency is asserted unconditionally: at every sampled scale the
 envelope's verdict (class and max-flow value) must equal the scaled
 classify's, and the all-cold bisection margin
-(:func:`max_unsaturation_margin_cold`, run off the clock) must bracket
+(``max_unsaturation_margin_cold`` from ``tests/flow/engines.py``, run
+off the clock) must bracket
 the exact one from below within ``TOL``.  Only the wall-clock ratio is
 gated on ``perf_asserts`` (off under ``--perf-smoke``, where shared CI
 runners make timing flaky).
@@ -30,14 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.e2e.record import append_record
-from repro.flow.feasibility import (
-    NetworkClass,
-    classify_network,
-    classify_region,
-    max_unsaturation_margin_cold,
-)
+from repro.flow.feasibility import NetworkClass, classify_network, classify_region
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
+from tests.flow.engines import max_unsaturation_margin_cold
 
 # (n, gnp_p, sources, sinks, rate_lo, rate_hi) — region maps sweep many
 # instances; per-ray resolution cost is what the envelope path attacks

@@ -20,7 +20,6 @@ Run:  python examples/capacity_planning.py
 from repro import NetworkSpec, classify_network, generators, simulate_lgg
 from repro.analysis.report import format_table
 from repro.flow import classify_region
-from repro.flow.feasibility import max_unsaturation_margin
 
 ROWS = COLS = 6
 mesh = generators.grid(ROWS, COLS)
@@ -41,7 +40,7 @@ for rate in (1, 2, 3):
     rep = classify_network(spec.extended())
     margin = None
     if rep.feasible:
-        margin = float(max_unsaturation_margin(spec.extended()))
+        margin = float(classify_region(spec.extended()).margin)
         max_ok = rate
     rows.append(
         {

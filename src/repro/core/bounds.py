@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from repro.errors import InfeasibleNetworkError
-from repro.flow.feasibility import max_unsaturation_margin
+from repro.flow.feasibility import RegionReport, classify_region
 from repro.network.spec import NetworkSpec
 from repro.numeric import common_denominator, scale_int
 
@@ -70,13 +70,17 @@ def paper_epsilon(spec: NetworkSpec) -> Fraction:
     the parametric breakpoint envelope rather than a bisection bracket.
     Raises for saturated/infeasible networks, where no positive ε exists.
     """
-    margin = max_unsaturation_margin(spec.extended())
-    if margin <= 0:
+    return _epsilon_of(spec, classify_region(spec.extended()))
+
+
+def _epsilon_of(spec: NetworkSpec, region: RegionReport) -> Fraction:
+    """:func:`paper_epsilon` from the network's region report."""
+    if region.margin <= 0:
         raise InfeasibleNetworkError(
             "paper ε undefined: the network is not unsaturated (Definition 4)"
         )
     # in-rates are ints already; one Fraction multiply, no per-rate wrapping
-    return margin * min(spec.in_rates.values())
+    return region.margin * min(spec.in_rates.values())
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,12 @@ def lemma1_bound(spec: NetworkSpec, y: Fraction) -> Fraction:
 def compute_bounds(spec: NetworkSpec) -> PaperBounds:
     """Compute every Section III constant for an unsaturated network.
 
-    All constants are exact, since the unsaturation margin is.
+    All constants are exact, since the unsaturation margin is.  The
+    margin and ``f*`` come from one breakpoint envelope (one cold solve).
     """
-    from repro.flow.feasibility import f_star as f_star_fn
-
-    eps = paper_epsilon(spec)
-    fs = Fraction(f_star_fn(spec.extended()))
+    region = classify_region(spec.extended())
+    eps = _epsilon_of(spec, region)
+    fs = region.f_star
     y = y_constant(spec, fs, eps)
     return PaperBounds(
         n=spec.n,

@@ -129,7 +129,6 @@ class Engine:
 
     pipeline: StagePipeline = DEFAULT_PIPELINE
     backend = "batched"
-    _hooked = False  # True when a subclass overrides the packet hooks
 
     def __init__(
         self,
@@ -324,11 +323,6 @@ class Simulator(Engine):
             spec, config, Q, [as_generator(config.seed)],
             policy=policy, arrivals=config.arrivals, losses=config.losses,
         )
-        cls = type(self)
-        self._hooked = any(
-            getattr(cls, hook) is not getattr(Simulator, hook)
-            for hook in ("_on_inject", "_on_transmit", "_on_extract")
-        )
 
     @property
     def queues(self) -> np.ndarray:
@@ -369,21 +363,6 @@ class Simulator(Engine):
             final_queues=self.queues.copy(),
             verdict=assess_stability(trajectory),
         )
-
-    # ------------------------------------------------------------------
-    # hooks for packet-level subclasses: each receives replica 0's arrays
-    # (the queues are already updated when it fires; overrides mirror the
-    # change on richer state)
-    # ------------------------------------------------------------------
-    def _on_inject(self, injections: np.ndarray) -> None:  # noqa: B027
-        pass
-
-    def _on_transmit(self, senders: np.ndarray, receivers: np.ndarray,
-                     lost_mask: np.ndarray) -> None:  # noqa: B027
-        pass
-
-    def _on_extract(self, extractions: np.ndarray) -> None:  # noqa: B027
-        pass
 
 
 def simulate_lgg(

@@ -95,8 +95,8 @@ def ineligibility_reasons(engine) -> list[str]:
     if engine.trace is not None and engine.trace.enabled:
         reasons.append("tracing enabled")
     if type(engine) not in (Simulator, EnsembleSimulator):
-        # subclasses (e.g. PacketSimulator) hang extra state off the
-        # per-step hooks or stages
+        # subclasses (e.g. PacketSimulator) hang extra state off each
+        # step or stage
         reasons.append(f"simulator subclass {type(engine).__name__}")
     policy = engine.policy
     if type(policy) is not LGGPolicy:

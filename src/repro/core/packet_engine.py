@@ -4,12 +4,14 @@ The paper's analysis never needs packet identities (its potential only
 counts queue *lengths*), but a downstream user evaluating LGG does:
 end-to-end latency and path stretch are the observable costs of the
 gradient build-up.  :class:`PacketSimulator` extends the ``R = 1`` engine
-with per-node FIFO queues of packet records, mirroring every queue-length
-mutation one-for-one via the engine's hooks (each receives replica 0's
-arrays, transmissions in selection order) — the queue-length trajectory
-is therefore *identical by construction* to :class:`Simulator`'s (and a
+with per-node FIFO queues of packet records: after each engine step it
+replays the step's :class:`~repro.core.pipeline.StepState` on the FIFOs
+in stage order (injections, then the selected transmissions in selection
+order with their loss mask, then extractions), mirroring every
+queue-length mutation one-for-one — the queue-length trajectory is
+therefore *identical by construction* to :class:`Simulator`'s (and a
 differential test asserts it).  The integer kernel never carries a
-subclass run, so the hooks see every step.
+subclass run, so every step is replayed.
 
 FIFO discipline is a modelling choice the paper leaves open (packets are
 indistinguishable there); it yields the standard latency semantics.
@@ -24,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.engine import SimulationConfig, Simulator
+from repro.core.pipeline import StepState
 from repro.core.policies import TransmissionPolicy
 from repro.errors import SimulationError
 from repro.network.spec import NetworkSpec
@@ -89,23 +92,25 @@ class PacketSimulator(Simulator):
             for _ in range(int(self.queues[v])):
                 self._new_packet(v, born=0, node=v)
 
-    # -- hooks ---------------------------------------------------------
+    # -- replay ----------------------------------------------------------
     def _new_packet(self, source: int, born: int, node: int) -> int:
         pid = len(self.packets)
         self.packets.append(PacketRecord(pid=pid, source=source, born=born))
         self._fifo[node].append(pid)
         return pid
 
-    def _on_inject(self, injections: np.ndarray) -> None:
+    def _step(self) -> StepState:
+        st = super()._step()
+        t = st.t
+        injections = st.injections[0]
         for v in np.nonzero(injections)[0]:
             for _ in range(int(injections[v])):
-                self._new_packet(int(v), born=self.t, node=int(v))
-
-    def _on_transmit(self, senders, receivers, lost_mask) -> None:
+                self._new_packet(int(v), born=t, node=int(v))
         # pop all outgoing packets first (simultaneous transmission), then
         # deliver survivors — a packet cannot be forwarded twice per step
+        m = st.sel_mask[0]
         moved: list[tuple[int, int, bool]] = []
-        for u, v, lost in zip(senders, receivers, lost_mask):
+        for u, v, lost in zip(st.snd[0, m], st.rcv[0, m], st.lost_mask[0, m]):
             if not self._fifo[int(u)]:
                 raise SimulationError(
                     f"packet bookkeeping desync: node {int(u)} has no packets"
@@ -115,18 +120,18 @@ class PacketSimulator(Simulator):
         for pid, v, lost in moved:
             rec = self.packets[pid]
             if lost:
-                rec.lost_at = self.t
+                rec.lost_at = t
             else:
                 rec.hops += 1
                 self._fifo[v].append(pid)
-
-    def _on_extract(self, extractions: np.ndarray) -> None:
+        extractions = st.extractions[0]
         for d in np.nonzero(extractions)[0]:
             for _ in range(int(extractions[d])):
                 pid = self._fifo[int(d)].popleft()
                 rec = self.packets[pid]
-                rec.delivered_at = self.t
+                rec.delivered_at = t
                 rec.delivered_to = int(d)
+        return st
 
     # -- analysis --------------------------------------------------------
     def check_sync(self) -> None:

@@ -246,8 +246,6 @@ class InjectionStage(Stage):
             host.Q += inj
             st.injections = inj
             st.injected = inj.sum(axis=1)
-        if host._hooked:
-            host._on_inject(st.injections[0])
 
     @staticmethod
     def _check_shape(got, want) -> None:
@@ -475,9 +473,6 @@ class ApplicationStage(Stage):
         if arrived.any():
             idx_rcv = (host._row * n + st.rcv)[arrived]
             host.Q += np.bincount(idx_rcv, minlength=R * n).reshape(R, n)
-        if host._hooked and mask[0].any():
-            m = mask[0]
-            host._on_transmit(st.snd[0, m], st.rcv[0, m], st.lost_mask[0, m])
 
 
 class ExtractionStage(Stage):
@@ -511,8 +506,6 @@ class ExtractionStage(Stage):
         Q -= ext
         st.extractions = ext
         st.delivered = ext.sum(axis=1)
-        if host._hooked:
-            host._on_extract(ext[0])
 
 
 class RecordingStage(Stage):

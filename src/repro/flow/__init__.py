@@ -23,7 +23,8 @@ implements, from scratch:
   integers; one cold solve per ray, every other λ a warm fork) and the
   Gallo–Grigoriadis–Tarjan breakpoint envelope on it, with the exact λ*,
 * :mod:`~repro.flow.feasibility` — Definitions 3–4 and ``f*`` as three
-  rungs of that ladder; the exact ε margin via the envelope,
+  rungs of that ladder; the exact ε margin, λ* and ``f*`` read off one
+  envelope by ``classify_region``,
 * :mod:`~repro.flow.decomposition` — flow → path decomposition, used by the
   maximum-flow routing baseline (the ``E_t^Φ`` of the proofs).
 """
@@ -36,10 +37,8 @@ _EXPORTS = {
     ".mincut": ("min_cut", "CutKind", "MinCut", "classify_cut", "is_unique_min_cut",
                 "is_sd_cut"),
     ".feasibility": ("FeasibilityReport", "NetworkClass", "RegionReport",
-                     "classify_network", "classify_region", "f_star", "feasible_flow",
-                     "max_unsaturation_margin"),
-    ".parametric": ("BreakpointEnvelope", "EnvelopeSegment", "breakpoint_envelope",
-                    "critical_lambda"),
+                     "classify_network", "classify_region", "feasible_flow"),
+    ".parametric": ("BreakpointEnvelope", "EnvelopeSegment", "breakpoint_envelope"),
     ".warmstart": ("ParametricMaxFlow", "source_arc_updates"),
     ".decomposition": ("PathDecomposition", "decompose_paths", "edge_flow_from_result"),
     ".distributed_pr": ("DistributedRun", "distributed_push_relabel"),

@@ -12,6 +12,9 @@
 * **f*** : the max-flow value once the virtual source arcs get infinite
   capacity — the divergence threshold of Theorem 1's converse.
 
+The exact slack ε* = max(0, λ* − 1), the frontier λ* and f* are read off
+one parametric breakpoint envelope by :func:`classify_region`.
+
 Everything here consumes an :class:`~repro.graphs.extended.ExtendedGraph`
 (built by :func:`repro.graphs.extended.build_extended_graph`) or a
 :class:`~repro.network.spec.NetworkSpec` via its ``extended()`` helper.
@@ -26,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import FlowError
 from repro.flow.maxflow import max_flow
 from repro.flow.mincut import CutKind, MinCut, classify_cut, is_unique_min_cut, min_cut
 from repro.flow.parametric import BreakpointEnvelope, _Ladder, breakpoint_envelope
@@ -41,11 +43,8 @@ __all__ = [
     "classify_network",
     "classify_network_cold",
     "classify_region",
-    "f_star",
     "feasible_flow",
     "certification_epsilon",
-    "max_unsaturation_margin",
-    "max_unsaturation_margin_cold",
 ]
 
 
@@ -90,8 +89,9 @@ def feasible_flow(ext) -> FlowResult:
     return max_flow(_exact_problem(ext))
 
 
-def f_star(ext) -> object:
-    """Max flow with *infinite* capacity on the ``(s*, v)`` arcs.
+def _f_star(ext) -> object:
+    """:func:`classify_network_cold`'s ``f*``: max flow with *infinite*
+    capacity on the ``(s*, v)`` arcs, one cold solve.
 
     "Infinite" is implemented as total sink capacity + 1, which no s*-d*
     flow can exceed, so the relaxation is exact.
@@ -147,7 +147,7 @@ def classify_network(ext) -> FeasibilityReport:
         nominal = ladder.rung(Fraction(1))
         result = nominal.engine.result
         cut = min_cut(result)
-        kind = classify_cut(cut, result.problem)
+        kind = classify_cut(cut, result.problem.source, result.problem.sink)
         unique = is_unique_min_cut(result)
         # by duality the cut's capacity is v(1), which leaves the ladder exact
         cut = MinCut(side=cut.side, arcs=cut.arcs, capacity=nominal.value)
@@ -184,9 +184,9 @@ def classify_network_cold(ext) -> FeasibilityReport:
     base = feasible_flow(ext)
     cut = min_cut(base)
     problem = base.problem
-    kind = classify_cut(cut, problem)
+    kind = classify_cut(cut, problem.source, problem.sink)
     unique = is_unique_min_cut(base)
-    fs = f_star(ext)
+    fs = _f_star(ext)
 
     if base.value < arrival:
         return FeasibilityReport(
@@ -217,62 +217,6 @@ def classify_network_cold(ext) -> FeasibilityReport:
     )
 
 
-def max_unsaturation_margin(ext) -> Fraction:
-    """The *exact* largest ε with ``(1 + ε) in`` still feasible.
-
-    This is the ε of Definition 4 maximised: ``λ* − 1`` along the nominal
-    injection ray, with λ* the exact critical scalar from the parametric
-    breakpoint envelope (:func:`~repro.flow.parametric.critical_lambda`) —
-    a :class:`~fractions.Fraction`, not a bisection bracket.  Returns 0
-    for saturated/infeasible networks.  One cold solve per call; every
-    envelope evaluation is a warm parametric step.  The all-cold
-    bisection :func:`max_unsaturation_margin_cold` is its oracle.
-    """
-    arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    if arrival <= 0:
-        raise FlowError("margin undefined for a network with no injections")
-    env = breakpoint_envelope(ext)
-    return max(Fraction(0), env.lambda_star - 1)
-
-
-def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024)) -> Fraction:
-    """Largest ε (to within ``tol``) by bisection, every probe a cold solve.
-
-    The differential oracle and benchmark baseline of
-    :func:`max_unsaturation_margin`: binary search on exact rationals, so
-    the returned value is a certified *lower* bound of the exact margin
-    and ``returned + tol`` an upper bound.  The exponential bracket gives
-    up at ``2**20`` (essentially unbounded slack) and returns its last
-    feasible ε.  Returns 0 for saturated/infeasible networks.
-    """
-    arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    if arrival <= 0:
-        raise FlowError("margin undefined for a network with no injections")
-
-    def feasible_at(eps: Fraction) -> bool:
-        caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-        res = max_flow(_exact_problem(ext, source_cap_override=caps))
-        return res.value == (1 + eps) * arrival
-
-    if not feasible_at(Fraction(0)):
-        return Fraction(0)
-    lo = Fraction(0)
-    # exponential search for an infeasible upper bracket
-    hi = Fraction(1)
-    while feasible_at(hi):
-        lo = hi
-        hi *= 2
-        if hi > 2**20:  # pathological: essentially unbounded slack
-            return lo
-    while hi - lo > tol:
-        mid = Fraction(lo + hi, 2)
-        if feasible_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 @dataclass(frozen=True)
 class RegionReport:
     """A stability verdict derived from the exact breakpoint envelope.
@@ -282,9 +226,11 @@ class RegionReport:
     ``lambda_star`` along the nominal injection ray, the exact margin
     (``max(0, λ* − 1)``, Definition 4 maximised), the max-flow value at
     the nominal rates, ``f_star``, and a min cut binding at λ = 1.
-    Uniqueness of the min cut is *not* probed (it needs extra solves the
-    one-solve path deliberately avoids) — use :func:`classify_network`
-    when you need it.
+    ``margin`` is the exact maximal certifying slack; the a-priori
+    :func:`certification_epsilon` that :class:`FeasibilityReport` carries
+    is a different, smaller number.  Uniqueness of the min cut is *not*
+    probed (it needs extra solves the one-solve path deliberately avoids)
+    — use :func:`classify_network` when you need it.
     """
 
     network_class: NetworkClass
@@ -305,11 +251,6 @@ class RegionReport:
     def unsaturated(self) -> bool:
         return self.network_class is NetworkClass.UNSATURATED
 
-    @property
-    def certified_epsilon(self) -> Optional[Fraction]:
-        """The maximal certifying slack — exact, unlike the a-priori bound."""
-        return self.margin if self.margin > 0 else None
-
 
 def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> RegionReport:
     """Classify a network from one parametric envelope solve.
@@ -323,7 +264,9 @@ def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> Regio
     ``margin`` are exact Fractions.
 
     Pass a precomputed ``envelope`` (along the nominal injection ray) to
-    skip the solve entirely, e.g. from the feasibility cache.
+    skip the solve entirely, e.g. from the feasibility cache.  A network
+    with no injections has no ray and raises
+    :class:`~repro.errors.FlowError`.
     """
     if envelope is None:
         envelope = breakpoint_envelope(ext)
@@ -345,13 +288,6 @@ def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> Regio
     side[list(seg.cut_side)] = True
     max_flow_value = seg.value_at(Fraction(1))
     cut = MinCut(side=side, arcs=tuple(seg.cut_arcs), capacity=max_flow_value)
-    a_size = len(seg.cut_side)
-    if a_size == 1:
-        cut_kind = CutKind.TRIVIAL_SOURCE
-    elif a_size == ext.n - 1:
-        cut_kind = CutKind.VIRTUAL_SINK
-    else:
-        cut_kind = CutKind.INTERIOR
 
     return RegionReport(
         network_class=network_class,
@@ -361,6 +297,6 @@ def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> Regio
         lambda_star=lambda_star,
         margin=max(Fraction(0), lambda_star - 1),
         min_cut=cut,
-        cut_kind=cut_kind,
+        cut_kind=classify_cut(cut, ext.s_star, ext.d_star),
         envelope=envelope,
     )

@@ -117,16 +117,19 @@ def is_sd_cut(cut: MinCut, sources, destinations) -> bool:
     )
 
 
-def classify_cut(cut: MinCut, problem: FlowProblem) -> CutKind:
-    """Classify a min cut of a ``G*`` instance per Section V's taxonomy."""
+def classify_cut(cut: MinCut, source: int, sink: int) -> CutKind:
+    """Classify a min cut of a ``G*`` instance per Section V's taxonomy.
+
+    ``source`` and ``sink`` are the terminals ``s*`` and ``d*``; the node
+    count is the length of the side mask.
+    """
     a_size = int(cut.side.sum())
-    n = problem.n
     if a_size == 1:
-        if not cut.side[problem.source]:
+        if not cut.side[source]:
             raise FlowError("source not on the source side of its own cut")
         return CutKind.TRIVIAL_SOURCE
-    if a_size == n - 1:
-        if cut.side[problem.sink]:
+    if a_size == len(cut.side) - 1:
+        if cut.side[sink]:
             raise FlowError("sink on the source side of the cut")
         return CutKind.VIRTUAL_SINK
     return CutKind.INTERIOR
@@ -144,5 +147,6 @@ def all_min_cut_kinds(problem: FlowProblem) -> set[CutKind]:
     result = max_flow(problem)
     kinds = set()
     for side in ("min", "max"):
-        kinds.add(classify_cut(min_cut(result, side=side), problem))
+        kinds.add(classify_cut(min_cut(result, side=side), problem.source,
+                               problem.sink))
     return kinds

@@ -21,9 +21,10 @@ Eisner–Severance divide and conquer, for the exact critical scalar
     λ* = sup { λ ≥ 0 : v(λ) = λ · Σd }
 
 as a :class:`~fractions.Fraction` — the feasibility frontier along the
-ray — instead of a bisection bracket.  ``max_unsaturation_margin`` and
-the region experiments ride on it; the cold bisection
-``max_unsaturation_margin_cold`` is its oracle.  No floats enter.
+ray — instead of a bisection bracket.
+:func:`~repro.flow.feasibility.classify_region` reads the exact margin
+and ``f*`` off it, and the region experiments ride on it.  No floats
+enter.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "EnvelopeSegment",
     "BreakpointEnvelope",
     "breakpoint_envelope",
-    "critical_lambda",
 ]
 
 
@@ -380,8 +380,3 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
         probes=ladder.probes,
         warm_steps=ladder.probes,
     )
-
-
-def critical_lambda(ext: ExtendedGraph, direction=None) -> Fraction:
-    """The exact feasibility frontier λ* along a ray (see module docs)."""
-    return breakpoint_envelope(ext, direction).lambda_star

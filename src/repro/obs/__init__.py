@@ -31,18 +31,19 @@ the registry — and round-trips::
 
     import repro.obs as obs
 
-    prev = obs.configure(spans="spans.jsonl", metrics=True)
-    ...                       # every span is now recorded + measured
-    obs.configure(**prev)     # restore the previous state
+    sink = obs.JsonlSink("spans.jsonl")
+    prev = obs.configure(spans=sink, metrics=True)
+    try:
+        ...                   # every span is now recorded + measured
+    finally:
+        obs.configure(**prev) # restore the previous state
+        sink.close()          # the sink is the caller's to close
 
 Events go only to a sink a caller passes explicitly
 (``SimulationConfig(trace=sink)``, ``run_sweep(trace=...)``, ``--trace``
 on the CLI); the spans opened on that sink, and their children, land
 there too.
 """
-
-import os
-import weakref
 
 from repro._exports import lazy_exports
 
@@ -64,10 +65,6 @@ __all__.insert(0, "configure")
 
 _UNSET = object()
 
-# span sinks configure opened from a path: each is closed when another sink
-# replaces it, and a round trip that installs it again reopens its file
-_OPENED: "weakref.WeakSet" = weakref.WeakSet()
-
 
 def configure(*, metrics=_UNSET, spans=_UNSET) -> dict:
     """Configure process-global observability; returns the previous state.
@@ -78,42 +75,26 @@ def configure(*, metrics=_UNSET, spans=_UNSET) -> dict:
         ``True``/``False`` — enable or disable the global registry.
     spans:
         ``None``/``False`` — disable (install :data:`NULL_SINK`); a
-        ``str``/``Path`` — record spans to that JSONL file, closed when
-        another sink replaces it; a :class:`TraceSink` — install it as the
-        global span sink (it stays the caller's to close).
+        :class:`TraceSink` — install it as the global span sink (it stays
+        the caller's to close).  A path is refused: nothing would close
+        the file.
 
     The returned dict maps each argument you passed to its previous value
     and round-trips: ``prev = configure(spans=..., metrics=...)`` followed
-    by ``configure(**prev)`` restores the state exactly.  A file sink
-    closed on replacement comes back appending to its file.
+    by ``configure(**prev)`` restores the state exactly.  A refused
+    ``spans`` raises before anything changes.
     """
     from repro.obs.metrics import get_registry
     from repro.obs.spans import set_span_sink
+    from repro.obs.trace import resolve_sink
 
+    if spans is not _UNSET:
+        sink = resolve_sink(spans, "spans", paths=False)
     previous: dict = {}
     if metrics is not _UNSET:
         registry = get_registry()
         previous["metrics"] = registry.enabled
         registry.enabled = bool(metrics)
     if spans is not _UNSET:
-        sink = _span_sink(spans)
-        replaced = previous["spans"] = set_span_sink(sink)
-        if replaced in _OPENED and replaced is not sink:
-            replaced.close()
+        previous["spans"] = set_span_sink(sink)
     return previous
-
-
-def _span_sink(spans):
-    """:func:`configure`'s ``spans`` as a sink: a path opens a file sink
-    that configure owns, and an owned sink it closed reopens, appending."""
-    from repro.obs.spans import get_span_sink
-    from repro.obs.trace import JsonlSink, resolve_sink
-
-    if spans in _OPENED and spans is not get_span_sink():
-        sink = JsonlSink(spans.path, append=True)
-    elif isinstance(spans, (str, os.PathLike)):
-        sink = JsonlSink(spans)
-    else:
-        return resolve_sink(spans, "spans")
-    _OPENED.add(sink)
-    return sink

@@ -106,7 +106,7 @@ def get_span_sink() -> TraceSink:
 def set_span_sink(sink: Optional[TraceSink]) -> TraceSink:
     """Install ``sink`` (``None`` → ``NULL_SINK``); returns the old one.
 
-    Prefer ``repro.obs.configure(spans=...)``, which also accepts a path.
+    Prefer ``repro.obs.configure(spans=...)``.
     """
     global _SPAN_SINK
     sink = resolve_sink(sink, "span sink", paths=False)

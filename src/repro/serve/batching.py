@@ -2,9 +2,9 @@
 vectorized :class:`~repro.core.ensemble.EnsembleSimulator` batch.
 
 The server's hot path.  ``/v1/simulate`` requests are keyed by a *config
-fingerprint* — the canonical network hash
-(:func:`repro.sweep.cache.canonical_spec_key`) plus every simulation knob
-**except the seed**.  Requests sharing a fingerprint that arrive within
+fingerprint* — a digest of the raw network (node count, edge arrays in id
+order, rate maps) plus every simulation knob **except the seed**.
+Requests sharing a fingerprint that arrive within
 ``window`` seconds of the first one are held and then executed as a single
 ensemble run whose per-replica seeds are the requests' seeds; replica
 ``r``'s slice is returned to request ``r``.
@@ -40,7 +40,6 @@ from repro.network.spec import NetworkSpec
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.serve.codec import simulation_response
-from repro.sweep.cache import canonical_spec_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.workers import ThreadTier, WorkerPool
@@ -136,19 +135,20 @@ class MicroBatcher:
     def fingerprint(spec: NetworkSpec, horizon: int, loss_p: float) -> str:
         """Batch key: everything the ensemble shares — not the seed.
 
-        :func:`canonical_spec_key` alone is deliberately too coarse here:
-        it normalises edge insertion order and orientation away (right for
-        classification, which only sees the underlying ``G*``), but the
-        executed batch reuses member 0's spec for every replica, and LGG
-        tie-breaking is defined over edge ids/slots.  The order-sensitive
-        digest of the raw edge arrays keeps coalescing conservative:
-        requests share an ensemble only when their specs are structurally
+        The executed batch reuses member 0's spec for every replica, and
+        LGG tie-breaking is defined over edge ids/slots, so the key hashes
+        the node count, the raw edge arrays in id order and the rate maps
+        — not the canonical key of :mod:`repro.sweep.cache`, which
+        normalises insertion order and orientation away (right for
+        classification) and costs far more on a large graph.  Requests
+        share an ensemble only when their specs are structurally
         identical, so every member stays bit-identical to its own scalar
         oracle under any tie-break or per-edge loss model.
         """
-        edge_digest = hashlib.sha256(np.stack(spec.graph.edge_array()).tobytes())
-        return (f"{canonical_spec_key(spec)}:eo={edge_digest.hexdigest()}"
-                f":h={horizon}:loss={loss_p!r}"
+        digest = hashlib.sha256(np.stack(spec.graph.edge_array()).tobytes())
+        digest.update(repr((spec.n, sorted(spec.in_rates.items()),
+                            sorted(spec.out_rates.items()))).encode())
+        return (f"{digest.hexdigest()}:h={horizon}:loss={loss_p!r}"
                 f":R={spec.retention}:rev={spec.revelation.value}"
                 f":exact={spec.exact_injection}")
 

@@ -508,10 +508,12 @@ class ReproServer:
                 raise ServeError("request body must be a JSON object")
             if kind == "classify":
                 args = (parse_spec(payload.get("spec", payload)),)
-                shard_key = canonical_spec_key(*args)
+                key_of = canonical_spec_key
             else:
                 args = parse_region_request(payload)
-                shard_key = canonical_ray_key(*args)
+                key_of = canonical_ray_key
+            # the thread tier's one cache owns every shard: no key to compute
+            shard_key = key_of(*args) if isinstance(self.pool, WorkerPool) else None
             with span("batch", kind=kind) as sp:
                 ctx = sp.context() if sp.span_id is not None else None
                 out, hit = await asyncio.wrap_future(self.pool.submit(

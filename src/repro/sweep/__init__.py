@@ -24,9 +24,8 @@ from repro._exports import lazy_exports
 _EXPORTS = {
     ".grid": ("GridPoint", "GridSpec"),
     ".executor": ("PointRecord", "SweepRun", "run_sweep"),
-    ".cache": ("FeasibilityCache", "shared_cache", "cached_classify", "cached_envelope",
-               "cached_region", "canonical_graph_key", "canonical_ray_key",
-               "canonical_spec_key"),
+    ".cache": ("FeasibilityCache", "shared_cache", "canonical_graph_key",
+               "canonical_ray_key", "canonical_spec_key"),
     ".checkpoint": ("SweepCheckpoint", "load_records", "resume"),
     ".points": ("FAMILIES", "random_instance_spec", "classify_point", "region_point",
                 "mobility_point"),

@@ -42,9 +42,6 @@ __all__ = [
     "shard_index",
     "FeasibilityCache",
     "shared_cache",
-    "cached_classify",
-    "cached_envelope",
-    "cached_region",
 ]
 
 
@@ -257,18 +254,3 @@ _SHARED = FeasibilityCache()
 def shared_cache() -> FeasibilityCache:
     """The process-global cache used by sweep point functions."""
     return _SHARED
-
-
-def cached_classify(spec: NetworkSpec) -> "FeasibilityReport":
-    """:func:`classify_network` through the process-global cache."""
-    return _SHARED.classify(spec)
-
-
-def cached_envelope(spec: NetworkSpec, direction=None) -> "BreakpointEnvelope":
-    """:func:`breakpoint_envelope` through the process-global cache."""
-    return _SHARED.envelope(spec, direction)
-
-
-def cached_region(spec: NetworkSpec) -> "RegionReport":
-    """:func:`classify_region` through the process-global cache."""
-    return _SHARED.region(spec)

@@ -2,7 +2,8 @@
 
 These are the payloads the executor ships to worker processes: each takes
 ``(params, seed)`` and returns a flat JSON-able record.  They all classify
-through the process-global :func:`repro.sweep.cache.cached_region` — one
+through the process-global cache's
+:meth:`~repro.sweep.cache.FeasibilityCache.region` — one
 parametric envelope solve per (network, ray), yielding the exact critical
 scalar λ* alongside the class — so a worker that sees the same (topology,
 rates) twice pays for the flow computation once.
@@ -22,7 +23,7 @@ from repro._rng import as_generator, derive_seed
 from repro.errors import SweepError
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
-from repro.sweep.cache import cached_region
+from repro.sweep.cache import shared_cache
 
 __all__ = [
     "FAMILIES",
@@ -170,7 +171,7 @@ def random_instance_spec(params: Mapping[str, Any], seed: int) -> NetworkSpec:
 def classify_point(params: dict, seed: int) -> dict:
     """Flow classification only — the cheap half of the region map."""
     spec = random_instance_spec(params, seed)
-    report = cached_region(spec)
+    report = shared_cache().region(spec)
     return {
         "n": spec.n,
         "m": spec.graph.m,
@@ -194,7 +195,7 @@ def region_point(params: dict, seed: int) -> dict:
     from repro.core import simulate_lgg
 
     spec = random_instance_spec(params, seed)
-    report = cached_region(spec)
+    report = shared_cache().region(spec)
 
     def _suggest():
         from repro.analysis.horizons import suggest_horizon

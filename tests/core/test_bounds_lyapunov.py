@@ -3,10 +3,13 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.core import SimulationConfig, Simulator, bounds, lyapunov, simulate_lgg
 from repro.errors import InfeasibleNetworkError
+from repro.flow.feasibility import classify_network_cold
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
+from repro.obs.metrics import get_registry
 
 
 def unsaturated_spec():
@@ -47,6 +50,21 @@ class TestBoundConstants:
         assert b.decrease_threshold == b.n * b.y**2
         assert b.lemma1_cap == b.decrease_threshold + b.growth_bound
         assert b.f_star >= 1
+
+    def test_compute_bounds_is_one_cold_solve(self):
+        """The margin and f* come off one envelope: one cold solve, and the
+        same f* as the cold classifier's separate f* solve."""
+        spec = unsaturated_spec()
+        prev = obs.configure(metrics=True)
+        try:
+            counter = get_registry().counter("repro_flow_solves_total", "", ("algorithm",))
+            before = sum(inst.value for _labels, inst in counter._series())
+            b = bounds.compute_bounds(spec)
+            solves = sum(inst.value for _labels, inst in counter._series()) - before
+        finally:
+            obs.configure(**prev)
+        assert solves == 1
+        assert b.f_star == classify_network_cold(spec.extended()).f_star == 2
 
 
 class TestLyapunovIdentities:

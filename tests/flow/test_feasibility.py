@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import FlowError
-from repro.flow import NetworkClass, classify_network, f_star
-from repro.flow.feasibility import certification_epsilon, max_unsaturation_margin
+from repro.flow import NetworkClass, classify_network, classify_region
+from repro.flow.feasibility import certification_epsilon
 from repro.graphs import MultiGraph, build_extended_graph
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -68,7 +68,7 @@ class TestClassification:
         g, s, d = gen.parallel_paths(3, 2)
         # in(s) = 1 but three disjoint paths exist: f* = 3
         ext = ext_of(g, {s: 1}, {d: 3})
-        assert f_star(ext) == 3
+        assert classify_region(ext).f_star == 3
         rep = classify_network(ext)
         assert rep.f_star == 3
         assert rep.max_flow_value == 1
@@ -99,24 +99,24 @@ class TestEpsilonMachinery:
 
     def test_margin_zero_for_saturated(self):
         ext = ext_of(gen.path(4), {0: 1}, {3: 1})
-        assert max_unsaturation_margin(ext) == 0
+        assert classify_region(ext).margin == 0
 
     def test_margin_zero_on_unit_path(self):
         # degree-1 source on unit links: no (1+eps) scaling is feasible
         ext = ext_of(gen.path(4), {0: 1}, {3: 2})
-        assert max_unsaturation_margin(ext) == 0
+        assert classify_region(ext).margin == 0
 
     def test_margin_wide_network(self):
         g, s, d = gen.parallel_paths(2, 2)
         ext = ext_of(g, {s: 1}, {d: 2})
-        m = max_unsaturation_margin(ext)
+        m = classify_region(ext).margin
         # two disjoint unit paths, in = 1 -> can scale up to 2: margin ~ 1
         assert m >= Fraction(63, 64)
 
     def test_margin_requires_injections(self):
         ext = ext_of(gen.path(3), {}, {2: 1})
         with pytest.raises(FlowError):
-            max_unsaturation_margin(ext)
+            classify_region(ext)
 
     def test_consistency_classifier_vs_margin(self):
         cases = [
@@ -128,7 +128,7 @@ class TestEpsilonMachinery:
         for g, ins, outs in cases:
             ext = ext_of(g, ins, outs)
             rep = classify_network(ext)
-            m = max_unsaturation_margin(ext)
+            m = classify_region(ext).margin
             if rep.network_class is NetworkClass.UNSATURATED:
                 assert m > 0
             elif rep.network_class is NetworkClass.SATURATED:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow import NetworkClass, classify_network
-from repro.flow.feasibility import max_unsaturation_margin
+from repro.flow import NetworkClass, classify_network, classify_region
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from tests.flow.lp_oracle import lp_unsaturation_margin
@@ -34,7 +33,7 @@ class TestClassifierAgreement:
     @settings(max_examples=30, deadline=None)
     def test_classification_vs_margin(self, ext):
         rep = classify_network(ext)
-        margin = max_unsaturation_margin(ext)
+        margin = classify_region(ext).margin
         if rep.network_class is NetworkClass.UNSATURATED:
             assert margin > 0
             assert rep.certified_epsilon is not None
@@ -51,7 +50,7 @@ class TestClassifierAgreement:
         rep = classify_network(ext)
         if not rep.feasible:
             return
-        margin = float(max_unsaturation_margin(ext))
+        margin = float(classify_region(ext).margin)
         lp = lp_unsaturation_margin(ext)
         assert lp == pytest.approx(margin, abs=2 / 1024)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import FlowError
 from repro.flow import max_flow
-from repro.flow.feasibility import max_unsaturation_margin
+from repro.flow.feasibility import classify_region
 from repro.flow.residual import FlowProblem
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -89,5 +89,5 @@ class TestLPMargin:
         g, ins, outs = builder()
         ext = build_extended_graph(g, ins, outs)
         lp = lp_unsaturation_margin(ext)
-        rational = float(max_unsaturation_margin(ext))
+        rational = float(classify_region(ext).margin)
         assert lp == pytest.approx(rational, abs=1 / 2048)

@@ -1,11 +1,11 @@
 """Invariants of the max-unsaturation-margin searches.
 
-``max_unsaturation_margin`` is *exact* — λ* − 1 from the parametric
-breakpoint envelope — so its contract is the strongest possible:
+``classify_region(ext).margin`` is *exact* — max(0, λ* − 1) from the
+parametric breakpoint envelope — so its contract is the strongest possible:
 ``(1 + margin)·in`` is feasible and ``(1 + margin + δ)·in`` is not for
 *every* δ > 0 (the ε-feasible set is the closed interval ``[0, ε*]``).
-The all-cold bisection ``max_unsaturation_margin_cold`` is its oracle
-and must bracket the exact value.  The documented escape hatches — no
+The all-cold bisection ``max_unsaturation_margin_cold``
+(``tests/flow/engines.py``) is its oracle and must bracket the exact value.  The documented escape hatches — no
 injections, essentially-unbounded slack — must keep working (the cold
 search caps at 2**20; the exact path has no cap).
 """
@@ -18,15 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlowError
-from repro.flow.feasibility import (
-    _exact_problem,
-    max_unsaturation_margin,
-    max_unsaturation_margin_cold,
-)
+from repro.flow.feasibility import _exact_problem, classify_region
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.graphs.multigraph import MultiGraph
-from tests.flow.engines import ENGINES, cold_engine
+from tests.flow.engines import ENGINES, cold_engine, max_unsaturation_margin_cold
 
 TOL = Fraction(1, 512)
 
@@ -61,7 +57,7 @@ class TestExactMarginCertificate:
     @given(ext=random_networks())
     @settings(max_examples=25, deadline=None)
     def test_margin_feasible_any_excess_not(self, ext):
-        margin = max_unsaturation_margin(ext)
+        margin = classify_region(ext).margin
         if not _feasible_at(ext, Fraction(0)):
             assert margin == 0  # infeasible even unscaled
             return
@@ -73,7 +69,7 @@ class TestExactMarginCertificate:
     @given(ext=random_networks())
     @settings(max_examples=25, deadline=None)
     def test_infeasible_or_saturated_margin_is_zero(self, ext):
-        margin = max_unsaturation_margin(ext)
+        margin = classify_region(ext).margin
         if not _feasible_at(ext, Fraction(0)):
             assert margin == 0
 
@@ -85,7 +81,7 @@ class TestProbeBracketsExact:
     def test_cold_brackets_exact(self, algorithm, ext):
         with cold_engine(algorithm):
             cold = max_unsaturation_margin_cold(ext, tol=TOL)
-        exact = max_unsaturation_margin(ext)
+        exact = classify_region(ext).margin
         if cold >= 2**20:
             # bracket search bailed out on the unbounded-slack escape
             # hatch; the exact path keeps going
@@ -100,7 +96,7 @@ class TestProbeBracketsExact:
     def test_exact_identical_across_algorithms(self, ext):
         """Every oracle engine, solving cold, confirms the exact margin:
         feasible at it, infeasible a hair beyond it."""
-        margin = max_unsaturation_margin(ext)
+        margin = classify_region(ext).margin
         for engine in sorted(ENGINES):
             if not _feasible_at(ext, Fraction(0), engine):
                 assert margin == 0, engine
@@ -114,7 +110,7 @@ class TestEdgePaths:
         g = gen.random_gnp(5, 0.6, seed=1, ensure_connected=True)
         ext = build_extended_graph(g, {}, {4: 2})
         with pytest.raises(FlowError, match="no injections"):
-            max_unsaturation_margin(ext)
+            classify_region(ext)
         with pytest.raises(FlowError, match="no injections"):
             max_unsaturation_margin_cold(ext)
 
@@ -127,7 +123,7 @@ class TestEdgePaths:
         g.add_edge(0, 1)
         g.add_edge(1, 2)
         ext = build_extended_graph(g, {0: Fraction(1, 2**22)}, {2: 1})
-        assert max_unsaturation_margin(ext) == 2**22 - 1
+        assert classify_region(ext).margin == 2**22 - 1
         assert max_unsaturation_margin_cold(ext) == 2**20
 
     def test_saturated_chain_is_zero(self):
@@ -135,10 +131,10 @@ class TestEdgePaths:
         g = MultiGraph(2)
         g.add_edge(0, 1)
         ext = build_extended_graph(g, {0: 1}, {1: 1})
-        assert max_unsaturation_margin(ext) == 0
+        assert classify_region(ext).margin == 0
 
     def test_infeasible_is_zero(self):
         g = MultiGraph(2)
         g.add_edge(0, 1)
         ext = build_extended_graph(g, {0: 5}, {1: 1})
-        assert max_unsaturation_margin(ext) == 0
+        assert classify_region(ext).margin == 0

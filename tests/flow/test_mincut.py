@@ -66,7 +66,7 @@ class TestCutTaxonomy:
         ext, p = self._ext_problem(g, {0: 1}, {2: 3})
         r = max_flow(p)
         cut = min_cut(r)
-        assert classify_cut(cut, p) is CutKind.TRIVIAL_SOURCE
+        assert classify_cut(cut, p.source, p.sink) is CutKind.TRIVIAL_SOURCE
         assert cut.source_side == [p.source]
 
     def test_virtual_sink_cut_saturated_net(self):
@@ -84,7 +84,7 @@ class TestCutTaxonomy:
         r = max_flow(p)
         assert r.value == 1  # bridge limits everything
         cut = min_cut(r, side="max")
-        kind = classify_cut(cut, p)
+        kind = classify_cut(cut, p.source, p.sink)
         assert kind is CutKind.INTERIOR
 
     def test_classify_rejects_inconsistent_cut(self):
@@ -94,4 +94,4 @@ class TestCutTaxonomy:
         # tamper: flip the mask so the source is excluded
         bad = type(cut)(side=~cut.side, arcs=cut.arcs, capacity=cut.capacity)
         with pytest.raises(FlowError):
-            classify_cut(bad, p)
+            classify_cut(bad, p.source, p.sink)

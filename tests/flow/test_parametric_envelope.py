@@ -26,18 +26,13 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.errors import FlowError
-from repro.flow.feasibility import (
-    _exact_problem,
-    classify_network,
-    classify_region,
-    max_unsaturation_margin_cold,
-)
-from repro.flow.parametric import breakpoint_envelope, critical_lambda
+from repro.flow.feasibility import _exact_problem, classify_network, classify_region
+from repro.flow.parametric import breakpoint_envelope
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.graphs.multigraph import MultiGraph
 from repro.obs.metrics import get_registry
-from tests.flow.engines import ENGINES
+from tests.flow.engines import ENGINES, max_unsaturation_margin_cold
 
 TOL = Fraction(1, 512)
 
@@ -81,7 +76,7 @@ class TestLambdaStarOracle:
     @given(ext=random_networks())
     @settings(max_examples=20, deadline=None)
     def test_lambda_star_is_the_exact_frontier(self, ext):
-        lam = critical_lambda(ext)
+        lam = breakpoint_envelope(ext).lambda_star
         assert _feasible_at_lambda(ext, lam)
         assert not _feasible_at_lambda(ext, lam + Fraction(1, 2**40))
         if lam > 0:
@@ -91,7 +86,7 @@ class TestLambdaStarOracle:
     @settings(max_examples=15, deadline=None)
     def test_lambda_star_in_cold_bisection_bracket(self, ext):
         """The bisection bracket limit IS λ* — brackets become an oracle."""
-        lam = critical_lambda(ext)
+        lam = breakpoint_envelope(ext).lambda_star
         margin = max_unsaturation_margin_cold(ext, tol=TOL)
         if margin >= 2**20:
             assert lam - 1 >= 2**20  # the cold search's bail-out cap
@@ -165,9 +160,9 @@ class TestDirections:
         g.add_edge(0, 1)
         g.add_edge(1, 2)
         ext = build_extended_graph(g, {0: Fraction(1, 2)}, {2: Fraction(1)})
-        assert critical_lambda(ext) == 2                      # cap 1, rate λ/2
-        assert critical_lambda(ext, {0: Fraction(2)}) == Fraction(1, 2)
-        assert critical_lambda(ext, {0: Fraction(1, 4)}) == 4
+        assert breakpoint_envelope(ext).lambda_star == 2  # cap 1, rate λ/2
+        assert breakpoint_envelope(ext, {0: Fraction(2)}).lambda_star == Fraction(1, 2)
+        assert breakpoint_envelope(ext, {0: Fraction(1, 4)}).lambda_star == 4
 
     def test_direction_validation(self):
         g = MultiGraph(3)

@@ -110,7 +110,8 @@ class TestDifferentialSchedules:
             assert wc.capacity == cc.capacity
             assert list(wc.arcs) == list(cc.arcs)
             assert list(np.nonzero(wc.side)[0]) == list(np.nonzero(cc.side)[0])
-            assert classify_cut(wc, warm.problem) == classify_cut(cc, cold.problem)
+            assert (classify_cut(wc, warm.problem.source, warm.problem.sink)
+                    == classify_cut(cc, cold.problem.source, cold.problem.sink))
             assert is_unique_min_cut(warm) == is_unique_min_cut(cold)
 
 

@@ -15,7 +15,6 @@ from repro.obs.spans import (
     render_waterfall,
     set_span_sink,
     span,
-    span_records,
     span_tree,
 )
 
@@ -179,26 +178,21 @@ class TestEmission:
         with pytest.raises(ObservabilityError, match="emit"):
             set_span_sink(object())
 
-    def test_configure_spans_path_and_restore(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        restore = obs.configure(spans=path)
+    def test_configure_rejects_a_span_path(self, tmp_path):
+        # nothing would close a file configure opened, so a path is refused
+        # before anything changes, the metrics switch included
+        mine = ListSink()
+        restore = obs.configure(spans=mine)
         try:
-            assert get_span_sink().enabled
-            with span("to-file"):
-                pass
+            with pytest.raises(ObservabilityError, match="not a path"):
+                obs.configure(spans=tmp_path / "spans.jsonl", metrics=True)
+            assert get_span_sink() is mine
+            assert not get_registry().enabled
         finally:
             obs.configure(**restore)
-        assert not get_span_sink().enabled
-        recs = obs.read_trace(path)
-        assert [r["name"] for r in span_records(recs)] == ["to-file"]
+        assert not (tmp_path / "spans.jsonl").exists()
 
-    def test_configure_closes_the_file_it_opened(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        restore = obs.configure(spans=path)
-        opened = get_span_sink()
-        obs.configure(**restore)
-        with pytest.raises(ObservabilityError, match="after close"):
-            opened.emit({"name": "late"})
+    def test_configure_leaves_a_callers_sink_open(self, tmp_path):
         # a sink the caller passed stays open: it is the caller's to close
         mine = obs.JsonlSink(tmp_path / "mine.jsonl")
         try:
@@ -206,28 +200,6 @@ class TestEmission:
             mine.emit({"name": "still-open"})
         finally:
             mine.close()
-
-    def test_configure_nested_paths_round_trip(self, tmp_path):
-        # the outer file sink is closed while the inner one is installed,
-        # and the inner round trip brings it back, appending to its file
-        outer, inner = tmp_path / "outer.jsonl", tmp_path / "inner.jsonl"
-        first = obs.configure(spans=outer)
-        try:
-            with span("a"):
-                pass
-            second = obs.configure(spans=inner)
-            try:
-                with span("b"):
-                    pass
-            finally:
-                obs.configure(**second)
-            with span("c"):
-                pass
-        finally:
-            obs.configure(**first)
-        names = [[r["name"] for r in span_records(obs.read_trace(p))]
-                 for p in (outer, inner)]
-        assert names == [["a", "c"], ["b"]]
 
 
 class TestTreeAndRendering:

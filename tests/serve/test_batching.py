@@ -110,6 +110,35 @@ class TestCoalescingKeys:
             # ... but never the same batch
             assert MicroBatcher.fingerprint(spec, 200, 0.0) != a
 
+    def test_fingerprint_computes_no_canonical_key(self, monkeypatch):
+        """The batch key is a digest of the raw spec: the canonical keys
+        (a sort of every edge) never run on the event loop for it."""
+        import repro.sweep.cache as cache
+        from repro.graphs.csr import CSRTopology
+
+        def boom(*args, **kwargs):
+            raise AssertionError("canonical key computed for a batch key")
+
+        monkeypatch.setattr(cache, "canonical_spec_key", boom)
+        monkeypatch.setattr(CSRTopology, "canonical_digest", boom)
+        a = MicroBatcher.fingerprint(PATH_SPEC, 200, 0.0)
+        assert MicroBatcher.fingerprint(PATH_SPEC, 200, 0.0) == a
+        assert MicroBatcher.fingerprint(GRID_SPEC, 200, 0.0) != a
+
+    def test_fingerprint_sees_node_count_and_every_rate(self):
+        base = {"nodes": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+                "in_rates": {"0": 2}, "out_rates": {"3": 1}}
+        a = MicroBatcher.fingerprint(parse_spec(base), 200, 0.0)
+        variants = [
+            dict(base, nodes=5),                    # one isolated node more
+            dict(base, in_rates={"0": 1}),          # one rate changed
+            dict(base, out_rates={"3": 2}),
+            dict(base, in_rates={"0": 2, "1": 1}),  # one rate added
+        ]
+        keys = [MicroBatcher.fingerprint(parse_spec(v), 200, 0.0) for v in variants]
+        assert a not in keys
+        assert len(set(keys)) == len(keys)
+
     def test_permuted_edge_lists_in_one_window_do_not_coalesce(self, tier):
         """Two requests whose edge lists are permutations of each other,
         landing inside one coalescing window: each must be simulated on

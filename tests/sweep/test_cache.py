@@ -18,7 +18,6 @@ from repro.sweep import (
     FeasibilityCache,
     canonical_graph_key,
     canonical_spec_key,
-    cached_classify,
     shared_cache,
 )
 
@@ -182,8 +181,8 @@ class TestFeasibilityCache:
 
     def test_shared_cache_is_process_global(self):
         before = shared_cache().size
-        cached_classify(_line_spec(out_rate=3))
-        cached_classify(_line_spec(out_rate=3))
+        shared_cache().classify(_line_spec(out_rate=3))
+        shared_cache().classify(_line_spec(out_rate=3))
         assert shared_cache().size >= before
         assert shared_cache() is shared_cache()
 

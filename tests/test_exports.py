@@ -55,9 +55,9 @@ PUBLIC_API = {
     "repro.flow": (
         "FlowProblem", "FlowResult", "max_flow", "min_cut", "CutKind",
         "MinCut", "classify_cut", "is_unique_min_cut", "is_sd_cut", "FeasibilityReport",
-        "NetworkClass", "RegionReport", "classify_network", "classify_region", "f_star",
-        "feasible_flow", "max_unsaturation_margin", "BreakpointEnvelope",
-        "EnvelopeSegment", "breakpoint_envelope", "critical_lambda", "ParametricMaxFlow",
+        "NetworkClass", "RegionReport", "classify_network", "classify_region",
+        "feasible_flow", "BreakpointEnvelope", "EnvelopeSegment", "breakpoint_envelope",
+        "ParametricMaxFlow",
         "source_arc_updates", "PathDecomposition", "decompose_paths",
         "edge_flow_from_result", "DistributedRun", "distributed_push_relabel", "CutFamily",
         "count_min_cuts", "enumerate_min_cuts",
@@ -117,8 +117,8 @@ PUBLIC_API = {
     ),
     "repro.sweep": (
         "GridPoint", "GridSpec", "PointRecord", "SweepRun", "run_sweep",
-        "FeasibilityCache", "shared_cache", "cached_classify", "cached_envelope",
-        "cached_region", "canonical_graph_key", "canonical_ray_key", "canonical_spec_key",
+        "FeasibilityCache", "shared_cache", "canonical_graph_key", "canonical_ray_key",
+        "canonical_spec_key",
         "SweepCheckpoint", "load_records", "resume", "FAMILIES", "random_instance_spec",
         "classify_point", "region_point", "mobility_point",
     ),
